@@ -32,9 +32,11 @@ from .errors import (
     NonRealizable,
     OracleBenchError,
     OracleFailure,
+    PointError,
     RepeatedActiveFunction,
     ScheduleViolation,
     SizeLimitExceeded,
+    TranscriptError,
 )
 from .game import (
     GameConfig,
@@ -50,8 +52,6 @@ from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     Sample,
-    class_oracle,
-    evaluate,
     hypothesis_from_support,
     is_consistent,
     load_class_file,

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import and_, or_
 from typing import Callable
 
-from .errors import ContradictorySample, InconsistentOracleClass, NonRealizable
+from .errors import InconsistentOracleClass, NonRealizable
 from .hypotheses import (
     Bit,
     Hypothesis,
@@ -23,8 +25,8 @@ from .hypotheses import (
     LabeledPair,
     Point,
     minimal_extension_oracle,
+    point_bit,
     random_table_oracle,
-    table_oracle,
 )
 
 
@@ -120,43 +122,30 @@ class FreeAdversary:
     name = "free"
 
     def __init__(self) -> None:
-        self._points: list[Point] = []
-        self._labels: list[Bit] = []
+        self._rounds = 0
+        self._support = 0
 
     def next_point(self) -> Point:
-        return len(self._points)
+        return self._rounds
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
         y = 1 - y_hat
-        self._points.append(x)
-        self._labels.append(y)
-        # points never repeat, so the minimal extension is just the history
-        f = Hypothesis(f"f{len(self._points)}", tuple(self._points), tuple(self._labels))
-        return y, f
-
-
-def class_greedy_round(
-    c: HypothesisClass, history: list[LabeledPair], x: Point, y_hat: Bit
-) -> tuple[Bit, Hypothesis]:
-    """One round of the flip-when-legal adversary over a fixed class.
-
-    Flips the prediction whenever some class member realizes the flipped
-    history, otherwise concedes the forced label; either way returns a
-    consistent class member as the oracle answer.
-    """
-    flipped = history + [(x, 1 - y_hat)]
-    try:
-        return 1 - y_hat, table_oracle(c, flipped)
-    except (NonRealizable, ContradictorySample):
-        # the flip is illegal: no class member, or the point's label is
-        # already forced by the history
-        pass
-    return y_hat, table_oracle(c, history + [(x, y_hat)])
+        self._rounds += 1
+        # points never repeat, so the minimal extension of the history is
+        # the last one plus this round's point if it is labeled 1
+        if y:
+            self._support |= point_bit(x)
+        return y, Hypothesis(f"f{self._rounds}", support=self._support)
 
 
 class ClassGreedyAdversary:
     """Greedy legal adversary: plays points where the surviving hypotheses
-    disagree and flips whenever the class allows it."""
+    disagree and flips whenever the class allows it.
+
+    Its oracle answer is the first survivor with the revealed label: the
+    first class member consistent with the history, since the survivors
+    are the class's distinct members in first-occurrence order.
+    """
 
     def __init__(self, c: HypothesisClass):
         self.cls = c
@@ -165,17 +154,22 @@ class ClassGreedyAdversary:
         self._survivors = c.distinct()
 
     def next_point(self) -> Point:
+        supports = [h.support for h in self._survivors]
+        split = reduce(or_, supports, 0) & ~reduce(and_, supports, -1)
         for x in self.cls.domain:
-            if len({h(x) for h in self._survivors}) == 2:
+            if split >> x & 1:
                 return x
         # no disagreement left anywhere: keep the game alive round-robin
         return self.cls.domain[len(self.history) % len(self.cls.domain)]
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
-        y, f = class_greedy_round(self.cls, self.history, x, y_hat)
-        self.history.append((x, y))
-        self._survivors = tuple(h for h in self._survivors if h(x) == y)
-        return y, f
+        for y in (1 - y_hat, y_hat):
+            kept = tuple(h for h in self._survivors if h(x) == y)
+            if kept:
+                self.history.append((x, y))
+                self._survivors = kept
+                return y, kept[0]
+        raise NonRealizable(f"no hypothesis in the class realizes {self.history}")
 
 
 class RandomClassAdversary:

@@ -64,3 +64,11 @@ class InconsistentOracleClass(OracleBenchError):
 
 class ClassFileError(OracleBenchError):
     """A hypothesis-class file is malformed."""
+
+
+class PointError(OracleBenchError, ValueError):
+    """A point is not an int in 0..MASK_WIDTH-1, or repeats within one table."""
+
+
+class TranscriptError(OracleBenchError):
+    """A stored transcript is malformed."""

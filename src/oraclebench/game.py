@@ -10,19 +10,19 @@ byte-reproducible from the configuration and seed.
 
 from __future__ import annotations
 
-import gc
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Protocol
 
 from .errors import (
+    ContradictorySample,
     DimensionViolation,
     IllegalAdversaryFunction,
     NonRealizable,
+    TranscriptError,
 )
-from .hypotheses import Bit, Hypothesis, LabeledPair, Point, Sample, is_consistent
+from .hypotheses import Bit, Hypothesis, Point, Sample, add_label, is_consistent
 from .littlestone import ldim
 
 
@@ -97,16 +97,30 @@ class Transcript:
     def mistake_count(self) -> int:
         return sum(1 for r in self.rounds if r.mistake)
 
-    def history(self, upto: int | None = None) -> list[LabeledPair]:
-        rounds = self.rounds if upto is None else self.rounds[:upto]
-        return [(r.x, r.y) for r in rounds]
-
 
 class GameStopped(Exception):
     """Internal control flow: the game is over (not an error)."""
 
     def __init__(self, reason: str):
         self.reason = reason
+
+
+class _History:
+    """The labels revealed so far, as masks of the 1- and 0-labeled points:
+    the engine's per-round check and validate_transcript's offline one,
+    a few big-int operations per round however long the history is."""
+
+    def __init__(self) -> None:
+        self.ones = 0
+        self.zeros = 0
+
+    def admits(self, x: Point, y: Bit, f: Hypothesis) -> bool:
+        """Add the pair (x, y); True iff ``f`` agrees with every pair so far."""
+        try:
+            self.ones, self.zeros = add_label(self.ones, self.zeros, x, y)
+        except ContradictorySample:
+            return False
+        return self.ones & ~f.support == 0 and f.support & self.zeros == 0
 
 
 class RoundChannel:
@@ -121,8 +135,8 @@ class RoundChannel:
         self._adversary = adversary
         self._config = config
         self._transcript = transcript
-        self._ones: set[Point] = set()
-        self._zeros: set[Point] = set()
+        self._history = _History()
+        self._supports: set[int] = set()
         self._pending: Point | None = None
         self._current_f: Hypothesis | None = None
 
@@ -143,22 +157,12 @@ class RoundChannel:
         x = self._pending
         self._pending = None
         y, f = self._adversary.respond(x, y_hat)
-        (self._ones if y else self._zeros).add(x)
-        self._validate(f)
+        self._validate(x, y, f)
         self._current_f = f
         self._transcript.functions.append(f)
-        self._transcript.rounds.append(
-            Round(
-                index=len(self._transcript.rounds),
-                x=x,
-                y_hat=y_hat,
-                y=y,
-                mistake=y != y_hat,
-                f_id=f.name,
-                vote_width=vote_width,
-                active_count=active_count,
-            )
-        )
+        rounds = self._transcript.rounds
+        rounds.append(Round(index=len(rounds), x=x, y_hat=y_hat, y=y, mistake=y != y_hat,
+                            f_id=f.name, vote_width=vote_width, active_count=active_count))
         return y
 
     def oracle(self, sample: Sample) -> Hypothesis:
@@ -178,33 +182,19 @@ class RoundChannel:
         if rounds:
             rounds[-1] = replace(rounds[-1], appended=tuple(appended), deleted=tuple(deleted))
 
-    def _validate(self, f: Hypothesis) -> None:
-        if not (self._ones <= f.support and f.support.isdisjoint(self._zeros)):
+    def _validate(self, x: Point, y: Bit, f: Hypothesis) -> None:
+        if not self._history.admits(x, y, f):
             raise IllegalAdversaryFunction(
                 f"function {f.name!r} contradicts the revealed history"
             )
         if self._config.validation == "full" and self._config.d is not None:
-            distinct = {g.support for g in self._transcript.functions} | {f.support}
-            if len(distinct) <= self._config.ldim_check_limit:
-                revealed = list(self._transcript.functions) + [f]
-                dim = ldim(revealed)
+            self._supports.add(f.support)
+            if len(self._supports) <= self._config.ldim_check_limit:
+                dim = ldim(self._transcript.functions + [f])
                 if dim > self._config.d:
                     raise DimensionViolation(
                         f"revealed set has dimension {dim} > bound {self._config.d}"
                     )
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    # The round loop allocates many large acyclic containers; cyclic GC
-    # rescanning them dominates long games, so pause it for the loop.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def run_game(learner: Learner, adversary: Adversary, config: GameConfig) -> Transcript:
@@ -216,13 +206,12 @@ def run_game(learner: Learner, adversary: Adversary, config: GameConfig) -> Tran
     """
     transcript = Transcript(config=config, learner=learner.name, adversary=adversary.name)
     channel = RoundChannel(adversary, config, transcript)
-    with _gc_paused():
-        try:
-            learner.run(channel)
-        except GameStopped as stop:
-            transcript.stopped_by = stop.reason
-        else:
-            transcript.stopped_by = "learner_halted"
+    try:
+        learner.run(channel)
+    except GameStopped as stop:
+        transcript.stopped_by = stop.reason
+    else:
+        transcript.stopped_by = "learner_halted"
     return transcript
 
 
@@ -248,13 +237,12 @@ def validate_transcript(t: Transcript, d: int | None = None, *, ldim_check_limit
     failures: list[str] = []
     notes: list[str] = []
     checks = 0
-    history: list[LabeledPair] = []
+    history = _History()
     for r, f in zip(t.rounds, t.functions):
         checks += 1
         if r.mistake != (r.y_hat != r.y):
             failures.append(f"round {r.index}: mistake flag does not match labels")
-        history.append((r.x, r.y))
-        if not is_consistent(f, history):
+        if not history.admits(r.x, r.y, f):
             failures.append(
                 f"round {r.index}: function {f.name!r} inconsistent with history"
             )
@@ -284,102 +272,82 @@ def validate_transcript(t: Transcript, d: int | None = None, *, ldim_check_limit
     )
 
 
-def _round_record(r: Round) -> dict:
-    return {
-        "type": "round",
-        "round": r.index,
-        "x": r.x,
-        "y_hat": r.y_hat,
-        "y": r.y,
-        "mistake": r.mistake,
-        "f_id": r.f_id,
-        "vote_width": r.vote_width,
-        "active_count": r.active_count,
-        "appended": list(r.appended),
-        "deleted": list(r.deleted),
-    }
+TRANSCRIPT_FORMAT = 2
+_HEX_DIGITS = frozenset("0123456789abcdef")
+# Round fields stored under their own names, in Round's field order.
+_ROUND_KEYS = ("x", "y_hat", "y", "mistake", "f_id", "vote_width", "active_count")
+
+
+def _line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def save_transcript(t: Transcript, path: str | Path) -> None:
     """Write a transcript as line-delimited JSON, bit-exact for identical
     inputs: a header record, one record per round, one per revealed
-    function, and a trailing summary."""
-    lines = [
-        json.dumps(
-            {
-                "type": "header",
-                "learner": t.learner,
-                "adversary": t.adversary,
-                "d": t.config.d,
-                "round_cap": t.config.round_cap,
-                "seed": t.config.seed,
-                "validation": t.config.validation,
-            },
-            sort_keys=True,
-        )
-    ]
-    lines.extend(json.dumps(_round_record(r), sort_keys=True) for r in t.rounds)
+    function (its support mask in lowercase hex), and a trailing summary."""
+    header = {
+        "type": "header",
+        "format": TRANSCRIPT_FORMAT,
+        "learner": t.learner,
+        "adversary": t.adversary,
+        "d": t.config.d,
+        "round_cap": t.config.round_cap,
+        "seed": t.config.seed,
+        "validation": t.config.validation,
+    }
+    lines = [_line(header)]
     lines.extend(
-        json.dumps(
-            {
-                "type": "function",
-                "round": i,
-                "f_id": f.name,
-                "domain": list(f.domain),
-                "values": "".join(str(v) for v in f.values),
-            },
-            sort_keys=True,
-        )
+        _line({"type": "round", "round": r.index, **{k: getattr(r, k) for k in _ROUND_KEYS},
+               "appended": list(r.appended), "deleted": list(r.deleted)})
+        for r in t.rounds
+    )
+    lines.extend(
+        _line({"type": "function", "round": i, "f_id": f.name, "ones": format(f.support, "x")})
         for i, f in enumerate(t.functions)
     )
-    lines.append(
-        json.dumps(
-            {
-                "type": "summary",
-                "rounds": len(t.rounds),
-                "mistakes": t.mistake_count,
-                "stopped_by": t.stopped_by,
-            },
-            sort_keys=True,
-        )
-    )
+    lines.append(_line({"type": "summary", "rounds": len(t.rounds), "mistakes": t.mistake_count,
+                        "stopped_by": t.stopped_by}))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_record(rec: dict, t: Transcript | None) -> Transcript:
+    kind = rec["type"]
+    if kind == "header":
+        if rec.get("format") != TRANSCRIPT_FORMAT:
+            raise TranscriptError(
+                f"unknown transcript format {rec.get('format')!r}; expected {TRANSCRIPT_FORMAT}"
+            )
+        config = GameConfig(rec["d"], rec["round_cap"], rec["seed"], rec["validation"])
+        return Transcript(config, rec["learner"], rec["adversary"])
+    if t is None:
+        raise TranscriptError(f"{kind!r} record before the header")
+    if kind == "round":
+        lists = (tuple(rec.get("appended", ())), tuple(rec.get("deleted", ())))
+        t.rounds.append(Round(rec["round"], *(rec[k] for k in _ROUND_KEYS), *lists))
+    elif kind == "function":
+        ones = rec["ones"]
+        if not isinstance(ones, str) or not ones or not _HEX_DIGITS.issuperset(ones):
+            raise TranscriptError(f"'ones' is not a lowercase hex string: {ones!r}")
+        t.functions.append(Hypothesis(rec["f_id"], support=int(ones, 16)))
+    elif kind == "summary":
+        t.stopped_by = rec["stopped_by"]
+    else:
+        raise TranscriptError(f"unknown record type {kind!r}")
+    return t
+
+
 def load_transcript(path: str | Path) -> Transcript:
-    records = [json.loads(line) for line in Path(path).read_text().splitlines() if line]
-    header = next(r for r in records if r["type"] == "header")
-    config = GameConfig(
-        d=header["d"],
-        round_cap=header["round_cap"],
-        seed=header["seed"],
-        validation=header["validation"],
-    )
-    t = Transcript(config=config, learner=header["learner"], adversary=header["adversary"])
-    for rec in records:
-        if rec["type"] == "round":
-            t.rounds.append(
-                Round(
-                    index=rec["round"],
-                    x=rec["x"],
-                    y_hat=rec["y_hat"],
-                    y=rec["y"],
-                    mistake=rec["mistake"],
-                    f_id=rec["f_id"],
-                    vote_width=rec["vote_width"],
-                    active_count=rec["active_count"],
-                    appended=tuple(rec.get("appended", ())),
-                    deleted=tuple(rec.get("deleted", ())),
-                )
-            )
-        elif rec["type"] == "function":
-            t.functions.append(
-                Hypothesis(
-                    rec["f_id"],
-                    tuple(rec["domain"]),
-                    tuple(int(ch) for ch in rec["values"]),
-                )
-            )
-        elif rec["type"] == "summary":
-            t.stopped_by = rec["stopped_by"]
+    """Read a transcript written by save_transcript. A malformed record
+    raises TranscriptError naming its line."""
+    t: Transcript | None = None
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            t = _read_record(json.loads(line), t)
+        except KeyError as exc:
+            raise TranscriptError(f"{path} line {lineno}: record lacks key {exc}") from exc
+        except (TranscriptError, TypeError, ValueError) as exc:
+            raise TranscriptError(f"{path} line {lineno}: {exc}") from exc
+    if t is None:
+        raise TranscriptError(f"{path}: no header record")
     return t

@@ -1,10 +1,14 @@
 """Core data model: hypotheses, classes, samples, and consistent oracles.
 
 A hypothesis is a total 0/1-valued function on the non-negative integers,
-stored as a finite table with an implicit default of 0 outside its domain.
-The default-zero convention makes every hypothesis total, extensionally
-comparable, and hashable: two hypotheses are equal exactly when their
-1-sets coincide.
+stored as an int support mask: bit x is its value at x, so it is 0 past
+its highest set bit. Equality is extensional (equal masks), and hashing
+follows it. A sample carries the masks of its 1-labeled and 0-labeled
+points, so consistency is two big-int operations,
+``ones & ~f == 0 and f & zeros == 0``, whatever the sample's length.
+
+Points must lie in 0..MASK_WIDTH-1, which caps a mask at 2^20 bits
+(128 KiB); anything else raises PointError naming the point.
 """
 
 from __future__ import annotations
@@ -14,48 +18,109 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import not_
 from pathlib import Path
 from typing import Callable, Iterable, Union
+from weakref import WeakValueDictionary
 
-from .errors import ClassFileError, ContradictorySample, EmptyClass, NonRealizable
+from .errors import ClassFileError, ContradictorySample, EmptyClass, NonRealizable, PointError
 
 Point = int
 Bit = int
 LabeledPair = tuple[Point, Bit]
 
+MASK_WIDTH = 1 << 20
+
 _BITS = frozenset((0, 1))
+# bin() digits to byte values 0/1, so itertools.compress can select by them
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# One shared int object per point: the tuples mask_points returns then cost
+# a pointer per point rather than a fresh int each.
+_POINTS: list[Point] = []
 
 
-@dataclass(frozen=True, eq=False)
+def point_bit(x: Point) -> int:
+    """The mask bit of point ``x``."""
+    if type(x) is not int or not 0 <= x < MASK_WIDTH:
+        _check_points((x,))
+    return 1 << x
+
+
+def _check_points(points: tuple, what: str = "") -> None:
+    """Raise PointError naming the first point that is not an int in
+    0..MASK_WIDTH-1 (bools included) or that repeats."""
+    if set(map(type, points)) <= {int} and len(set(points)) == len(points):
+        if min(points, default=0) >= 0 and max(points, default=0) < MASK_WIDTH:
+            return
+    prefix = f"{what}: " if what else ""
+    seen: set[Point] = set()
+    for x in points:
+        if type(x) is not int:
+            raise PointError(f"{prefix}point {x!r} is not an integer")
+        if x < 0:
+            raise PointError(f"{prefix}negative point {x}")
+        if x >= MASK_WIDTH:
+            raise PointError(f"{prefix}point {x} is past the mask-width limit {MASK_WIDTH - 1}")
+        if x in seen:
+            raise PointError(f"{prefix}duplicate point {x}")
+        seen.add(x)
+
+
+def mask_points(mask: int) -> tuple[Point, ...]:
+    """The set bits of ``mask``, in increasing order."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    if len(bits) > len(_POINTS):
+        _POINTS.extend(range(len(_POINTS), len(bits)))
+    return tuple(compress(_POINTS, bits))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Hypothesis:
-    """A finite truth table over integer points, 0 everywhere else."""
+    """A name and a support mask; the function is 1 exactly on the mask's bits.
+
+    Build it from a table, ``Hypothesis(name, domain, values)`` (points off
+    the domain are 0), or from a mask, ``Hypothesis(name, support=m)``.
+    ``domain`` and ``values`` are read-only views of the mask: its 1-points
+    in increasing order, and a 1 for each. Built on first read, they are
+    shared by every live hypothesis with the same mask.
+    """
 
     name: str
-    domain: tuple[Point, ...]
-    values: tuple[Bit, ...]
+    support: int
 
-    def __post_init__(self) -> None:
-        if len(self.domain) != len(self.values):
-            raise ValueError(
-                f"hypothesis {self.name!r}: {len(self.values)} values for "
-                f"{len(self.domain)} domain points"
-            )
-        if len(set(self.domain)) != len(self.domain):
-            raise ValueError(f"hypothesis {self.name!r}: duplicate domain points")
-        if self.domain and min(self.domain) < 0:
-            raise ValueError(f"hypothesis {self.name!r}: negative domain point")
-        if not set(self.values) <= _BITS:
-            raise ValueError(f"hypothesis {self.name!r}: values must be bits")
+    def __init__(self, name: str, domain: Iterable[Point] = (), values: Iterable[Bit] = (),
+                 *, support: int | None = None) -> None:
+        if support is None:
+            domain, values = tuple(domain), tuple(values)
+            if len(domain) != len(values):
+                raise ValueError(
+                    f"hypothesis {name!r}: {len(values)} values for {len(domain)} domain points"
+                )
+            if not set(values) <= _BITS:
+                raise ValueError(f"hypothesis {name!r}: values must be bits")
+            _check_points(domain, f"hypothesis {name!r}")
+            support = sum(map((1).__lshift__, compress(domain, values)))
+        elif domain or values:
+            raise TypeError("give a hypothesis a table or a support mask, not both")
+        elif type(support) is not int or support < 0 or support.bit_length() > MASK_WIDTH:
+            raise PointError(f"hypothesis {name!r}: support is not a mask below 2^{MASK_WIDTH}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "support", support)
 
     @cached_property
-    def support(self) -> frozenset[Point]:
-        """The 1-set; determines the function under the default-zero rule."""
-        return frozenset(compress(self.domain, self.values))
+    def domain(self) -> tuple[Point, ...]:
+        twin = _VIEWED.setdefault(self.support, self)
+        return mask_points(self.support) if twin is self else twin.domain
+
+    @cached_property
+    def values(self) -> tuple[Bit, ...]:
+        twin = _VIEWED.setdefault(self.support, self)
+        return (1,) * len(self.domain) if twin is self else twin.values
 
     def __call__(self, x: Point) -> Bit:
-        # evaluation needs no table: the default off-domain is 0 as well
-        return 1 if x in self.support else 0
+        try:
+            return self.support >> x & 1
+        except ValueError:
+            raise PointError(f"negative point {x}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypothesis):
@@ -66,7 +131,11 @@ class Hypothesis:
         return hash(self.support)
 
     def __repr__(self) -> str:
-        return f"Hypothesis({self.name!r}, ones={sorted(self.support)})"
+        return f"Hypothesis({self.name!r}, ones={list(self.domain)})"
+
+
+# The hypothesis that holds the views of each mask, while one is alive.
+_VIEWED: WeakValueDictionary[int, Hypothesis] = WeakValueDictionary()
 
 
 def hypothesis_from_support(name: str, ones: Iterable[Point], domain: Iterable[Point] = ()) -> Hypothesis:
@@ -77,33 +146,45 @@ def hypothesis_from_support(name: str, ones: Iterable[Point], domain: Iterable[P
     return Hypothesis(name, points, tuple([1] * len(one_points) + [0] * len(zero_points)))
 
 
+def add_label(ones: int, zeros: int, x: Point, y: Bit) -> tuple[int, int]:
+    """The (ones, zeros) masks after labeling ``x`` with ``y``; checks only
+    this pair against the masks."""
+    bit = point_bit(x)
+    if y not in _BITS:
+        raise ValueError("sample labels must be bits")
+    if bit & (zeros if y else ones):
+        raise ContradictorySample(f"point {x} labeled both 0 and 1")
+    return (ones | bit, zeros) if y else (ones, zeros | bit)
+
+
 @dataclass(frozen=True)
 class Sample:
-    """An ordered list of labeled points.
+    """An ordered list of labeled points, with the masks of its 1-labeled
+    and 0-labeled points.
 
     A point may repeat only with the same label; anything else is rejected
-    at construction because no function could realize it. The 1-labeled
-    and 0-labeled point sets are precomputed for fast consistency checks.
+    at construction because no function could realize it.
     """
 
     pairs: tuple[LabeledPair, ...]
-    ones: frozenset[Point] = field(init=False, repr=False, compare=False)
-    zeros: frozenset[Point] = field(init=False, repr=False, compare=False)
+    ones: int = field(init=False, repr=False, compare=False)
+    zeros: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.pairs:
-            xs, ys = zip(*self.pairs)
-        else:
-            xs, ys = (), ()
-        if not set(ys) <= _BITS:
-            raise ValueError("sample labels must be bits")
-        ones = frozenset(compress(xs, ys))
-        zeros = frozenset(compress(xs, map(not_, ys)))
-        clash = ones & zeros
-        if clash:
-            raise ContradictorySample(f"point {min(clash)} labeled both 0 and 1")
+        ones = zeros = 0
+        for x, y in self.pairs:
+            ones, zeros = add_label(ones, zeros, x, y)
         object.__setattr__(self, "ones", ones)
         object.__setattr__(self, "zeros", zeros)
+
+    def extended(self, x: Point, y: Bit) -> "Sample":
+        """This sample plus the pair (x, y), checking only the new pair."""
+        ones, zeros = add_label(self.ones, self.zeros, x, y)
+        s = object.__new__(Sample)
+        object.__setattr__(s, "pairs", self.pairs + ((x, y),))
+        object.__setattr__(s, "ones", ones)
+        object.__setattr__(s, "zeros", zeros)
+        return s
 
     def __iter__(self):
         return iter(self.pairs)
@@ -121,23 +202,15 @@ def as_sample(pairs: SampleLike) -> Sample:
     return Sample(tuple((x, y) for x, y in pairs))
 
 
-def _sample_snapshot(
-    pairs: tuple[LabeledPair, ...], ones: frozenset[Point], zeros: frozenset[Point]
-) -> Sample:
-    """Internal fast path: assemble a Sample from parts whose invariants
-    the caller maintains incrementally (bit labels, disjoint ones/zeros
-    matching the pairs). Used by the learner, whose mistake sample only
-    ever appends."""
-    s = object.__new__(Sample)
-    object.__setattr__(s, "pairs", pairs)
-    object.__setattr__(s, "ones", ones)
-    object.__setattr__(s, "zeros", zeros)
-    return s
+def distinct(hypotheses: Iterable[Hypothesis]) -> tuple[Hypothesis, ...]:
+    """Extensional deduplication, keeping first occurrences in order."""
+    # dict.fromkeys keeps the first of equal keys, at its first position
+    return tuple(dict.fromkeys(hypotheses))
 
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """An ordered, finite set of hypotheses over one shared domain."""
+    """An ordered, finite set of hypotheses, each 0 off the shared domain."""
 
     domain: tuple[Point, ...]
     hypotheses: tuple[Hypothesis, ...]
@@ -145,13 +218,11 @@ class HypothesisClass:
     def __post_init__(self) -> None:
         if not self.hypotheses:
             raise EmptyClass("a hypothesis class must be non-empty")
-        if len(set(self.domain)) != len(self.domain):
-            raise ValueError("class domain has duplicate points")
+        _check_points(self.domain, "class domain")
+        off_domain = ~sum(map((1).__lshift__, self.domain))
         for h in self.hypotheses:
-            if tuple(h.domain) != tuple(self.domain):
-                raise ValueError(
-                    f"hypothesis {h.name!r} is not given on the class domain"
-                )
+            if h.support & off_domain:
+                raise ValueError(f"hypothesis {h.name!r} is 1 off the class domain")
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -160,23 +231,13 @@ class HypothesisClass:
         return iter(self.hypotheses)
 
     def distinct(self) -> tuple[Hypothesis, ...]:
-        """Extensional deduplication, preserving first occurrence order."""
-        out: list[Hypothesis] = []
-        seen: set[frozenset[Point]] = set()
-        for h in self.hypotheses:
-            if h.support not in seen:
-                seen.add(h.support)
-                out.append(h)
-        return tuple(out)
+        return distinct(self.hypotheses)
 
     @classmethod
     def from_rows(cls, domain: Iterable[Point], rows: Iterable[tuple[str, str]]) -> "HypothesisClass":
         """Build a class from (name, '0101...') rows over a shared domain."""
         dom = tuple(domain)
-        hyps = []
-        for name, bits in rows:
-            hyps.append(Hypothesis(name, dom, tuple(int(b) for b in bits)))
-        return cls(dom, tuple(hyps))
+        return cls(dom, tuple(Hypothesis(name, dom, tuple(map(int, bits))) for name, bits in rows))
 
 
 # A consistent oracle maps a realizable sample to some hypothesis agreeing
@@ -184,16 +245,10 @@ class HypothesisClass:
 ConsistentOracle = Callable[[Sample], Hypothesis]
 
 
-def evaluate(h: Hypothesis, x: Point) -> Bit:
-    """Value of ``h`` at ``x``: the stored bit, or 0 outside the table."""
-    return h(x)
-
-
 def is_consistent(h: Hypothesis, sample: SampleLike) -> bool:
     """True iff ``h`` agrees with every labeled pair of the sample."""
-    if isinstance(sample, Sample):
-        return sample.ones <= h.support and h.support.isdisjoint(sample.zeros)
-    return all(h(x) == y for x, y in sample)
+    s = as_sample(sample)
+    return s.ones & ~h.support == 0 and h.support & s.zeros == 0
 
 
 def table_oracle(c: HypothesisClass, sample: SampleLike) -> Hypothesis:
@@ -218,16 +273,9 @@ def random_table_oracle(c: HypothesisClass, sample: SampleLike, rng: random.Rand
     return rng.choice(fits)
 
 
-def class_oracle(c: HypothesisClass) -> ConsistentOracle:
-    """Bind table_oracle to a class, yielding a ConsistentOracle."""
-    return lambda sample: table_oracle(c, sample)
-
-
 def minimal_extension_oracle(sample: SampleLike, name: str = "ext") -> Hypothesis:
-    """The hypothesis whose table is exactly the sample, 0 elsewhere."""
-    s = as_sample(sample)
-    table = dict(s.pairs)
-    return Hypothesis(name, tuple(table), tuple(table.values()))
+    """The hypothesis that is 1 exactly on the sample's 1-labeled points."""
+    return Hypothesis(name, support=as_sample(sample).ones)
 
 
 def load_class_file(path: str | Path) -> HypothesisClass:
@@ -235,7 +283,9 @@ def load_class_file(path: str | Path) -> HypothesisClass:
 
     Format: {"domain": [int, ...],
              "hypotheses": [{"name": str, "values": "0101..."}, ...]}.
-    Points absent from the domain are implicitly 0.
+    Points absent from the domain are implicitly 0. Every domain point must
+    be a distinct integer in 0..MASK_WIDTH-1; the first that is not is
+    named in the ClassFileError.
     """
     path = Path(path)
     try:
@@ -245,8 +295,15 @@ def load_class_file(path: str | Path) -> HypothesisClass:
     if not isinstance(doc, dict) or "domain" not in doc or "hypotheses" not in doc:
         raise ClassFileError(f"{path}: expected an object with 'domain' and 'hypotheses'")
     domain = doc["domain"]
-    if not isinstance(domain, list) or not all(isinstance(x, int) for x in domain):
+    if not isinstance(domain, list):
         raise ClassFileError(f"{path}: 'domain' must be an array of integers")
+    domain = tuple(domain)
+    try:
+        _check_points(domain, "domain")
+    except PointError as exc:
+        raise ClassFileError(f"{path}: {exc}") from exc
+    if not isinstance(doc["hypotheses"], list):
+        raise ClassFileError(f"{path}: 'hypotheses' must be an array")
     hyps: list[Hypothesis] = []
     for i, entry in enumerate(doc["hypotheses"]):
         if not isinstance(entry, dict) or "values" not in entry:
@@ -260,20 +317,17 @@ def load_class_file(path: str | Path) -> HypothesisClass:
                 f"{path}: hypothesis {name!r}: {len(values)} values for "
                 f"{len(domain)} domain points"
             )
-        hyps.append(Hypothesis(name, tuple(domain), tuple(int(ch) for ch in values)))
+        hyps.append(Hypothesis(name, domain, tuple(map(int, values))))
     if not hyps:
         raise ClassFileError(f"{path}: class is empty")
-    try:
-        return HypothesisClass(tuple(domain), tuple(hyps))
-    except ValueError as exc:
-        raise ClassFileError(f"{path}: {exc}") from exc
+    return HypothesisClass(domain, tuple(hyps))
 
 
 def save_class_file(c: HypothesisClass, path: str | Path) -> None:
     doc = {
         "domain": list(c.domain),
         "hypotheses": [
-            {"name": h.name, "values": "".join(str(v) for v in h.values)}
+            {"name": h.name, "values": "".join(str(h(x)) for x in c.domain)}
             for h in c.hypotheses
         ],
     }

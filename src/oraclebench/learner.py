@@ -31,10 +31,8 @@ from .hypotheses import (
     Bit,
     ConsistentOracle,
     Hypothesis,
-    LabeledPair,
     Point,
     Sample,
-    _sample_snapshot,
     is_consistent,
 )
 from .littlestone import _DimensionEngine
@@ -64,7 +62,7 @@ class ActiveList:
 
     def __init__(self) -> None:
         self._functions: list[Hypothesis] = []
-        self._supports: set[frozenset[Point]] = set()
+        self._supports: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._functions)
@@ -107,24 +105,11 @@ class LearnerState:
 
     oracle: ConsistentOracle
     active: ActiveList = field(default_factory=ActiveList)
-    mistakes: list[LabeledPair] = field(default_factory=list)
-    _ones: set[Point] = field(default_factory=set, repr=False)
-    _zeros: set[Point] = field(default_factory=set, repr=False)
+    mistakes: Sample = field(default_factory=lambda: Sample(()))
 
     @property
     def mistake_count(self) -> int:
         return len(self.mistakes)
-
-    def record_mistake(self, x: Point, y: Bit) -> None:
-        self.mistakes.append((x, y))
-        (self._ones if y else self._zeros).add(x)
-
-    def mistake_sample(self) -> Sample:
-        # labels come from a history the engine already checked for
-        # consistency, so the snapshot invariants hold by construction
-        return _sample_snapshot(
-            tuple(self.mistakes), frozenset(self._ones), frozenset(self._zeros)
-        )
 
 
 def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None:
@@ -154,17 +139,16 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
         y = rounds.submit(y_hat, vote_width=used, active_count=count)
         if y == y_hat:
             continue
-        state.record_mistake(x, y)
+        state.mistakes = state.mistakes.extended(x, y)
         if k == 0 or count < width:
-            mistake_sample = state.mistake_sample()
             try:
-                g = state.oracle(mistake_sample)
+                g = state.oracle(state.mistakes)
             except NonRealizable as exc:
                 raise OracleFailure(
                     "consistent oracle failed on the mistake sample; "
                     "the adversary played an inconsistent history"
                 ) from exc
-            if not is_consistent(g, mistake_sample):
+            if not is_consistent(g, state.mistakes):
                 raise OracleFailure(
                     f"oracle answer {g.name!r} disagrees with the mistake sample"
                 )

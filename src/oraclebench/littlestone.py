@@ -4,15 +4,17 @@ version-space learner that meets the dimension as its mistake bound.
 The dimension of a finite class is computed by the standard recursion:
 a single function has dimension 0, and otherwise the dimension is the
 maximum over splitting points x of 1 + min over the two restrictions
-{f : f(x) = 0} and {f : f(x) = 1}, both taken non-empty.  Internally
-hypotheses are reduced to bitmask rows over the points where at least one
-function is 1; points outside every 1-set can never split a class, so
-they are never candidates.
+{f : f(x) = 0} and {f : f(x) = 1}, both taken non-empty.  Internally a
+set of hypotheses is a frozen set of their support masks; only points
+where at least one function is 1 can split a class, so only those are
+candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -27,7 +29,9 @@ from .hypotheses import (
     HypothesisClass,
     Point,
     Sample,
+    distinct,
     is_consistent,
+    mask_points,
 )
 
 HypothesisInput = Union[HypothesisClass, Sequence[Hypothesis]]
@@ -96,52 +100,35 @@ def _as_hypotheses(hypotheses: HypothesisInput) -> tuple[Hypothesis, ...]:
     return tuple(hypotheses)
 
 
-def _distinct(hyps: Sequence[Hypothesis]) -> tuple[Hypothesis, ...]:
-    out: list[Hypothesis] = []
-    seen: set[frozenset[Point]] = set()
-    for h in hyps:
-        if h.support not in seen:
-            seen.add(h.support)
-            out.append(h)
-    return tuple(out)
-
-
 class _DimensionEngine:
     """Bitmask-based recursion state shared by dimension queries.
 
     One engine serves one family of hypotheses; its memo tables are keyed
-    by frozen sets of mask rows, which are canonical because masks encode
-    functions extensionally.
+    by frozen sets of support masks, which are canonical because masks
+    encode functions extensionally.
     """
 
     def __init__(self, hyps: Sequence[Hypothesis]):
-        self.hyps = _distinct(hyps)
-        self.points: list[Point] = sorted(set().union(*(h.support for h in self.hyps)))
-        index = {x: i for i, x in enumerate(self.points)}
-        mask_of: dict[int, Hypothesis] = {}
-        for h in self.hyps:
-            m = 0
-            for x in h.support:
-                m |= 1 << index[x]
-            mask_of[m] = h
-        self.mask_of = mask_of
-        self.all_masks = frozenset(mask_of)
+        self.hyps = distinct(hyps)
+        self.mask_of: dict[int, Hypothesis] = {h.support: h for h in self.hyps}
+        self.all_masks = frozenset(self.mask_of)
+        self.points: tuple[Point, ...] = mask_points(reduce(or_, self.mask_of, 0))
         self._ldim_memo: dict[frozenset[int], int] = {}
         self._at_least_memo: dict[tuple[frozenset[int], int], bool] = {}
 
     def splits(self, masks: frozenset[int]) -> Iterator[tuple[int, frozenset[int], frozenset[int]]]:
-        """Yield (point-bit, zero-side, one-side) with both sides non-empty,
+        """Yield (point, zero-side, one-side) with both sides non-empty,
         deduplicated by the induced partition."""
         seen: set[frozenset[int]] = set()
-        for i in range(len(self.points)):
-            bit = 1 << i
+        for x in self.points:
+            bit = 1 << x
             one = frozenset(m for m in masks if m & bit)
             if not one or len(one) == len(masks):
                 continue
             if one in seen:
                 continue
             seen.add(one)
-            yield i, masks - one, one
+            yield x, masks - one, one
 
     def ldim(self, masks: frozenset[int]) -> int:
         if len(masks) == 1:
@@ -185,11 +172,11 @@ class _DimensionEngine:
     def build_tree(self, masks: frozenset[int], d: int) -> TreeNode | None:
         if d == 0:
             return None
-        for i, zero, one in self.splits(masks):
+        for x, zero, one in self.splits(masks):
             if self.at_least(zero, d - 1) and self.at_least(one, d - 1):
                 left = self.build_tree(zero, d - 1)
                 right = self.build_tree(one, d - 1)
-                return TreeNode(self.points[i], left, right)
+                return TreeNode(x, left, right)
         return None
 
 
@@ -282,7 +269,7 @@ def minimax_adversary_value(
     minimizes, adversary maximizes) and is an independent cross-check of
     the dimension recursion, to which the value is provably equal.
     """
-    hyps = _distinct(_as_hypotheses(hypotheses))
+    hyps = distinct(_as_hypotheses(hypotheses))
     if not hyps:
         raise EmptyClass("the mistake game needs a non-empty class")
     engine = _DimensionEngine(hyps)
@@ -316,13 +303,11 @@ class SOALearner:
     Makes at most ldim(class) mistakes against any legal adversary.
     """
 
+    name = "soa"
+
     def __init__(self, c: HypothesisClass):
         self.cls = c
         self.version_space: VersionSpace = c.distinct()
-
-    @property
-    def name(self) -> str:
-        return "soa"
 
     def run(self, rounds) -> None:
         while True:

@@ -3,7 +3,8 @@
 These work straight from the definitions: a tree is shattered when every
 leaf's path assignment is realized by some hypothesis, and the dimension
 is the deepest complete tree shattered. No version spaces, no masks, no
-memoization; only meant for small inputs.
+memoization: functions are only ever evaluated, h(x), at given points.
+Only meant for small inputs.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ def exists_shattered_tree(
     )
 
 
-def brute_ldim(hyps: Sequence[Hypothesis]) -> int:
-    """Dimension by exhaustive tree search; exponential, small inputs only."""
-    points = sorted(set().union(*(h.support for h in hyps)))
-    distinct = len({h.support for h in hyps})
+def brute_ldim(hyps: Sequence[Hypothesis], domain: Sequence[int]) -> int:
+    """Dimension by exhaustive tree search; exponential, small inputs only.
+
+    Every hypothesis must be 0 off ``domain``."""
+    points = [x for x in domain if any(h(x) for h in hyps)]
+    distinct = len({tuple(h(x) for x in points) for h in hyps})
     best = 0
     depth = 1
     while (1 << depth) <= distinct:

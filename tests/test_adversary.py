@@ -12,7 +12,6 @@ from oraclebench.adversary import (
     InformativeState,
     RandomClassAdversary,
     TernaryAdversary,
-    class_greedy_round,
     informative_predict,
     informative_update,
     ternary_digits,
@@ -87,7 +86,7 @@ def test_ternary_class_dimension_within_bound(d: int) -> None:
 def test_ternary_class_dimension_matches_brute_force_for_d1() -> None:
     labels = (1, 0, 1)
     family = [ternary_function(r, 1, labels[: r + 1]) for r in range(3)]
-    assert brute_ldim(family) == ldim(family) <= 1
+    assert brute_ldim(family, range(3)) == ldim(family) <= 1
 
 
 def test_flood_adversary_counts_and_dimension() -> None:
@@ -110,23 +109,24 @@ def test_free_adversary_first_round() -> None:
     assert adv.next_point() == 0
     y, f = adv.respond(0, 0)
     assert y == 1
-    assert f.support == frozenset({0})
+    assert f.support == 0b1
 
 
 def test_class_greedy_flips_when_legal() -> None:
     domain = tuple(range(4))
     c = HypothesisClass(domain, tuple(h for h in threshold_hypotheses(4)))
-    y, f = class_greedy_round(c, [], 0, 0)
+    y, f = ClassGreedyAdversary(c).respond(0, 0)
     assert y == 1
     assert is_consistent(f, [(0, 1)])
 
 
 def test_class_greedy_concedes_when_pinned() -> None:
     c = HypothesisClass.from_rows([0, 1], [("a", "10"), ("b", "01")])
-    history = [(0, 1)]  # only "a" survives
-    y, f = class_greedy_round(c, history, 1, 0)
+    adv = ClassGreedyAdversary(c)
+    assert adv.respond(0, 0)[0] == 1  # history [(0, 1)]: only "a" survives
+    y, f = adv.respond(1, 0)
     assert (y, f.name) == (0, "a")  # forced label equals the prediction
-    y2, f2 = class_greedy_round(c, history, 0, 1)
+    y2, f2 = adv.respond(0, 1)
     assert (y2, f2.name) == (1, "a")  # revisiting a forced point
 
 

@@ -142,3 +142,10 @@ def test_bench_records_cell_failures_and_continues(capsys) -> None:
     assert code == 1
     assert "ERROR" in out
     assert "\t9\t" in out  # the ternary cell still ran
+
+
+def test_ldim_class_file_with_a_negative_point_is_an_error_not_a_traceback(capsys, tmp_path) -> None:
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"domain": [0, -1], "hypotheses": [{"name": "h", "values": "01"}]}))
+    assert main(["ldim", str(path)]) == 2
+    assert "negative point -1" in capsys.readouterr().err

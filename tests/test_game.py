@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hyp
 from oraclebench.adversary import FloodAdversary, FreeAdversary, TernaryAdversary
-from oraclebench.errors import DimensionViolation, IllegalAdversaryFunction
+from oraclebench.errors import DimensionViolation, IllegalAdversaryFunction, PointError, TranscriptError
 from oraclebench.game import (
     GameConfig,
     load_transcript,
@@ -13,7 +17,7 @@ from oraclebench.game import (
     validate_transcript,
 )
 from oraclebench.hypotheses import HypothesisClass
-from oraclebench.learner import PredictLearner
+from oraclebench.learner import CreateAdvancedLearner, PredictLearner
 from oraclebench.littlestone import SOALearner
 from oraclebench.adversary import ClassGreedyAdversary
 
@@ -140,3 +144,101 @@ def test_channel_enforces_round_ordering() -> None:
     channel.next_point()
     with pytest.raises(RuntimeError):
         channel.next_point()
+
+
+# ----------------------------------------------------------------------
+# format-2 transcripts: functions stored as hex support masks
+
+
+def _games():
+    pair = HypothesisClass.from_rows(
+        [0, 1, 2, 3], [("lo", "0001"), ("mid", "0011"), ("hi", "0111"), ("all", "1111")]
+    )
+    return {
+        "ternary:3": (PredictLearner(), TernaryAdversary(3), 3),
+        "flood:3": (PredictLearner(), FloodAdversary(3), 3),
+        "class-greedy": (PredictLearner(), ClassGreedyAdversary(pair), 1),
+        "create-adv:1": (CreateAdvancedLearner(1), FreeAdversary(), None),
+    }
+
+
+@pytest.mark.parametrize("name", ["ternary:3", "flood:3", "class-greedy", "create-adv:1"])
+def test_save_load_save_is_byte_identical_and_validates(tmp_path, name) -> None:
+    learner, adversary, d = _games()[name]
+    t = run_game(learner, adversary, GameConfig(d=d, round_cap=300))
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_transcript(t, first)
+    loaded = load_transcript(first)
+    save_transcript(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert [(f.name, f.support) for f in loaded.functions] == [(f.name, f.support) for f in t.functions]
+    report = validate_transcript(loaded)
+    assert report.passed and report.checks >= len(t.rounds)
+
+
+@pytest.fixture(scope="module")
+def ternary_lines(tmp_path_factory) -> list[str]:
+    t = run_game(PredictLearner(), TernaryAdversary(2), GameConfig(d=2, round_cap=100))
+    path = tmp_path_factory.mktemp("t") / "t.jsonl"
+    save_transcript(t, path)
+    return path.read_text().splitlines()
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_flipping_a_history_bit_of_a_stored_function_fails_validation(
+    tmp_path_factory, ternary_lines, data
+) -> None:
+    records = [json.loads(line) for line in ternary_lines]
+    rounds = [r for r in records if r["type"] == "round"]
+    functions = [r for r in records if r["type"] == "function"]
+    i = data.draw(st.integers(0, len(functions) - 1))
+    x = rounds[data.draw(st.integers(0, i))]["x"]
+    functions[i]["ones"] = format(int(functions[i]["ones"], 16) ^ (1 << x), "x")
+    path = tmp_path_factory.mktemp("tampered") / "t.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report = validate_transcript(load_transcript(path))
+    assert not report.passed
+    assert f"round {i}:" in report.first_failure
+
+
+def _write(tmp_path, records) -> str:
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def test_load_transcript_names_a_missing_key(tmp_path) -> None:
+    with pytest.raises(TranscriptError, match="line 1: record lacks key 'd'"):
+        load_transcript(_write(tmp_path, [{"type": "header", "format": 2}]))
+
+
+def test_load_transcript_rejects_an_unknown_format(tmp_path, ternary_lines) -> None:
+    header = json.loads(ternary_lines[0])
+    for fmt in (1, 3, None):
+        header["format"] = fmt
+        with pytest.raises(TranscriptError, match=f"line 1: unknown transcript format {fmt}"):
+            load_transcript(_write(tmp_path, [header]))
+
+
+def test_load_transcript_rejects_a_non_hex_support(tmp_path, ternary_lines) -> None:
+    records = [json.loads(line) for line in ternary_lines]
+    line = next(n for n, r in enumerate(records, 1) if r["type"] == "function")
+    for bad in ("xyz", "-1f", "", 17):
+        records[line - 1]["ones"] = bad
+        with pytest.raises(TranscriptError, match=f"line {line}: 'ones' is not a lowercase hex string"):
+            load_transcript(_write(tmp_path, records))
+
+
+def test_negative_point_from_an_adversary_is_a_typed_error() -> None:
+    class NegativeAdversary:
+        name = "negative"
+
+        def next_point(self):
+            return -1
+
+        def respond(self, x, y_hat):
+            return 0, hyp("zero", "0")
+
+    with pytest.raises(PointError, match="negative point -1"):
+        run_game(PredictLearner(), NegativeAdversary(), GameConfig(d=None, round_cap=5))

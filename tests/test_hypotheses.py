@@ -13,12 +13,13 @@ from oraclebench.errors import (
     ContradictorySample,
     EmptyClass,
     NonRealizable,
+    PointError,
 )
 from oraclebench.hypotheses import (
+    MASK_WIDTH,
     Hypothesis,
     HypothesisClass,
     Sample,
-    evaluate,
     hypothesis_from_support,
     is_consistent,
     load_class_file,
@@ -31,13 +32,13 @@ from oraclebench.hypotheses import (
 
 def test_evaluate_table_lookup() -> None:
     h = Hypothesis("h", (0, 1), (1, 0))
-    assert evaluate(h, 0) == 1
-    assert evaluate(h, 1) == 0
+    assert h(0) == 1
+    assert h(1) == 0
 
 
 def test_evaluate_default_zero_outside_domain() -> None:
     h = Hypothesis("h", (0, 1), (1, 0))
-    assert evaluate(h, 99) == 0
+    assert h(99) == 0
 
 
 def test_hypothesis_validation() -> None:
@@ -85,8 +86,8 @@ def test_sample_rejects_contradiction() -> None:
     with pytest.raises(ContradictorySample):
         Sample(((2, 1), (2, 0)))
     s = Sample(((2, 1), (2, 1), (5, 0)))
-    assert s.ones == {2}
-    assert s.zeros == {5}
+    assert s.ones == 0b100
+    assert s.zeros == 0b100000
     assert len(s) == 3
 
 
@@ -138,8 +139,8 @@ def test_table_oracle_answers_are_consistent(data) -> None:
 def test_minimal_extension_examples() -> None:
     h = minimal_extension_oracle([(2, 1), (5, 0)])
     assert h(2) == 1 and h(5) == 0 and h(7) == 0
-    assert set(h.domain) == {2, 5}
-    assert minimal_extension_oracle([]).support == frozenset()
+    assert h.support == 0b100
+    assert minimal_extension_oracle([]).support == 0
     with pytest.raises(ContradictorySample):
         minimal_extension_oracle([(2, 1), (2, 0)])
 
@@ -156,7 +157,7 @@ def test_class_requires_shared_domain_and_nonempty() -> None:
     with pytest.raises(EmptyClass):
         HypothesisClass((0,), ())
     with pytest.raises(ValueError, match="class domain"):
-        HypothesisClass((0, 1), (hyp("a", "10", domain=(1, 0)),))
+        HypothesisClass((0, 1), (hyp("a", "1", domain=(2,)),))
 
 
 def test_class_distinct_preserves_order() -> None:
@@ -188,3 +189,93 @@ def test_class_file_errors_name_the_offender(tmp_path) -> None:
     path.write_text(json.dumps({"domain": [0], "hypotheses": []}))
     with pytest.raises(ClassFileError, match="empty"):
         load_class_file(path)
+
+
+# ----------------------------------------------------------------------
+# the mask representation against the pairwise definitions
+
+tables = st.dictionaries(st.integers(0, 40), st.integers(0, 1), max_size=12)
+
+
+@given(table=tables, pairs=st.dictionaries(st.integers(0, 60), st.integers(0, 1), max_size=10))
+def test_mask_consistency_agrees_with_the_pairwise_definition(table, pairs) -> None:
+    # sample points range past every table, where the function is 0
+    h = Hypothesis("h", tuple(table), tuple(table.values()))
+    sample = Sample(tuple(pairs.items()))
+    pairwise = all(table.get(x, 0) == y for x, y in sample.pairs)
+    assert is_consistent(h, sample) == pairwise
+    assert is_consistent(h, list(sample.pairs)) == pairwise
+
+
+@given(a=tables, b=tables)
+def test_equality_and_hash_are_extensional(a, b) -> None:
+    f = Hypothesis("f", tuple(a), tuple(a.values()))
+    g = Hypothesis("g", tuple(b), tuple(b.values()))
+    same = all(a.get(x, 0) == b.get(x, 0) for x in set(a) | set(b))
+    assert (f == g) == same
+    if same:
+        assert hash(f) == hash(g)
+    assert f.domain == tuple(sorted(x for x, y in a.items() if y))
+    assert f.values == (1,) * len(f.domain)
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 1)), max_size=10))
+def test_extended_sample_matches_the_sample_built_at_once(pairs) -> None:
+    built = Sample(())
+    try:
+        whole = Sample(tuple(pairs))
+    except ContradictorySample:
+        with pytest.raises(ContradictorySample):
+            for x, y in pairs:
+                built = built.extended(x, y)
+        return
+    for x, y in pairs:
+        built = built.extended(x, y)
+    assert built == whole
+    assert (built.ones, built.zeros) == (whole.ones, whole.zeros)
+
+
+# ----------------------------------------------------------------------
+# points that cannot index a mask bit
+
+
+def _class_file(tmp_path, domain) -> str:
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(
+        {"domain": domain, "hypotheses": [{"name": "h", "values": "0" * len(domain)}]}
+    ))
+    return path
+
+
+def test_class_file_rejects_a_negative_point(tmp_path) -> None:
+    with pytest.raises(ClassFileError, match="negative point -3"):
+        load_class_file(_class_file(tmp_path, [0, -3]))
+
+
+def test_class_file_rejects_a_duplicate_point(tmp_path) -> None:
+    with pytest.raises(ClassFileError, match="duplicate point 1"):
+        load_class_file(_class_file(tmp_path, [1, 0, 1]))
+
+
+def test_class_file_rejects_a_bool_point(tmp_path) -> None:
+    with pytest.raises(ClassFileError, match="point True is not an integer"):
+        load_class_file(_class_file(tmp_path, [0, True]))
+
+
+def test_class_file_rejects_a_point_past_the_mask_width(tmp_path) -> None:
+    with pytest.raises(ClassFileError, match=f"point {MASK_WIDTH} is past the mask-width limit"):
+        load_class_file(_class_file(tmp_path, [0, MASK_WIDTH]))
+    assert len(load_class_file(_class_file(tmp_path, [MASK_WIDTH - 1]))) == 1
+
+
+def test_negative_points_raise_a_typed_error() -> None:
+    with pytest.raises(PointError, match="negative point -1"):
+        Sample(((-1, 0),))
+    with pytest.raises(PointError, match="negative point -1"):
+        Sample(()).extended(-1, 1)
+    with pytest.raises(PointError, match="negative point -2"):
+        hypothesis_from_support("h", [-2])
+    with pytest.raises(PointError, match="negative point -1"):
+        Hypothesis("h", (0,), (1,))(-1)
+    with pytest.raises(PointError):
+        Hypothesis("h", support=-1)

@@ -98,7 +98,7 @@ def test_empty_list_predicts_zero() -> None:
     rounds.script.append((6, 1))
     vote_and_update(state, 0, rounds)
     assert rounds.submitted == [(5, 0, 0), (6, 0, 1)]
-    assert state.mistakes == [(6, 1)]
+    assert state.mistakes.pairs == ((6, 1),)
     assert len(state.active) == 1
 
 

@@ -42,7 +42,7 @@ def test_ldim_two_distinct_is_one() -> None:
 
 def test_ldim_all_four_on_two_points() -> None:
     # frozen from the exhaustive tree-search oracle
-    assert brute_ldim(ALL_FOUR.hypotheses) == 2
+    assert brute_ldim(ALL_FOUR.hypotheses, ALL_FOUR.domain) == 2
     assert ldim(ALL_FOUR) == 2
 
 
@@ -68,7 +68,7 @@ def test_ldim_matches_brute_force_on_seeded_classes() -> None:
     rng = random.Random(7)
     for _ in range(40):
         c = random_class(rng, max_hypotheses=6, max_points=4)
-        assert ldim(c) == brute_ldim(c.hypotheses)
+        assert ldim(c) == brute_ldim(c.hypotheses, c.domain)
 
 
 def test_ldim_log2_size_bound_on_seeded_classes() -> None:
