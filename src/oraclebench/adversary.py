@@ -26,7 +26,6 @@ from .hypotheses import (
     Point,
     minimal_extension_oracle,
     point_bit,
-    random_table_oracle,
 )
 
 
@@ -174,24 +173,27 @@ class ClassGreedyAdversary:
 
 class RandomClassAdversary:
     """Seeded legal adversary over a fixed class: random points, random
-    legal labels, random consistent oracle answers."""
+    legal labels, random consistent oracle answers.
+
+    Its oracle answer is a uniform choice among the class members
+    consistent with the history, in class order with duplicates included:
+    the list random_table_oracle would draw from.
+    """
 
     def __init__(self, c: HypothesisClass, seed: int):
         self.cls = c
         self.name = f"random-class:{seed}"
-        self.history: list[LabeledPair] = []
-        self._survivors = c.distinct()
+        self._consistent = list(c.hypotheses)
         self._rng = random.Random(seed)
 
     def next_point(self) -> Point:
         return self._rng.choice(self.cls.domain)
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
-        legal = sorted({h(x) for h in self._survivors})
+        legal = sorted({h(x) for h in self._consistent})
         y = legal[0] if len(legal) == 1 else self._rng.choice(legal)
-        self.history.append((x, y))
-        self._survivors = tuple(h for h in self._survivors if h(x) == y)
-        return y, random_table_oracle(self.cls, self.history, self._rng)
+        self._consistent = [h for h in self._consistent if h(x) == y]
+        return y, self._rng.choice(self._consistent)
 
 
 @dataclass(frozen=True)

@@ -231,15 +231,20 @@ def validate_transcript(t: Transcript, d: int | None = None, *, ldim_check_limit
     """Offline re-validation of a stored transcript.
 
     Re-checks every revealed function against the history prefix it was
-    played under, recomputes the mistake flags, and (size-guarded) bounds
-    the dimension of the full revealed set.
+    played under, each round's index against its position and its f_id
+    against its function's name, recomputes the mistake flags, and
+    (size-guarded) bounds the dimension of the full revealed set.
     """
     failures: list[str] = []
     notes: list[str] = []
     checks = 0
     history = _History()
-    for r, f in zip(t.rounds, t.functions):
+    for i, (r, f) in enumerate(zip(t.rounds, t.functions)):
         checks += 1
+        if r.index != i:
+            failures.append(f"round {i}: stored index is {r.index}")
+        if r.f_id != f.name:
+            failures.append(f"round {i}: f_id {r.f_id!r} names function {f.name!r}")
         if r.mistake != (r.y_hat != r.y):
             failures.append(f"round {r.index}: mistake flag does not match labels")
         if not history.admits(r.x, r.y, f):
@@ -331,6 +336,11 @@ def _read_record(rec: dict, t: Transcript | None) -> Transcript:
             raise TranscriptError(f"'ones' is not a lowercase hex string: {ones!r}")
         t.functions.append(Hypothesis(rec["f_id"], support=int(ones, 16)))
     elif kind == "summary":
+        if (rec["rounds"], rec["mistakes"]) != (len(t.rounds), t.mistake_count):
+            raise TranscriptError(
+                f"summary claims {rec['rounds']} rounds and {rec['mistakes']} mistakes; "
+                f"the records hold {len(t.rounds)} rounds and {t.mistake_count} mistakes"
+            )
         t.stopped_by = rec["stopped_by"]
     else:
         raise TranscriptError(f"unknown record type {kind!r}")
@@ -338,8 +348,9 @@ def _read_record(rec: dict, t: Transcript | None) -> Transcript:
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    """Read a transcript written by save_transcript. A malformed record
-    raises TranscriptError naming its line."""
+    """Read a transcript written by save_transcript. A malformed record, or
+    a summary whose counts disagree with the records before it, raises
+    TranscriptError naming its line."""
     t: Transcript | None = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         try:

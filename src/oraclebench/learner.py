@@ -308,37 +308,27 @@ def check_advanced(
         raise ValueError("advanced-set check requires deduplicated hypotheses")
     gamma = Fraction(gamma)
     total = len(hyps)
-    engine = _DimensionEngine(hyps)
-    masks = sorted(engine.all_masks)
-
-    def subset_ok(indices: Sequence[int]) -> bool:
-        need = _required_dimension(len(indices), total, gamma)
-        return engine.at_least(frozenset(masks[i] for i in indices), need)
-
-    checked = 0
+    if sample_count is None and total > exact_limit:
+        raise SizeLimitExceeded(
+            f"exact advanced-set check guarded to {exact_limit} functions, got {total}"
+        )
+    # bit i is the i-th function in support order, which fixes the order
+    # of the subsets and so the first counterexample
+    engine = _DimensionEngine(sorted(hyps, key=lambda h: h.support))
+    need = [_required_dimension(size, total, gamma) for size in range(total + 1)]
     if sample_count is None:
-        if total > exact_limit:
-            raise SizeLimitExceeded(
-                f"exact advanced-set check guarded to {exact_limit} functions, got {total}"
-            )
-        for size in range(1, total + 1):
-            for combo in itertools.combinations(range(total), size):
-                checked += 1
-                if not subset_ok(combo):
-                    bad = tuple(engine.mask_of[masks[i]] for i in combo)
-                    return AdvancedCheck(False, gamma, checked, bad)
-        return AdvancedCheck(True, gamma, checked, None)
-
-    rng = random.Random(seed)
-    picks: list[tuple[int, ...]] = [tuple(range(total))]
-    for _ in range(sample_count):
-        size = rng.randint(1, total)
-        picks.append(tuple(sorted(rng.sample(range(total), size))))
-    for combo in picks:
-        checked += 1
-        if not subset_ok(combo):
-            bad = tuple(engine.mask_of[masks[i]] for i in combo)
-            return AdvancedCheck(False, gamma, checked, bad)
+        picks = itertools.chain.from_iterable(
+            itertools.combinations(range(total), size) for size in range(1, total + 1)
+        )
+    else:
+        rng = random.Random(seed)
+        picks = [tuple(range(total))]
+        for _ in range(sample_count):
+            size = rng.randint(1, total)
+            picks.append(tuple(sorted(rng.sample(range(total), size))))
+    for checked, combo in enumerate(picks, 1):
+        if not engine.at_least(sum(1 << i for i in combo), need[len(combo)]):
+            return AdvancedCheck(False, gamma, checked, tuple(engine.hyps[i] for i in combo))
     return AdvancedCheck(True, gamma, checked, None)
 
 

@@ -4,16 +4,17 @@ version-space learner that meets the dimension as its mistake bound.
 The dimension of a finite class is computed by the standard recursion:
 a single function has dimension 0, and otherwise the dimension is the
 maximum over splitting points x of 1 + min over the two restrictions
-{f : f(x) = 0} and {f : f(x) = 1}, both taken non-empty.  Internally a
-set of hypotheses is a frozen set of their support masks; only points
-where at least one function is 1 can split a class, so only those are
-candidates.
+{f : f(x) = 0} and {f : f(x) = 1}, both taken non-empty.  Internally the
+distinct functions are numbered, a set of them is an int with one bit
+per index, and each point has a column: the index mask of the functions
+that are 1 there. Splitting a set at a point is then one AND with the
+column, and only the first point of each distinct column is a candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterator, Sequence, Union
 
@@ -101,78 +102,82 @@ def _as_hypotheses(hypotheses: HypothesisInput) -> tuple[Hypothesis, ...]:
 
 
 class _DimensionEngine:
-    """Bitmask-based recursion state shared by dimension queries.
+    """Index-bitset recursion state shared by dimension queries.
 
-    One engine serves one family of hypotheses; its memo tables are keyed
-    by frozen sets of support masks, which are canonical because masks
-    encode functions extensionally.
+    One engine serves one family of hypotheses: member i of its distinct
+    members is bit i of a set, so memo tables are keyed by ints.
+    ``columns`` holds (point, column) for the first point of each column
+    that can split a set, in increasing point order.
     """
 
     def __init__(self, hyps: Sequence[Hypothesis]):
         self.hyps = distinct(hyps)
-        self.mask_of: dict[int, Hypothesis] = {h.support: h for h in self.hyps}
-        self.all_masks = frozenset(self.mask_of)
-        self.points: tuple[Point, ...] = mask_points(reduce(or_, self.mask_of, 0))
-        self._ldim_memo: dict[frozenset[int], int] = {}
-        self._at_least_memo: dict[tuple[frozenset[int], int], bool] = {}
+        self.full = (1 << len(self.hyps)) - 1
+        self._ldim_memo: dict[int, int] = {}
+        self._at_least_memo: dict[tuple[int, int], bool] = {}
 
-    def splits(self, masks: frozenset[int]) -> Iterator[tuple[int, frozenset[int], frozenset[int]]]:
+    @cached_property
+    def columns(self) -> list[tuple[Point, int]]:
+        col: dict[Point, int] = {}
+        for i, h in enumerate(self.hyps):
+            for x in mask_points(h.support):
+                col[x] = col.get(x, 0) | 1 << i
+        first = {col[x]: x for x in sorted(col, reverse=True)}
+        return sorted((x, c) for c, x in first.items() if c != self.full)
+
+    def splits(self, s: int) -> Iterator[tuple[Point, int, int]]:
         """Yield (point, zero-side, one-side) with both sides non-empty,
         deduplicated by the induced partition."""
-        seen: set[frozenset[int]] = set()
-        for x in self.points:
-            bit = 1 << x
-            one = frozenset(m for m in masks if m & bit)
-            if not one or len(one) == len(masks):
-                continue
-            if one in seen:
-                continue
-            seen.add(one)
-            yield x, masks - one, one
+        seen: set[int] = set()
+        for x, col in self.columns:
+            one = s & col
+            if one and one != s and one not in seen:
+                seen.add(one)
+                yield x, s ^ one, one
 
-    def ldim(self, masks: frozenset[int]) -> int:
-        if len(masks) == 1:
+    def ldim(self, s: int) -> int:
+        if s & (s - 1) == 0:
             return 0
-        cached = self._ldim_memo.get(masks)
+        cached = self._ldim_memo.get(s)
         if cached is not None:
             return cached
-        ceiling = (len(masks)).bit_length() - 1  # ldim <= log2 of the set size
+        ceiling = s.bit_count().bit_length() - 1  # ldim <= log2 of the set size
         best = 0
-        parts = sorted(self.splits(masks), key=lambda s: min(len(s[1]), len(s[2])), reverse=True)
+        parts = sorted(self.splits(s), key=lambda p: min(p[1].bit_count(), p[2].bit_count()), reverse=True)
         for _, zero, one in parts:
-            # 1 + min side can never beat `best` if the smaller side is tiny
-            cap = 1 + min(len(zero).bit_length() - 1, len(one).bit_length() - 1)
-            if cap <= best:
-                continue
+            # 1 + ldim of the smaller side is at most its bit_length, and
+            # later splits are no more balanced, so none can beat `best`
+            if min(zero.bit_count(), one.bit_count()).bit_length() <= best:
+                break
             cand = 1 + min(self.ldim(zero), self.ldim(one))
             if cand > best:
                 best = cand
                 if best == ceiling:
                     break
-        self._ldim_memo[masks] = best
+        self._ldim_memo[s] = best
         return best
 
-    def at_least(self, masks: frozenset[int], d: int) -> bool:
+    def at_least(self, s: int, d: int) -> bool:
         """Decision procedure: does the set shatter some depth-d tree?"""
         if d <= 0:
             return True
-        if len(masks) < (1 << d):  # size bound: ldim <= log2 |H|
+        if s.bit_count() < (1 << d):  # size bound: ldim <= log2 |H|
             return False
-        key = (masks, d)
+        key = (s, d)
         cached = self._at_least_memo.get(key)
         if cached is not None:
             return cached
         ok = any(
             self.at_least(zero, d - 1) and self.at_least(one, d - 1)
-            for _, zero, one in self.splits(masks)
+            for _, zero, one in self.splits(s)
         )
         self._at_least_memo[key] = ok
         return ok
 
-    def build_tree(self, masks: frozenset[int], d: int) -> TreeNode | None:
+    def build_tree(self, s: int, d: int) -> TreeNode | None:
         if d == 0:
             return None
-        for x, zero, one in self.splits(masks):
+        for x, zero, one in self.splits(s):
             if self.at_least(zero, d - 1) and self.at_least(one, d - 1):
                 left = self.build_tree(zero, d - 1)
                 right = self.build_tree(one, d - 1)
@@ -190,7 +195,7 @@ def ldim(hypotheses: HypothesisInput) -> int:
     if not hyps:
         raise EmptyClass("ldim is undefined for the empty class")
     engine = _DimensionEngine(hyps)
-    return engine.ldim(engine.all_masks)
+    return engine.ldim(engine.full)
 
 
 def ldim_at_least(hypotheses: HypothesisInput, d: int) -> bool:
@@ -199,7 +204,7 @@ def ldim_at_least(hypotheses: HypothesisInput, d: int) -> bool:
     if not hyps:
         raise EmptyClass("ldim is undefined for the empty class")
     engine = _DimensionEngine(hyps)
-    return engine.at_least(engine.all_masks, d)
+    return engine.at_least(engine.full, d)
 
 
 def find_shattered_tree(hypotheses: HypothesisInput, depth: int) -> LabeledTree | None:
@@ -214,7 +219,7 @@ def find_shattered_tree(hypotheses: HypothesisInput, depth: int) -> LabeledTree 
     if not hyps:
         raise EmptyClass("no hypotheses to shatter a tree with")
     engine = _DimensionEngine(hyps)
-    root = engine.build_tree(engine.all_masks, depth)
+    root = engine.build_tree(engine.full, depth)
     if root is None:
         return None
     return LabeledTree(root, depth)
@@ -269,32 +274,32 @@ def minimax_adversary_value(
     minimizes, adversary maximizes) and is an independent cross-check of
     the dimension recursion, to which the value is provably equal.
     """
-    hyps = distinct(_as_hypotheses(hypotheses))
-    if not hyps:
+    engine = _DimensionEngine(_as_hypotheses(hypotheses))
+    if not engine.hyps:
         raise EmptyClass("the mistake game needs a non-empty class")
-    engine = _DimensionEngine(hyps)
-    if len(hyps) > max_hypotheses or len(engine.points) > max_points:
+    n, points = len(engine.hyps), reduce(or_, (h.support for h in engine.hyps)).bit_count()
+    if n > max_hypotheses or points > max_points:
         raise SizeLimitExceeded(
-            f"minimax guard: {len(hyps)} hypotheses x {len(engine.points)} points "
+            f"minimax guard: {n} hypotheses x {points} points "
             f"exceeds {max_hypotheses} x {max_points}"
         )
-    memo: dict[frozenset[int], int] = {}
+    memo: dict[int, int] = {}
 
-    def value(masks: frozenset[int]) -> int:
-        if len(masks) == 1:
+    def value(s: int) -> int:
+        if s & (s - 1) == 0:
             return 0
-        cached = memo.get(masks)
+        cached = memo.get(s)
         if cached is not None:
             return cached
         best = 0
-        for _, zero, one in engine.splits(masks):
+        for _, zero, one in engine.splits(s):
             a, b = value(zero), value(one)
             # learner picks the prediction; adversary then picks the label
             best = max(best, min(max(1 + b, a), max(1 + a, b)))
-        memo[masks] = best
+        memo[s] = best
         return best
 
-    return value(engine.all_masks)
+    return value(engine.full)
 
 
 class SOALearner:

@@ -41,6 +41,7 @@ from .littlestone import (
     find_shattered_tree,
     is_shattered,
     ldim,
+    ldim_at_least,
     minimax_adversary_value,
 )
 
@@ -121,6 +122,15 @@ def _query_orders(d: int, count: int, seed: int) -> Iterator[list[int]]:
         yield order
 
 
+def _dimension_check(name: str, functions: list[Hypothesis], d: int, largest_d: int) -> CheckResult:
+    """Passes iff the revealed set has no dimension d + 1; skipped past
+    ``largest_d``, where deciding that stops being cheap."""
+    if d > largest_d:
+        return _check(name, True, "skipped: size guard")
+    over = ldim_at_least(functions, d + 1)
+    return _check(name, not over, f"revealed set has dimension {'above' if over else 'at most'} {d}")
+
+
 def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResult]:
     """Lower-bound suite: ternary and flood adversaries force their full
     mistake counts while staying within dimension d."""
@@ -143,19 +153,8 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
             report.first_failure or "every revealed function matches the history",
         )
     )
-    if 3**d <= 32:
-        dim = ldim(t.functions)
-        results.append(
-            _check(
-                f"lower:{d} ternary dimension",
-                dim <= d,
-                f"revealed set has dimension {dim}, bound {d}",
-            )
-        )
-    else:
-        results.append(
-            _check(f"lower:{d} ternary dimension", True, "skipped: size guard")
-        )
+    # 0.06 s on ternary:4's 81 functions, 4.6 s on ternary:5's 243
+    results.append(_dimension_check(f"lower:{d} ternary dimension", t.functions, d, 4))
 
     labels = tuple(ternary.labels)
     worst = 0
@@ -192,17 +191,8 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
             f"{ft.mistake_count} mistakes in {len(ft.rounds)} rounds, want {n}",
         )
     )
-    if n <= 15:
-        dim = ldim(ft.functions)
-        results.append(
-            _check(
-                f"lower:{d} flood dimension",
-                dim <= d,
-                f"revealed set has dimension {dim}, bound {d}",
-            )
-        )
-    else:
-        results.append(_check(f"lower:{d} flood dimension", True, "skipped: size guard"))
+    # 0.44 s on flood:10's 2047 functions, 1.8 s on flood:11's 4095
+    results.append(_dimension_check(f"lower:{d} flood dimension", ft.functions, d, 10))
     return results
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,8 +19,9 @@ from oraclebench.adversary import (
     ternary_function,
 )
 from oraclebench.errors import InconsistentOracleClass
+from oraclebench.game import GameConfig, run_game, save_transcript
 from oraclebench.hypotheses import HypothesisClass, is_consistent
-from oraclebench.littlestone import ldim
+from oraclebench.littlestone import SOALearner, ldim
 from oraclebench.verification import threshold_hypotheses
 
 
@@ -142,15 +144,37 @@ def test_class_greedy_adversary_plays_disagreement_points() -> None:
 def test_random_class_adversary_is_legal_and_seeded() -> None:
     c = HypothesisClass.from_rows([0, 1, 2], [("a", "010"), ("b", "011"), ("c", "111")])
     trace_a = []
+    history = []
     adv = RandomClassAdversary(c, seed=5)
     for _ in range(10):
         x = adv.next_point()
         y, f = adv.respond(x, 0)
-        assert is_consistent(f, adv.history)
+        history.append((x, y))
+        assert is_consistent(f, history)
         trace_a.append((x, y, f.name))
     adv2 = RandomClassAdversary(c, seed=5)
     trace_b = [(x := adv2.next_point(),) + adv2.respond(x, 0) for _ in range(10)]
     assert trace_a == [(x, y, f.name) for x, y, f in trace_b]
+
+
+def test_random_class_transcript_matches_recorded_output(tmp_path) -> None:
+    # b/e and a/c and f/i are duplicates: the oracle answer is drawn from
+    # every consistent member, duplicates included, in class order.
+    # Recorded when each answer came from random_table_oracle over the
+    # whole history; the rng draws, and so the transcript, are unchanged.
+    rows = [("a", "00110"), ("b", "01010"), ("c", "00110"), ("d", "11100"), ("e", "01010"),
+            ("f", "10001"), ("g", "11111"), ("h", "00000"), ("i", "10001"), ("j", "01101")]
+    c = HypothesisClass.from_rows(range(5), rows)
+    t = run_game(SOALearner(c), RandomClassAdversary(c, seed=11), GameConfig(d=2, round_cap=25))
+    assert " ".join(f"{r.x}{r.y_hat}{r.y}{r.f_id}" for r in t.rounds) == (
+        "301e 400b 400e 400b 000e 200b 400b 400e 311b 400b 400b 000b 111b "
+        "400b 311e 311b 400b 200e 000b 311e 311b 200e 111e 000b 400b"
+    )
+    path = tmp_path / "t.jsonl"
+    save_transcript(t, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9050e83bb30ae11c8e9a9b4c48bff79088f0e753e2888cd67e76a0b426bb9211"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -230,6 +230,37 @@ def test_load_transcript_rejects_a_non_hex_support(tmp_path, ternary_lines) -> N
             load_transcript(_write(tmp_path, records))
 
 
+def _records(ternary_lines) -> list[dict]:
+    return [json.loads(line) for line in ternary_lines]
+
+
+def test_validate_transcript_rejects_a_forged_f_id(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    function = next(r for r in records if r["type"] == "function" and r["round"] == 3)
+    function["f_id"] = "forged"
+    report = validate_transcript(load_transcript(_write(tmp_path, records)))
+    assert not report.passed
+    assert report.first_failure == "round 3: f_id 'f3' names function 'forged'"
+    assert report.checks == 9  # one per round
+
+
+def test_validate_transcript_rejects_a_round_index_jump(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    next(r for r in records if r["type"] == "round" and r["round"] == 5)["round"] = 9
+    report = validate_transcript(load_transcript(_write(tmp_path, records)))
+    assert not report.passed
+    assert report.first_failure == "round 5: stored index is 9"
+    assert report.checks == 9  # one per round
+
+
+@pytest.mark.parametrize("key, value", [("mistakes", 1), ("rounds", 8)])
+def test_load_transcript_rejects_a_summary_that_disagrees(tmp_path, ternary_lines, key, value) -> None:
+    records = _records(ternary_lines)
+    records[-1][key] = value
+    with pytest.raises(TranscriptError, match=f"line {len(records)}: summary claims"):
+        load_transcript(_write(tmp_path, records))
+
+
 def test_negative_point_from_an_adversary_is_a_typed_error() -> None:
     class NegativeAdversary:
         name = "negative"

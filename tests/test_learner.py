@@ -280,6 +280,22 @@ def test_check_advanced_rejects_duplicates_and_oversize() -> None:
         check_advanced(_distinct_functions(17), 1)
 
 
+def test_check_advanced_counterexample_matches_recorded_output() -> None:
+    # 20 point functions e_j and two small patterns, listed out of support
+    # order; subsets index the functions in support order, so the
+    # counterexample lists p0 (support 30) first. Recorded from the
+    # frozenset-of-supports engine.
+    names = "e8 e2 e9 e0 p1 e3 e12 e10 e1 e5 p0 e17 e16 e6 e18 e13 e15 e7 e4 e19 e11 e14".split()
+    patterns = {"p0": 0b11110, "p1": 0b101011}
+    fns = [Hypothesis(n, support=patterns.get(n) or 1 << (10 + int(n[1:]))) for n in names]
+    check = check_advanced(fns, "5/4", sample_count=40, seed=2)
+    assert not check.ok
+    assert check.subsets_checked == 4
+    assert [h.name for h in check.counterexample] == (
+        "p0 e3 e4 e5 e6 e9 e10 e11 e12 e14 e15 e16 e17 e18".split()
+    )
+
+
 def test_check_advanced_sampled_mode_is_seeded() -> None:
     fns = _distinct_functions(17)
     a = check_advanced(fns, Fraction(1), sample_count=50, seed=3)

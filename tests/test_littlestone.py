@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute_oracles import brute_ldim, exists_shattered_tree
 from conftest import hyp
@@ -12,7 +14,10 @@ from oraclebench.errors import (
     IllegalLabel,
     SizeLimitExceeded,
 )
+from oraclebench.adversary import TernaryAdversary
+from oraclebench.game import GameConfig, run_game
 from oraclebench.hypotheses import HypothesisClass
+from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import (
     LabeledTree,
     TreeNode,
@@ -25,7 +30,7 @@ from oraclebench.littlestone import (
     soa_predict,
     soa_update,
 )
-from oraclebench.verification import random_class, threshold_hypotheses
+from oraclebench.verification import random_class, random_classes, threshold_hypotheses
 
 ALL_FOUR = HypothesisClass.from_rows(
     [0, 1], [("h00", "00"), ("h01", "01"), ("h10", "10"), ("h11", "11")]
@@ -187,3 +192,64 @@ def test_minimax_guard() -> None:
     with pytest.raises(SizeLimitExceeded):
         minimax_adversary_value(big)
     assert minimax_adversary_value(big, max_hypotheses=8) == 3
+
+
+# ----------------------------------------------------------------------
+# the index-bitset engine against the definitional oracles
+
+
+@st.composite
+def classes_with_repeats(draw) -> HypothesisClass:
+    """Small classes built from a few base rows and base columns, so that
+    members repeat and distinct points have identical columns."""
+    n_rows = draw(st.integers(1, 8))
+    base_columns = draw(
+        st.lists(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows), min_size=1, max_size=4)
+    )
+    point_columns = draw(st.lists(st.integers(0, len(base_columns) - 1), min_size=1, max_size=6))
+    members = draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=10))
+    rows = [
+        (f"h{j}", "".join(str(base_columns[c][r]) for c in point_columns))
+        for j, r in enumerate(members)
+    ]
+    return HypothesisClass.from_rows(range(len(point_columns)), rows)
+
+
+@given(classes_with_repeats())
+@settings(max_examples=150, deadline=None)
+def test_engine_agrees_with_the_definitional_oracles(c: HypothesisClass) -> None:
+    dim = brute_ldim(c.hypotheses, c.domain)
+    assert ldim(c) == dim
+    for d in range(dim + 2):
+        assert ldim_at_least(c, d) == (d <= dim)
+    for d in range(1, dim + 2):
+        tree = find_shattered_tree(c, d)
+        assert (tree is not None) == exists_shattered_tree(c.hypotheses, c.domain, d, [])
+        assert tree is None or is_shattered(tree, c)
+
+
+def test_certificates_match_recorded_output() -> None:
+    # Recorded from the frozenset-of-supports engine: a certificate depends
+    # on the split visit order (increasing point, first point per induced
+    # partition), which the index-bitset engine keeps.
+    classes = random_classes(40, seed=3, max_hypotheses=14, max_points=7)
+    assert [format_tree(find_shattered_tree(classes[i], 3)) for i in (8, 9, 12)] == [
+        "(0 (1 (3 * *) (2 * *)) (2 (1 * *) (5 * *)))",
+        "(1 (0 (3 * *) (2 * *)) (2 (0 * *) (3 * *)))",
+        "(0 (3 (2 * *) (1 * *)) (2 (3 * *) (3 * *)))",
+    ]
+    assert format_tree(find_shattered_tree(threshold_hypotheses(16), 4)) == (
+        "(7 (11 (13 (14 * *) (12 * *)) (9 (10 * *) (8 * *))) (3 (5 (6 * *) (4 * *)) (1 (2 * *) (0 * *))))"
+    )
+
+
+def test_ternary4_revealed_set_has_dimension_exactly_4() -> None:
+    functions = run_game(PredictLearner(), TernaryAdversary(4), GameConfig(d=4, round_cap=100)).functions
+    assert len(functions) == 81
+    assert ldim(functions) == 4
+    assert not ldim_at_least(functions, 5)
+    tree = find_shattered_tree(functions, 4)
+    assert tree is not None and is_shattered(tree, functions)
+    assert format_tree(tree) == (
+        "(27 (9 (3 (1 * *) (4 * *)) (12 (10 * *) (13 * *))) (36 (30 (28 * *) (31 * *)) (39 (37 * *) (40 * *))))"
+    )

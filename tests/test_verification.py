@@ -32,6 +32,13 @@ def test_verify_lower_passes() -> None:
     assert _all_ok(results), [r for r in results if not r.ok]
 
 
+def test_verify_lower_4_runs_both_dimension_checks() -> None:
+    results = {r.name: r for r in verify_lower(4, orderings=2)}
+    for name in ("lower:4 ternary dimension", "lower:4 flood dimension"):
+        assert results[name].ok
+        assert results[name].detail == "revealed set has dimension at most 4"
+
+
 def test_verify_upper_passes_at_reduced_scale() -> None:
     assert _all_ok(verify_upper(1, class_count=5))
 
