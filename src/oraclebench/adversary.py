@@ -40,6 +40,24 @@ def ternary_digits(x: int, d: int) -> tuple[int, ...]:
     return tuple(ternary_digit(x, i) for i in range(d - 1, -1, -1))
 
 
+def _ternary_support(r: int, d: int, label_mask: int) -> int:
+    """Support of f_r given the mask of the labels revealed on 0..r.
+
+    A point x > r takes r's digit at the most significant position i where
+    the two differ, and there x's digit is the larger. So f_r(x) = 1 exactly
+    when r's digit at i is 1 and x's is 2: for each 1-digit of r, the run of
+    3^i points that share r's digits above i and carry a 2 at i. A 0-digit
+    contributes only zeros, and a 2-digit admits no larger x.
+    """
+    support = label_mask
+    for i in range(d):
+        block = 3**i
+        if r // block % 3 == 1:
+            start = r // (3 * block) * (3 * block) + 2 * block
+            support |= ((1 << block) - 1) << start
+    return support
+
+
 def ternary_function(r: int, d: int, labels: tuple[Bit, ...]) -> Hypothesis:
     """The adversary function revealed after playing point ``r``.
 
@@ -53,11 +71,10 @@ def ternary_function(r: int, d: int, labels: tuple[Bit, ...]) -> Hypothesis:
         raise ValueError(f"point index {r} outside 0..{n - 1}")
     if len(labels) != r + 1:
         raise ValueError(f"need {r + 1} labels for point index {r}, got {len(labels)}")
-    values = list(labels)
-    for x in range(r + 1, n):
-        i = max(pos for pos in range(d) if ternary_digit(r, pos) != ternary_digit(x, pos))
-        values.append(ternary_digit(r, i))
-    return Hypothesis(f"f{r}", tuple(range(n)), tuple(values))
+    if not set(labels) <= {0, 1}:
+        raise ValueError(f"labels must be bits, got {sorted(set(labels))}")
+    label_mask = sum(1 << x for x, y in enumerate(labels) if y)
+    return Hypothesis(f"f{r}", support=_ternary_support(r, d, label_mask))
 
 
 class TernaryAdversary:
@@ -70,6 +87,7 @@ class TernaryAdversary:
         self.name = f"ternary:{d}"
         self._n = 3**d
         self._r = 0
+        self._label_mask = 0
         self.labels: list[Bit] = []
 
     def next_point(self) -> Point | None:
@@ -77,11 +95,12 @@ class TernaryAdversary:
         return self._r if self._r < self._n else None
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
+        r = self._r
         y = 1 - y_hat
         self.labels.append(y)
-        f = ternary_function(self._r, self.d, tuple(self.labels))
+        self._label_mask |= y << r
         self._r += 1
-        return y, f
+        return y, Hypothesis(f"f{r}", support=_ternary_support(r, self.d, self._label_mask))
 
 
 class FloodAdversary:

@@ -109,7 +109,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     results: list[CheckResult] = _SUITES[kind](arg, args)
     for r in results:
-        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
+        status = "FAIL" if not r.ok else "SKIP" if r.skipped else "PASS"
+        print(f"{status} {r.name}: {r.detail}")
     return 0 if all(r.ok for r in results) else 1
 
 

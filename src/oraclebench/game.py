@@ -278,6 +278,8 @@ def validate_transcript(t: Transcript, d: int | None = None, *, ldim_check_limit
 
 
 TRANSCRIPT_FORMAT = 2
+# The stopped_by values run_game records.
+STOP_REASONS = ("round_cap", "adversary_done", "learner_halted")
 _HEX_DIGITS = frozenset("0123456789abcdef")
 # Round fields stored under their own names, in Round's field order.
 _ROUND_KEYS = ("x", "y_hat", "y", "mistake", "f_id", "vote_width", "active_count")
@@ -334,6 +336,10 @@ def _read_record(rec: dict, t: Transcript | None) -> Transcript:
         ones = rec["ones"]
         if not isinstance(ones, str) or not ones or not _HEX_DIGITS.issuperset(ones):
             raise TranscriptError(f"'ones' is not a lowercase hex string: {ones!r}")
+        if rec["round"] != len(t.functions):
+            raise TranscriptError(
+                f"function record for round {rec['round']} is function number {len(t.functions)}"
+            )
         t.functions.append(Hypothesis(rec["f_id"], support=int(ones, 16)))
     elif kind == "summary":
         if (rec["rounds"], rec["mistakes"]) != (len(t.rounds), t.mistake_count):
@@ -341,16 +347,25 @@ def _read_record(rec: dict, t: Transcript | None) -> Transcript:
                 f"summary claims {rec['rounds']} rounds and {rec['mistakes']} mistakes; "
                 f"the records hold {len(t.rounds)} rounds and {t.mistake_count} mistakes"
             )
-        t.stopped_by = rec["stopped_by"]
+        stopped_by = rec["stopped_by"]
+        if stopped_by not in STOP_REASONS:
+            raise TranscriptError(f"unknown stopped_by {stopped_by!r}; expected {', '.join(STOP_REASONS)}")
+        if stopped_by == "round_cap" and len(t.rounds) != t.config.round_cap:
+            raise TranscriptError(
+                f"stopped_by 'round_cap' after {len(t.rounds)} rounds; the cap is {t.config.round_cap}"
+            )
+        t.stopped_by = stopped_by
     else:
         raise TranscriptError(f"unknown record type {kind!r}")
     return t
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    """Read a transcript written by save_transcript. A malformed record, or
-    a summary whose counts disagree with the records before it, raises
-    TranscriptError naming its line."""
+    """Read a transcript written by save_transcript. A malformed record, a
+    function record out of round order, or a summary whose counts or stop
+    reason disagree with the records before it, raises TranscriptError
+    naming its line. Which of adversary_done and learner_halted ended a
+    game only a replay can tell, so a swap between the two loads."""
     t: Transcript | None = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         try:

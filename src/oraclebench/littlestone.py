@@ -22,6 +22,7 @@ from .errors import (
     EmptyClass,
     EmptyVersionSpace,
     IllegalLabel,
+    PointError,
     SizeLimitExceeded,
 )
 from .hypotheses import (
@@ -117,13 +118,24 @@ class _DimensionEngine:
         self._at_least_memo: dict[tuple[int, int], bool] = {}
 
     @cached_property
-    def columns(self) -> list[tuple[Point, int]]:
+    def _point_columns(self) -> dict[Point, int]:
         col: dict[Point, int] = {}
         for i, h in enumerate(self.hyps):
             for x in mask_points(h.support):
                 col[x] = col.get(x, 0) | 1 << i
+        return col
+
+    @cached_property
+    def columns(self) -> list[tuple[Point, int]]:
+        col = self._point_columns
         first = {col[x]: x for x in sorted(col, reverse=True)}
         return sorted((x, c) for c, x in first.items() if c != self.full)
+
+    def column(self, x: Point) -> int:
+        """Index mask of the members that are 1 at ``x``."""
+        if x < 0:
+            raise PointError(f"negative point {x}")
+        return self._point_columns.get(x, 0)
 
     def splits(self, s: int) -> Iterator[tuple[Point, int, int]]:
         """Yield (point, zero-side, one-side) with both sides non-empty,
@@ -237,19 +249,26 @@ def is_shattered(tree: LabeledTree, hypotheses: HypothesisInput) -> bool:
     )
 
 
+def _soa_predict(engine: _DimensionEngine, s: int, x: Point) -> Bit:
+    """soa_predict's rule on the version space ``s``, an index mask of
+    ``engine``."""
+    if not s:
+        raise EmptyVersionSpace("cannot predict from an empty version space")
+    one = s & engine.column(x)
+    zero = s ^ one
+    score0 = engine.ldim(zero) if zero else -1
+    score1 = engine.ldim(one) if one else -1
+    return 0 if score0 >= score1 else 1
+
+
 def soa_predict(v: VersionSpace, x: Point) -> Bit:
     """Predict the label whose restriction has the larger dimension.
 
     Empty restrictions score -1 (they can never be the safe side); ties go
     to 0.
     """
-    if not v:
-        raise EmptyVersionSpace("cannot predict from an empty version space")
-    zero = tuple(h for h in v if h(x) == 0)
-    one = tuple(h for h in v if h(x) == 1)
-    score0 = ldim(zero) if zero else -1
-    score1 = ldim(one) if one else -1
-    return 0 if score0 >= score1 else 1
+    engine = _DimensionEngine(v)
+    return _soa_predict(engine, engine.full, x)
 
 
 def soa_update(v: VersionSpace, x: Point, y: Bit) -> VersionSpace:
@@ -305,18 +324,24 @@ def minimax_adversary_value(
 class SOALearner:
     """Game driver that plays the version-space strategy over a known class.
 
-    Makes at most ldim(class) mistakes against any legal adversary.
+    Makes at most ldim(class) mistakes against any legal adversary. One
+    dimension engine serves the whole game: the version space is an index
+    mask of its members, so every round's ldim queries share one memo.
     """
 
     name = "soa"
 
     def __init__(self, c: HypothesisClass):
         self.cls = c
-        self.version_space: VersionSpace = c.distinct()
 
     def run(self, rounds) -> None:
+        engine = _DimensionEngine(self.cls.hypotheses)
+        s = engine.full
         while True:
             x = rounds.next_point()
-            y_hat = soa_predict(self.version_space, x)
-            y = rounds.submit(y_hat, vote_width=0, active_count=len(self.version_space))
-            self.version_space = soa_update(self.version_space, x, y)
+            y_hat = _soa_predict(engine, s, x)
+            y = rounds.submit(y_hat, vote_width=0, active_count=s.bit_count())
+            one = s & engine.column(x)
+            s = one if y else s ^ one
+            if not s:
+                raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")

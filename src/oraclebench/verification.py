@@ -48,9 +48,14 @@ from .littlestone import (
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verified property. ``skipped`` marks a check a size guard kept
+    from running: it is ``ok`` (it does not fail the suite) but was not
+    verified."""
+
     name: str
     ok: bool
     detail: str
+    skipped: bool = False
 
 
 def _check(name: str, ok: bool, detail: str) -> CheckResult:
@@ -126,7 +131,7 @@ def _dimension_check(name: str, functions: list[Hypothesis], d: int, largest_d: 
     """Passes iff the revealed set has no dimension d + 1; skipped past
     ``largest_d``, where deciding that stops being cheap."""
     if d > largest_d:
-        return _check(name, True, "skipped: size guard")
+        return CheckResult(name, True, "skipped: size guard", skipped=True)
     over = ldim_at_least(functions, d + 1)
     return _check(name, not over, f"revealed set has dimension {'above' if over else 'at most'} {d}")
 

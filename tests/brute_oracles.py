@@ -9,9 +9,9 @@ Only meant for small inputs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from oraclebench.hypotheses import Hypothesis, LabeledPair
+from oraclebench.hypotheses import Bit, Hypothesis, LabeledPair
 
 
 def realizable(hyps: Sequence[Hypothesis], pairs: list[LabeledPair]) -> bool:
@@ -44,3 +44,22 @@ def brute_ldim(hyps: Sequence[Hypothesis], domain: Sequence[int]) -> int:
         best = depth
         depth += 1
     return best
+
+
+def brute_ternary_function(r: int, d: int, labels: Sequence[Bit]) -> Callable[[int], Bit]:
+    """f_r of the ternary adversary, point by point from its definition: the
+    revealed label on 0..r; past r and below 3^d, r's digit at the most
+    significant base-3 position where r and x differ; 0 from 3^d on."""
+
+    def digit(x: int, position: int) -> int:
+        return x // 3**position % 3
+
+    def f(x: int) -> Bit:
+        if x <= r:
+            return labels[x]
+        if x >= 3**d:
+            return 0
+        i = max(pos for pos in range(d) if digit(r, pos) != digit(x, pos))
+        return digit(r, i)
+
+    return f

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from brute_oracles import brute_ldim
+from brute_oracles import brute_ldim, brute_ternary_function
 from oraclebench.adversary import (
     ClassGreedyAdversary,
     FloodAdversary,
@@ -21,6 +21,7 @@ from oraclebench.adversary import (
 from oraclebench.errors import InconsistentOracleClass
 from oraclebench.game import GameConfig, run_game, save_transcript
 from oraclebench.hypotheses import HypothesisClass, is_consistent
+from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
 from oraclebench.verification import threshold_hypotheses
 
@@ -53,11 +54,31 @@ def test_ternary_function_repeats_revealed_labels() -> None:
             assert all(f(x) == labels[x] for x in range(r + 1))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_ternary_function_matches_the_digit_rule(d: int) -> None:
+    rng = random.Random(d)
+    labels = tuple(rng.randint(0, 1) for _ in range(3**d))
+    points = range(3**d + 6)
+    for r in range(3**d):
+        f = ternary_function(r, d, labels[: r + 1])
+        brute = brute_ternary_function(r, d, labels)
+        assert [f(x) for x in points] == [brute(x) for x in points], r
+
+
+def test_ternary6_transcript_matches_recorded_output(tmp_path) -> None:
+    t = run_game(PredictLearner(), TernaryAdversary(6), GameConfig(d=6, round_cap=3**6 + 10))
+    save_transcript(t, tmp_path / "t.jsonl")
+    digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
+    assert digest == "f82241e723b79360599b04cffe515f7b23b25e401e5d7cdbaefacbd7908b5cdb"
+
+
 def test_ternary_function_validates_arguments() -> None:
     with pytest.raises(ValueError):
         ternary_function(9, 2, tuple([0] * 10))
     with pytest.raises(ValueError):
         ternary_function(1, 2, (0,))
+    with pytest.raises(ValueError):
+        ternary_function(1, 2, (0, 2))
 
 
 def test_ternary_adversary_first_round() -> None:

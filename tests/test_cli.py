@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from oraclebench import cli
 from oraclebench.cli import main
 from oraclebench.game import load_transcript
 from oraclebench.hypotheses import HypothesisClass, save_class_file
+from oraclebench.verification import CheckResult
 
 
 @pytest.fixture
@@ -110,6 +112,21 @@ def test_verify_lower(capsys) -> None:
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "ternary mistakes" in out and "flood mistakes" in out
+
+
+def test_verify_prints_a_skipped_check_as_skip(capsys, monkeypatch) -> None:
+    guarded = CheckResult("guarded", True, "skipped: size guard", skipped=True)
+    passed = CheckResult("checked", True, "holds")
+    monkeypatch.setattr(cli, "verify_prefix", lambda k: [guarded, passed])
+    assert main(["verify", "prefix:1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "SKIP guarded: skipped: size guard",
+        "PASS checked: holds",
+    ]
+    failed = CheckResult("broken", False, "does not hold")
+    monkeypatch.setattr(cli, "verify_prefix", lambda k: [guarded, failed])
+    assert main(["verify", "prefix:1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "FAIL broken: does not hold"
 
 
 def test_verify_advanced_guard(capsys) -> None:

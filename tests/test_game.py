@@ -261,6 +261,36 @@ def test_load_transcript_rejects_a_summary_that_disagrees(tmp_path, ternary_line
         load_transcript(_write(tmp_path, records))
 
 
+def test_load_transcript_rejects_a_function_record_out_of_round_order(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    line = next(n for n, r in enumerate(records, 1) if r["type"] == "function" and r["round"] == 2)
+    records[line - 1]["round"] = 99
+    with pytest.raises(TranscriptError, match=f"line {line}: function record for round 99 is function number 2"):
+        load_transcript(_write(tmp_path, records))
+
+
+def test_load_transcript_rejects_an_unknown_stop_reason(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    records[-1]["stopped_by"] = "timeout"
+    with pytest.raises(TranscriptError, match=f"line {len(records)}: unknown stopped_by 'timeout'"):
+        load_transcript(_write(tmp_path, records))
+
+
+def test_load_transcript_rejects_a_round_cap_stop_short_of_the_cap(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    assert records[-1]["stopped_by"] == "adversary_done"
+    records[-1]["stopped_by"] = "round_cap"
+    with pytest.raises(TranscriptError, match=f"line {len(records)}: stopped_by 'round_cap' after 9 rounds; the cap is 100"):
+        load_transcript(_write(tmp_path, records))
+
+
+def test_load_transcript_accepts_a_round_cap_stop_at_the_cap(tmp_path) -> None:
+    t = run_game(PredictLearner(), FreeAdversary(), GameConfig(d=None, round_cap=7))
+    assert t.stopped_by == "round_cap"
+    save_transcript(t, tmp_path / "t.jsonl")
+    assert load_transcript(tmp_path / "t.jsonl").stopped_by == "round_cap"
+
+
 def test_negative_point_from_an_adversary_is_a_typed_error() -> None:
     class NegativeAdversary:
         name = "negative"

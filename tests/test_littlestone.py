@@ -12,14 +12,21 @@ from oraclebench.errors import (
     EmptyClass,
     EmptyVersionSpace,
     IllegalLabel,
+    PointError,
     SizeLimitExceeded,
 )
-from oraclebench.adversary import TernaryAdversary
+from oraclebench.adversary import (
+    ClassGreedyAdversary,
+    FreeAdversary,
+    RandomClassAdversary,
+    TernaryAdversary,
+)
 from oraclebench.game import GameConfig, run_game
 from oraclebench.hypotheses import HypothesisClass
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import (
     LabeledTree,
+    SOALearner,
     TreeNode,
     find_shattered_tree,
     format_tree,
@@ -30,7 +37,12 @@ from oraclebench.littlestone import (
     soa_predict,
     soa_update,
 )
-from oraclebench.verification import random_class, random_classes, threshold_hypotheses
+from oraclebench.verification import (
+    random_class,
+    random_classes,
+    threshold_hypotheses,
+    threshold_pair_classes,
+)
 
 ALL_FOUR = HypothesisClass.from_rows(
     [0, 1], [("h00", "00"), ("h01", "01"), ("h10", "10"), ("h11", "11")]
@@ -162,6 +174,11 @@ def test_soa_predict_empty_version_space() -> None:
         soa_predict((), 0)
 
 
+def test_soa_predict_at_a_negative_point_is_a_typed_error() -> None:
+    with pytest.raises(PointError, match="negative point -1"):
+        soa_predict(ALL_FOUR.hypotheses, -1)
+
+
 def test_soa_update() -> None:
     v = soa_update(ALL_FOUR.hypotheses, 0, 1)
     assert {h.name for h in v} == {"h10", "h11"}
@@ -169,6 +186,40 @@ def test_soa_update() -> None:
     assert soa_update(only_zero, 5, 0) == only_zero
     with pytest.raises(IllegalLabel):
         soa_update(only_zero, 5, 1)
+
+
+class PerRoundSOA:
+    """Reference SOA learner: one soa_predict and one soa_update call per
+    round over a tuple version space."""
+
+    name = "soa"
+
+    def __init__(self, c: HypothesisClass):
+        self.version_space = c.distinct()
+
+    def run(self, rounds) -> None:
+        while True:
+            x = rounds.next_point()
+            y_hat = soa_predict(self.version_space, x)
+            y = rounds.submit(y_hat, vote_width=0, active_count=len(self.version_space))
+            self.version_space = soa_update(self.version_space, x, y)
+
+
+@pytest.mark.parametrize("adversary", [ClassGreedyAdversary, lambda c: RandomClassAdversary(c, 5)])
+def test_soa_learner_plays_the_per_round_reference(adversary) -> None:
+    for c in threshold_pair_classes(8) + random_classes(40, seed=17):
+        config = GameConfig(d=None, round_cap=30)
+        want = run_game(PerRoundSOA(c), adversary(c), config)
+        got = run_game(SOALearner(c), adversary(c), config)
+        assert got.rounds == want.rounds
+        assert got.functions == want.functions
+        assert got.stopped_by == want.stopped_by
+
+
+def test_soa_learner_rejects_a_label_no_member_has() -> None:
+    c = threshold_pair_classes(8)[5]
+    with pytest.raises(IllegalLabel, match="no remaining hypothesis has value 0 at 1"):
+        run_game(SOALearner(c), FreeAdversary(), GameConfig(d=None, round_cap=20))
 
 
 def test_minimax_small_cases() -> None:

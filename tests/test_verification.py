@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from oraclebench.adversary import FloodAdversary
+from oraclebench.game import GameConfig, run_game
+from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import ldim
 from oraclebench.verification import (
+    _dimension_check,
     random_classes_of_dimension,
     threshold_pair_classes,
     verify_advanced,
@@ -37,6 +41,16 @@ def test_verify_lower_4_runs_both_dimension_checks() -> None:
     for name in ("lower:4 ternary dimension", "lower:4 flood dimension"):
         assert results[name].ok
         assert results[name].detail == "revealed set has dimension at most 4"
+
+
+def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
+    functions = run_game(PredictLearner(), FloodAdversary(2), GameConfig(d=2)).functions
+    skipped = _dimension_check("flood dimension", functions, 2, largest_d=1)
+    assert skipped.skipped and skipped.ok
+    assert "skipped" in skipped.detail
+    run = _dimension_check("flood dimension", functions, 2, largest_d=2)
+    assert run.ok and not run.skipped
+    assert run.detail == "revealed set has dimension at most 2"
 
 
 def test_verify_upper_passes_at_reduced_scale() -> None:
