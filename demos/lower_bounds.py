@@ -21,7 +21,7 @@ print("=== ternary adversary ===")
 for d in (1, 2, 3):
     adversary = TernaryAdversary(d)
     t = run_game(PredictLearner(), adversary, GameConfig(d=d, round_cap=3**d + 5))
-    report = validate_transcript(t, d=None)
+    report = validate_transcript(t)
     dim = ldim(t.functions) if 3**d <= 27 else "-"
     print(
         f"d={d}: {t.mistake_count} mistakes in {len(t.rounds)} rounds "

@@ -42,6 +42,7 @@ from .game import (
     GameConfig,
     Round,
     Transcript,
+    exceeds_dimension,
     load_transcript,
     run_game,
     save_transcript,

@@ -24,7 +24,6 @@ from .hypotheses import (
     HypothesisClass,
     LabeledPair,
     Point,
-    minimal_extension_oracle,
     point_bit,
 )
 
@@ -103,32 +102,6 @@ class TernaryAdversary:
         return y, Hypothesis(f"f{r}", support=_ternary_support(r, self.d, self._label_mask))
 
 
-class FloodAdversary:
-    """Flips every prediction over 2^(d+1) - 1 fresh points.
-
-    Legal because fewer than 2^(d+1) distinct functions can never exceed
-    dimension d.
-    """
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("dimension must be at least 1")
-        self.d = d
-        self.name = f"flood:{d}"
-        self.points = tuple(range(2 ** (d + 1) - 1))
-        self._i = 0
-        self.history: list[LabeledPair] = []
-
-    def next_point(self) -> Point | None:
-        return self.points[self._i] if self._i < len(self.points) else None
-
-    def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
-        y = 1 - y_hat
-        self.history.append((x, y))
-        self._i += 1
-        return y, minimal_extension_oracle(self.history, name=f"f{self._i}")
-
-
 class FreeAdversary:
     """Flips every prediction forever over fresh increasing points.
 
@@ -154,6 +127,21 @@ class FreeAdversary:
         if y:
             self._support |= point_bit(x)
         return y, Hypothesis(f"f{self._rounds}", support=self._support)
+
+
+class FloodAdversary(FreeAdversary):
+    """A free game that stops after 2^(d+1) - 1 fresh points: legal, since
+    fewer than 2^(d+1) distinct functions cannot exceed dimension d."""
+
+    def __init__(self, d: int):
+        if d < 1:
+            raise ValueError("dimension must be at least 1")
+        super().__init__()
+        self.d = d
+        self.name = f"flood:{d}"
+
+    def next_point(self) -> Point | None:
+        return self._rounds if self._rounds < 2 ** (self.d + 1) - 1 else None
 
 
 class ClassGreedyAdversary:

@@ -74,6 +74,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         save_transcript(transcript, args.out)
     status = "ok" if report.passed else f"INVALID ({report.first_failure})"
+    status += "".join(f" ({note})" for note in report.notes)
     print(
         f"mistakes={transcript.mistake_count} rounds={len(transcript.rounds)} "
         f"stopped_by={transcript.stopped_by} validation={status}"

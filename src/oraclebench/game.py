@@ -50,15 +50,14 @@ class GameConfig:
 
     ``d`` is the declared dimension bound (None for an unconstrained
     adversary); ``validation`` is "consistency" (always-on history check)
-    or "full" (additionally check the revealed set's dimension, guarded to
-    ``ldim_check_limit`` distinct functions).
+    or "full" (additionally check the revealed set's dimension every round
+    while it has at most ``ROUND_CHECK_LIMIT`` distinct functions).
     """
 
     d: int | None
     round_cap: int = 1000
     seed: int = 0
     validation: str = "consistency"
-    ldim_check_limit: int = 32
 
     def __post_init__(self) -> None:
         if self.round_cap < 1:
@@ -105,6 +104,24 @@ class GameStopped(Exception):
         self.reason = reason
 
 
+# The dimension check decides at most 3^4 distinct functions, the ternary:4
+# set; validation="full" pays it every round, so it stops sooner.
+DIMENSION_CHECK_LIMIT = 81
+ROUND_CHECK_LIMIT = 32
+
+
+def exceeds_dimension(functions: Iterable[Hypothesis], d: int) -> bool | None:
+    """Whether the distinct functions have dimension above d: False with no
+    search for fewer than 2^(d+1) of them (ldim <= log2 n), None (undecided)
+    for more than DIMENSION_CHECK_LIMIT."""
+    distinct = {f.support: f for f in functions}
+    if len(distinct).bit_length() <= d + 1:
+        return False
+    if len(distinct) > DIMENSION_CHECK_LIMIT:
+        return None
+    return ldim(list(distinct.values())) > d
+
+
 class _History:
     """The labels revealed so far, as masks of the 1- and 0-labeled points:
     the engine's per-round check and validate_transcript's offline one,
@@ -136,7 +153,7 @@ class RoundChannel:
         self._config = config
         self._transcript = transcript
         self._history = _History()
-        self._supports: set[int] = set()
+        self._distinct: dict[int, Hypothesis] = {}
         self._pending: Point | None = None
         self._current_f: Hypothesis | None = None
 
@@ -187,14 +204,11 @@ class RoundChannel:
             raise IllegalAdversaryFunction(
                 f"function {f.name!r} contradicts the revealed history"
             )
-        if self._config.validation == "full" and self._config.d is not None:
-            self._supports.add(f.support)
-            if len(self._supports) <= self._config.ldim_check_limit:
-                dim = ldim(self._transcript.functions + [f])
-                if dim > self._config.d:
-                    raise DimensionViolation(
-                        f"revealed set has dimension {dim} > bound {self._config.d}"
-                    )
+        d = self._config.d
+        if self._config.validation == "full" and d is not None and f.support not in self._distinct:
+            self._distinct[f.support] = f
+            if len(self._distinct) <= ROUND_CHECK_LIMIT and exceeds_dimension(self._distinct.values(), d):
+                raise DimensionViolation(f"revealed set has dimension above {d}")
 
 
 def run_game(learner: Learner, adversary: Adversary, config: GameConfig) -> Transcript:
@@ -227,7 +241,7 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
-def validate_transcript(t: Transcript, d: int | None = None, *, ldim_check_limit: int = 32) -> ValidationReport:
+def validate_transcript(t: Transcript) -> ValidationReport:
     """Offline re-validation of a stored transcript.
 
     Re-checks every revealed function against the history prefix it was
@@ -256,19 +270,18 @@ def validate_transcript(t: Transcript, d: int | None = None, *, ldim_check_limit
         failures.append(
             f"{len(t.rounds)} rounds but {len(t.functions)} revealed functions"
         )
-    bound = d if d is not None else t.config.d
-    if bound is not None and not failures:
-        distinct = {f.support for f in t.functions}
-        if len(distinct) <= ldim_check_limit:
-            checks += 1
-            dim = ldim(t.functions) if t.functions else 0
-            if dim > bound:
-                failures.append(f"revealed set has dimension {dim} > bound {bound}")
-        else:
+    d = t.config.d
+    if d is not None and not failures:
+        over = exceeds_dimension(t.functions, d)
+        if over is None:
             notes.append(
-                f"dimension check skipped: {len(distinct)} distinct functions "
-                f"exceed the guard of {ldim_check_limit}"
+                f"dimension check skipped: {len({f.support for f in t.functions})} distinct "
+                f"functions exceed the guard of {DIMENSION_CHECK_LIMIT}"
             )
+        else:
+            checks += 1
+            if over:
+                failures.append(f"revealed set has dimension above {d}")
     return ValidationReport(
         passed=not failures,
         checks=checks,

@@ -39,18 +39,14 @@ from .littlestone import _DimensionEngine
 
 
 class RoundInterface(Protocol):
-    """What a learner needs from a game: points in, predictions out."""
+    """What a learner needs from a game: points in, predictions out, and
+    the list mutations each mistake caused."""
 
     def next_point(self) -> Point: ...
 
     def submit(self, y_hat: Bit, *, vote_width: int = 0, active_count: int = 0) -> Bit: ...
 
-
-def _annotate(rounds: RoundInterface, appended: tuple[str, ...], deleted: tuple[str, ...]) -> None:
-    # trace hook; plain per-round drivers need not implement it
-    hook = getattr(rounds, "annotate_update", None)
-    if hook is not None:
-        hook(appended, deleted)
+    def annotate_update(self, appended: Iterable[str], deleted: Iterable[str]) -> None: ...
 
 
 class ActiveList:
@@ -153,7 +149,7 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
                     f"oracle answer {g.name!r} disagrees with the mistake sample"
                 )
             state.active.append(g)
-            _annotate(rounds, appended=(g.name,), deleted=())
+            rounds.annotate_update((g.name,), ())
         else:
             first = count - width
             agreeing = [i for i in range(first, count) if state.active[i](x) == y_hat]
@@ -166,7 +162,7 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
             doomed = [i for i in range(first, count) if i not in kept]
             names = tuple(state.active[i].name for i in doomed)
             state.active.delete(doomed)
-            _annotate(rounds, appended=(), deleted=names)
+            rounds.annotate_update((), names)
         return
 
 
@@ -284,22 +280,25 @@ def _required_dimension(size: int, total: int, gamma: Fraction) -> int:
     return d
 
 
+# The exact advanced-set check enumerates all 2^n - 1 subsets.
+EXACT_ADVANCED_LIMIT = 16
+
+
 def check_advanced(
     functions: Sequence[Hypothesis],
     gamma: Fraction | float | int | str,
     *,
     sample_count: int | None = None,
     seed: int = 0,
-    exact_limit: int = 16,
 ) -> AdvancedCheck:
     """Check that every non-empty subset A of the given set T satisfies
     ldim(A) >= gamma + log16(|A| / |T|).
 
     With ``sample_count=None`` every subset is enumerated (guarded to
-    ``exact_limit`` functions); otherwise that many seeded random subsets
-    are checked, plus the full set. Returns the first violating subset as
-    a counterexample. The input must already be free of extensional
-    duplicates.
+    ``EXACT_ADVANCED_LIMIT`` functions); otherwise that many seeded random
+    subsets are checked, plus the full set. Returns the first violating
+    subset as a counterexample. The input must already be free of
+    extensional duplicates.
     """
     hyps = tuple(functions)
     if not hyps:
@@ -308,9 +307,9 @@ def check_advanced(
         raise ValueError("advanced-set check requires deduplicated hypotheses")
     gamma = Fraction(gamma)
     total = len(hyps)
-    if sample_count is None and total > exact_limit:
+    if sample_count is None and total > EXACT_ADVANCED_LIMIT:
         raise SizeLimitExceeded(
-            f"exact advanced-set check guarded to {exact_limit} functions, got {total}"
+            f"exact advanced-set check guarded to {EXACT_ADVANCED_LIMIT} functions, got {total}"
         )
     # bit i is the i-th function in support order, which fixes the order
     # of the subsets and so the first counterexample

@@ -24,7 +24,7 @@ from .adversary import (
     informative_update,
     ternary_function,
 )
-from .game import GameConfig, Transcript, run_game, validate_transcript
+from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
 from .hypotheses import Hypothesis, HypothesisClass
 from .learner import (
     CreateAdvancedLearner,
@@ -41,7 +41,6 @@ from .littlestone import (
     find_shattered_tree,
     is_shattered,
     ldim,
-    ldim_at_least,
     minimax_adversary_value,
 )
 
@@ -127,12 +126,12 @@ def _query_orders(d: int, count: int, seed: int) -> Iterator[list[int]]:
         yield order
 
 
-def _dimension_check(name: str, functions: list[Hypothesis], d: int, largest_d: int) -> CheckResult:
-    """Passes iff the revealed set has no dimension d + 1; skipped past
-    ``largest_d``, where deciding that stops being cheap."""
-    if d > largest_d:
+def _dimension_check(name: str, functions: list[Hypothesis], d: int) -> CheckResult:
+    """Passes iff the revealed set has dimension at most d; skipped where
+    exceeds_dimension leaves that undecided."""
+    over = exceeds_dimension(functions, d)
+    if over is None:
         return CheckResult(name, True, "skipped: size guard", skipped=True)
-    over = ldim_at_least(functions, d + 1)
     return _check(name, not over, f"revealed set has dimension {'above' if over else 'at most'} {d}")
 
 
@@ -150,7 +149,7 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
             f"{t.mistake_count} mistakes in {len(t.rounds)} rounds, want {3 ** d}",
         )
     )
-    report = validate_transcript(t, d=None)
+    report = validate_transcript(t)
     results.append(
         _check(
             f"lower:{d} ternary consistency",
@@ -158,8 +157,7 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
             report.first_failure or "every revealed function matches the history",
         )
     )
-    # 0.06 s on ternary:4's 81 functions, 4.6 s on ternary:5's 243
-    results.append(_dimension_check(f"lower:{d} ternary dimension", t.functions, d, 4))
+    results.append(_dimension_check(f"lower:{d} ternary dimension", t.functions, d))
 
     labels = tuple(ternary.labels)
     worst = 0
@@ -196,8 +194,7 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
             f"{ft.mistake_count} mistakes in {len(ft.rounds)} rounds, want {n}",
         )
     )
-    # 0.44 s on flood:10's 2047 functions, 1.8 s on flood:11's 4095
-    results.append(_dimension_check(f"lower:{d} flood dimension", ft.functions, d, 10))
+    results.append(_dimension_check(f"lower:{d} flood dimension", ft.functions, d))
     return results
 
 

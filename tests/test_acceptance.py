@@ -76,7 +76,7 @@ def test_criterion_1_ternary_forces_exactly_3_to_the_d(ternary_games) -> None:
         assert t.mistake_count == 3**d
         assert len(t.rounds) == 3**d
         assert all(r.mistake for r in t.rounds)
-        report = validate_transcript(t, d=None)
+        report = validate_transcript(t)
         assert report.passed, report.first_failure
     print("PASS criterion 1: ternary adversary forces exactly 3, 9, 27 mistakes "
           "with history-consistent functions")

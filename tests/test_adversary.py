@@ -116,11 +116,13 @@ def test_flood_adversary_counts_and_dimension() -> None:
     for d in (1, 2, 3):
         adv = FloodAdversary(d)
         functions = []
+        pairs = []
         rounds = 0
         while (x := adv.next_point()) is not None:
             y, f = adv.respond(x, rounds % 2)
             assert y == 1 - rounds % 2
-            assert is_consistent(f, adv.history)
+            pairs.append((x, y))
+            assert is_consistent(f, pairs)
             functions.append(f)
             rounds += 1
         assert rounds == 2 ** (d + 1) - 1

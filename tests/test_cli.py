@@ -66,6 +66,28 @@ def test_simulate_writes_transcript(capsys, tmp_path) -> None:
     assert t.mistake_count == 7
 
 
+def _simulate_free(cap: int) -> list[str]:
+    return ["simulate", "--learner", "predict", "--adversary", "free", "--d", "1", "--cap", str(cap)]
+
+
+def test_simulate_reports_a_revealed_set_above_its_d(capsys) -> None:
+    assert main(_simulate_free(50)) == 1
+    assert capsys.readouterr().out == (
+        "mistakes=50 rounds=50 stopped_by=round_cap "
+        "validation=INVALID (revealed set has dimension above 1)\n"
+    )
+
+
+def test_simulate_prints_a_skipped_dimension_check(capsys) -> None:
+    assert main(_simulate_free(100)) == 0
+    assert capsys.readouterr().out == (
+        "mistakes=100 rounds=100 stopped_by=round_cap validation=ok "
+        "(dimension check skipped: 100 distinct functions exceed the guard of 81)\n"
+    )
+    assert main(["simulate", "--learner", "predict", "--adversary", "ternary:5"]) == 0
+    assert "validation=ok (dimension check skipped: 230 distinct" in capsys.readouterr().out
+
+
 def test_simulate_unknown_learner(capsys) -> None:
     code = main(["simulate", "--learner", "psychic", "--adversary", "free"])
     assert code == 2

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_oracles import brute_ldim
 from conftest import hyp
 from oraclebench.adversary import FloodAdversary, FreeAdversary, TernaryAdversary
 from oraclebench.errors import DimensionViolation, IllegalAdversaryFunction, PointError, TranscriptError
 from oraclebench.game import (
     GameConfig,
+    exceeds_dimension,
     load_transcript,
     run_game,
     save_transcript,
     validate_transcript,
 )
-from oraclebench.hypotheses import HypothesisClass
+from oraclebench.hypotheses import Hypothesis, HypothesisClass
 from oraclebench.learner import CreateAdvancedLearner, PredictLearner
 from oraclebench.littlestone import SOALearner
 from oraclebench.adversary import ClassGreedyAdversary
@@ -61,8 +63,11 @@ def test_run_game_rejects_corrupted_adversary() -> None:
 
 
 def test_full_validation_catches_dimension_violation() -> None:
-    config = GameConfig(d=1, round_cap=50, validation="full")
-    with pytest.raises(DimensionViolation):
+    # the fourth distinct function is the first that the size bound
+    # ldim <= log2(n) no longer keeps within d = 1
+    run_game(PredictLearner(), FreeAdversary(), GameConfig(d=1, round_cap=3, validation="full"))
+    config = GameConfig(d=1, round_cap=4, validation="full")
+    with pytest.raises(DimensionViolation, match="revealed set has dimension above 1"):
         run_game(PredictLearner(), FreeAdversary(), config)
 
 
@@ -100,22 +105,69 @@ def test_transcript_round_trip(tmp_path) -> None:
 
 def test_validate_transcript_passes_and_detects_tampering() -> None:
     t = run_game(PredictLearner(), TernaryAdversary(2), GameConfig(d=2, round_cap=100))
-    report = validate_transcript(t, d=2)
+    report = validate_transcript(t)
     assert report.passed and not report.failures
 
     from dataclasses import replace
 
     t.rounds[4] = replace(t.rounds[4], y=1 - t.rounds[4].y)
-    tampered = validate_transcript(t, d=2)
+    tampered = validate_transcript(t)
     assert not tampered.passed
     assert "round 4" in tampered.first_failure
 
 
 def test_validate_transcript_size_guard_note() -> None:
-    t = run_game(PredictLearner(), FloodAdversary(5), GameConfig(d=5, round_cap=200))
-    report = validate_transcript(t, d=5)
-    assert report.passed
-    assert any("skipped" in note for note in report.notes)
+    t = run_game(PredictLearner(), TernaryAdversary(5), GameConfig(d=5, round_cap=300))
+    report = validate_transcript(t)
+    assert report.passed and report.checks == 243
+    assert report.notes == (
+        "dimension check skipped: 230 distinct functions exceed the guard of 81",
+    )
+
+
+@pytest.mark.parametrize("adversary, d, checks", [(FloodAdversary, 5, 64), (TernaryAdversary, 4, 82)])
+def test_validate_transcript_decides_sets_up_to_the_guard(adversary, d, checks) -> None:
+    t = run_game(PredictLearner(), adversary(d), GameConfig(d=d, round_cap=300))
+    report = validate_transcript(t)
+    assert report.passed and report.notes == ()
+    assert report.checks == checks  # one per round, plus the dimension check
+
+
+def test_validate_transcript_rejects_a_set_above_its_d() -> None:
+    t = run_game(PredictLearner(), FreeAdversary(), GameConfig(d=1, round_cap=50))
+    report = validate_transcript(t)
+    assert report.first_failure == "revealed set has dimension above 1"
+
+
+@st.composite
+def small_families(draw) -> tuple[list[Hypothesis], range]:
+    """A few functions on up to five points, drawn from a small pool of
+    supports so that members repeat."""
+    domain = range(draw(st.integers(1, 5)))
+    pool = draw(st.lists(st.integers(0, (1 << len(domain)) - 1), min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return [Hypothesis(f"h{i}", support=m) for i, m in enumerate(picks)], domain
+
+
+@given(family=small_families(), d=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_exceeds_dimension_agrees_with_brute_force(family, d) -> None:
+    functions, domain = family
+    over = exceeds_dimension(functions, d)
+    assert over == (brute_ldim(functions, domain) > d)
+    if len({f.support for f in functions}) < 2 ** (d + 1):
+        assert over is False
+
+
+def test_exceeds_dimension_skips_only_past_81_distinct_functions() -> None:
+    def prefix_functions(count: int) -> list[Hypothesis]:
+        return [Hypothesis(f"f{n}", support=(1 << n) - 1) for n in range(count)]
+
+    assert exceeds_dimension(prefix_functions(81), 1) is True
+    assert exceeds_dimension(prefix_functions(81) * 2, 1) is True
+    assert exceeds_dimension(prefix_functions(82), 1) is None
+    assert exceeds_dimension(prefix_functions(127), 6) is False  # size bound first
+    assert exceeds_dimension([], 0) is False
 
 
 def test_soa_vs_class_greedy_within_dimension() -> None:

@@ -34,6 +34,7 @@ class ScriptedRounds:
     def __init__(self, script):
         self.script = list(script)
         self.submitted: list[tuple[int, int, int]] = []
+        self.updates: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
         self._x = None
 
     def next_point(self) -> int:
@@ -44,6 +45,9 @@ class ScriptedRounds:
         y = self.script[len(self.submitted)][1]
         self.submitted.append((self._x, y_hat, y))
         return y
+
+    def annotate_update(self, appended, deleted) -> None:
+        self.updates.append((tuple(appended), tuple(deleted)))
 
 
 class FlipRounds:
@@ -65,6 +69,9 @@ class FlipRounds:
 
     def oracle(self, sample) -> Hypothesis:
         return minimal_extension_oracle(self.history, name=f"g{len(self.history)}")
+
+    def annotate_update(self, appended, deleted) -> None:
+        pass
 
 
 def fresh_state(rounds) -> LearnerState:
@@ -100,6 +107,7 @@ def test_empty_list_predicts_zero() -> None:
     assert rounds.submitted == [(5, 0, 0), (6, 0, 1)]
     assert state.mistakes.pairs == ((6, 1),)
     assert len(state.active) == 1
+    assert rounds.updates == [((state.active[0].name,), ())]
 
 
 def test_width_one_vote_follows_last_function() -> None:
@@ -130,6 +138,7 @@ def test_majority_deletion_keeps_earliest_agreeing_half() -> None:
     assert rounds.submitted == [(0, 1, 0)]  # votes (1,1,1,0) predict 1
     # keep the earliest two functions that voted 1; delete the other two
     assert [h.name for h in state.active] == ["a", "b"]
+    assert rounds.updates == [((), ("c", "d"))]
 
 
 def test_short_list_defaults_to_zero_and_appends() -> None:

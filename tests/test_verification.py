@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from oraclebench.adversary import FloodAdversary
+from oraclebench.adversary import TernaryAdversary
 from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import ldim
@@ -44,13 +44,19 @@ def test_verify_lower_4_runs_both_dimension_checks() -> None:
 
 
 def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
-    functions = run_game(PredictLearner(), FloodAdversary(2), GameConfig(d=2)).functions
-    skipped = _dimension_check("flood dimension", functions, 2, largest_d=1)
+    def revealed(d: int):
+        return run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d)).functions
+
+    skipped = _dimension_check("ternary dimension", revealed(5), 5)
     assert skipped.skipped and skipped.ok
     assert "skipped" in skipped.detail
-    run = _dimension_check("flood dimension", functions, 2, largest_d=2)
+    functions = revealed(4)
+    run = _dimension_check("ternary dimension", functions, 4)
     assert run.ok and not run.skipped
-    assert run.detail == "revealed set has dimension at most 2"
+    assert run.detail == "revealed set has dimension at most 4"
+    over = _dimension_check("ternary dimension", functions, 3)
+    assert not over.ok and not over.skipped
+    assert over.detail == "revealed set has dimension above 3"
 
 
 def test_verify_upper_passes_at_reduced_scale() -> None:
