@@ -22,7 +22,6 @@ from .hypotheses import (
     Bit,
     Hypothesis,
     HypothesisClass,
-    LabeledPair,
     Point,
     point_bit,
 )
@@ -156,7 +155,7 @@ class ClassGreedyAdversary:
     def __init__(self, c: HypothesisClass):
         self.cls = c
         self.name = "class-greedy"
-        self.history: list[LabeledPair] = []
+        self._rounds = 0
         self._survivors = c.distinct()
 
     def next_point(self) -> Point:
@@ -166,16 +165,16 @@ class ClassGreedyAdversary:
             if split >> x & 1:
                 return x
         # no disagreement left anywhere: keep the game alive round-robin
-        return self.cls.domain[len(self.history) % len(self.cls.domain)]
+        return self.cls.domain[self._rounds % len(self.cls.domain)]
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
         for y in (1 - y_hat, y_hat):
             kept = tuple(h for h in self._survivors if h(x) == y)
             if kept:
-                self.history.append((x, y))
+                self._rounds += 1
                 self._survivors = kept
                 return y, kept[0]
-        raise NonRealizable(f"no hypothesis in the class realizes {self.history}")
+        raise NonRealizable(f"no surviving hypothesis takes label {1 - y_hat} or {y_hat} at point {x}")
 
 
 class RandomClassAdversary:

@@ -50,8 +50,11 @@ class GameConfig:
 
     ``d`` is the declared dimension bound (None for an unconstrained
     adversary); ``validation`` is "consistency" (always-on history check)
-    or "full" (additionally check the revealed set's dimension every round
-    while it has at most ``ROUND_CHECK_LIMIT`` distinct functions).
+    or "full" (additionally check the revealed set's dimension each round
+    that reveals a new distinct function, up to ``DIMENSION_CHECK_LIMIT``
+    of them: 81, since a full-validation ``ternary:4`` game spends about
+    0.1 s on its checks, where a limit of 243 would spend about 7 s on
+    ``ternary:5``; README "Size guards" has the measurements).
     """
 
     d: int | None
@@ -105,9 +108,10 @@ class GameStopped(Exception):
 
 
 # The dimension check decides at most 3^4 distinct functions, the ternary:4
-# set; validation="full" pays it every round, so it stops sooner.
+# set. validation="full" pays it each round that reveals a new function:
+# about 0.1 s over a whole ternary:4 game, where 3^5 = 243 would cost about
+# 7 s over a ternary:5 game, each round searching afresh.
 DIMENSION_CHECK_LIMIT = 81
-ROUND_CHECK_LIMIT = 32
 
 
 def exceeds_dimension(functions: Iterable[Hypothesis], d: int) -> bool | None:
@@ -207,7 +211,8 @@ class RoundChannel:
         d = self._config.d
         if self._config.validation == "full" and d is not None and f.support not in self._distinct:
             self._distinct[f.support] = f
-            if len(self._distinct) <= ROUND_CHECK_LIMIT and exceeds_dimension(self._distinct.values(), d):
+            # past the guard the answer is never True, so skip its O(n) dedup
+            if len(self._distinct) <= DIMENSION_CHECK_LIMIT and exceeds_dimension(self._distinct.values(), d):
                 raise DimensionViolation(f"revealed set has dimension above {d}")
 
 

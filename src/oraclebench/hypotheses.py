@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 from weakref import WeakValueDictionary
 
 from .errors import ClassFileError, ContradictorySample, EmptyClass, NonRealizable, PointError
@@ -193,15 +193,6 @@ class Sample:
         return len(self.pairs)
 
 
-SampleLike = Union[Sample, Iterable[LabeledPair]]
-
-
-def as_sample(pairs: SampleLike) -> Sample:
-    if isinstance(pairs, Sample):
-        return pairs
-    return Sample(tuple((x, y) for x, y in pairs))
-
-
 def distinct(hypotheses: Iterable[Hypothesis]) -> tuple[Hypothesis, ...]:
     """Extensional deduplication, keeping first occurrences in order."""
     # dict.fromkeys keeps the first of equal keys, at its first position
@@ -245,37 +236,34 @@ class HypothesisClass:
 ConsistentOracle = Callable[[Sample], Hypothesis]
 
 
-def is_consistent(h: Hypothesis, sample: SampleLike) -> bool:
+def is_consistent(h: Hypothesis, sample: Sample) -> bool:
     """True iff ``h`` agrees with every labeled pair of the sample."""
-    s = as_sample(sample)
-    return s.ones & ~h.support == 0 and h.support & s.zeros == 0
+    return sample.ones & ~h.support == 0 and h.support & sample.zeros == 0
 
 
-def table_oracle(c: HypothesisClass, sample: SampleLike) -> Hypothesis:
+def table_oracle(c: HypothesisClass, sample: Sample) -> Hypothesis:
     """Return the first hypothesis in class order consistent with the sample.
 
     Deterministic by construction; raises NonRealizable when no member fits.
     """
-    s = as_sample(sample)
     for h in c.hypotheses:
-        if is_consistent(h, s):
+        if is_consistent(h, sample):
             return h
-    raise NonRealizable(f"no hypothesis in the class realizes {s.pairs}")
+    raise NonRealizable(f"no hypothesis in the class realizes {sample.pairs}")
 
 
-def random_table_oracle(c: HypothesisClass, sample: SampleLike, rng: random.Random) -> Hypothesis:
+def random_table_oracle(c: HypothesisClass, sample: Sample, rng: random.Random) -> Hypothesis:
     """Seeded variant of table_oracle: a uniform choice among the consistent
     members, for adversarial stress testing."""
-    s = as_sample(sample)
-    fits = [h for h in c.hypotheses if is_consistent(h, s)]
+    fits = [h for h in c.hypotheses if is_consistent(h, sample)]
     if not fits:
-        raise NonRealizable(f"no hypothesis in the class realizes {s.pairs}")
+        raise NonRealizable(f"no hypothesis in the class realizes {sample.pairs}")
     return rng.choice(fits)
 
 
-def minimal_extension_oracle(sample: SampleLike, name: str = "ext") -> Hypothesis:
+def minimal_extension_oracle(sample: Sample, name: str = "ext") -> Hypothesis:
     """The hypothesis that is 1 exactly on the sample's 1-labeled points."""
-    return Hypothesis(name, support=as_sample(sample).ones)
+    return Hypothesis(name, support=sample.ones)
 
 
 def load_class_file(path: str | Path) -> HypothesisClass:

@@ -1,14 +1,17 @@
 """Exact Littlestone dimension, shattered-tree certificates, and the
 version-space learner that meets the dimension as its mistake bound.
 
-The dimension of a finite class is computed by the standard recursion:
-a single function has dimension 0, and otherwise the dimension is the
-maximum over splitting points x of 1 + min over the two restrictions
-{f : f(x) = 0} and {f : f(x) = 1}, both taken non-empty.  Internally the
-distinct functions are numbered, a set of them is an int with one bit
-per index, and each point has a column: the index mask of the functions
-that are 1 there. Splitting a set at a point is then one AND with the
-column, and only the first point of each distinct column is a candidate.
+A set of functions has dimension at least d > 0 iff some point x splits
+it into two non-empty restrictions {f : f(x) = 0} and {f : f(x) = 1}
+that both have dimension at least d - 1. One memoized decision search
+answers that question, and the dimension is found by deepening it: the
+deepest d for which it holds. Each split tests its smaller side first,
+which a size bound (dimension d needs 2^d functions) often refutes with
+no search. Internally the distinct functions are numbered, a set of
+them is an int with one bit per index, and each point has a column: the
+index mask of the functions that are 1 there. Splitting a set at a point
+is then one AND with the column, and only the first point of each
+distinct column is a candidate.
 """
 
 from __future__ import annotations
@@ -103,10 +106,10 @@ def _as_hypotheses(hypotheses: HypothesisInput) -> tuple[Hypothesis, ...]:
 
 
 class _DimensionEngine:
-    """Index-bitset recursion state shared by dimension queries.
+    """Index-bitset search state shared by dimension queries.
 
     One engine serves one family of hypotheses: member i of its distinct
-    members is bit i of a set, so memo tables are keyed by ints.
+    members is bit i of a set, so the memo is keyed by (set, depth) ints.
     ``columns`` holds (point, column) for the first point of each column
     that can split a set, in increasing point order.
     """
@@ -114,8 +117,7 @@ class _DimensionEngine:
     def __init__(self, hyps: Sequence[Hypothesis]):
         self.hyps = distinct(hyps)
         self.full = (1 << len(self.hyps)) - 1
-        self._ldim_memo: dict[int, int] = {}
-        self._at_least_memo: dict[tuple[int, int], bool] = {}
+        self._memo: dict[tuple[int, int], bool] = {}
 
     @cached_property
     def _point_columns(self) -> dict[Point, int]:
@@ -148,42 +150,33 @@ class _DimensionEngine:
                 yield x, s ^ one, one
 
     def ldim(self, s: int) -> int:
-        if s & (s - 1) == 0:
-            return 0
-        cached = self._ldim_memo.get(s)
-        if cached is not None:
-            return cached
-        ceiling = s.bit_count().bit_length() - 1  # ldim <= log2 of the set size
-        best = 0
-        parts = sorted(self.splits(s), key=lambda p: min(p[1].bit_count(), p[2].bit_count()), reverse=True)
-        for _, zero, one in parts:
-            # 1 + ldim of the smaller side is at most its bit_length, and
-            # later splits are no more balanced, so none can beat `best`
-            if min(zero.bit_count(), one.bit_count()).bit_length() <= best:
-                break
-            cand = 1 + min(self.ldim(zero), self.ldim(one))
-            if cand > best:
-                best = cand
-                if best == ceiling:
-                    break
-        self._ldim_memo[s] = best
-        return best
+        """The deepest d for which ``at_least(s, d)`` holds."""
+        d = 0
+        while self.at_least(s, d + 1):
+            d += 1
+        return d
 
     def at_least(self, s: int, d: int) -> bool:
-        """Decision procedure: does the set shatter some depth-d tree?"""
+        """Decision procedure: does the set shatter some depth-d tree?
+
+        Each split tests its smaller side first, the side more likely to
+        fail, and often on the size bound alone.
+        """
         if d <= 0:
             return True
         if s.bit_count() < (1 << d):  # size bound: ldim <= log2 |H|
             return False
+        if d == 1:  # exact here: two distinct functions differ somewhere
+            return True
         key = (s, d)
-        cached = self._at_least_memo.get(key)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         ok = any(
-            self.at_least(zero, d - 1) and self.at_least(one, d - 1)
-            for _, zero, one in self.splits(s)
+            self.at_least(small, d - 1) and self.at_least(s ^ small, d - 1)
+            for small in (min(zero, one, key=int.bit_count) for _, zero, one in self.splits(s))
         )
-        self._at_least_memo[key] = ok
+        self._memo[key] = ok
         return ok
 
     def build_tree(self, s: int, d: int) -> TreeNode | None:
@@ -222,8 +215,8 @@ def ldim_at_least(hypotheses: HypothesisInput, d: int) -> bool:
 def find_shattered_tree(hypotheses: HypothesisInput, depth: int) -> LabeledTree | None:
     """A depth-``depth`` labeled tree shattered by the class, or None.
 
-    The returned certificate is built from the dimension recursion and can
-    be re-checked independently with :func:`is_shattered`.
+    The returned certificate is built from the dimension search, in point
+    order, and can be re-checked independently with :func:`is_shattered`.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -240,7 +233,7 @@ def find_shattered_tree(hypotheses: HypothesisInput, depth: int) -> LabeledTree 
 def is_shattered(tree: LabeledTree, hypotheses: HypothesisInput) -> bool:
     """Definition-based check: every leaf's path sample is realizable.
 
-    Independent of the recursion that builds certificates; it walks all
+    Independent of the search that builds certificates; it walks all
     2^depth leaves and tests consistency pair by pair.
     """
     hyps = _as_hypotheses(hypotheses)
@@ -291,7 +284,8 @@ def minimax_adversary_value(
     adversary picks any label that keeps the version space non-empty; a
     mistake scores 1. This searches the game tree directly (learner
     minimizes, adversary maximizes) and is an independent cross-check of
-    the dimension recursion, to which the value is provably equal.
+    the engine's deepening search, to whose dimension the value is
+    provably equal.
     """
     engine = _DimensionEngine(_as_hypotheses(hypotheses))
     if not engine.hyps:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .adversary import (
@@ -149,7 +149,8 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
             f"{t.mistake_count} mistakes in {len(t.rounds)} rounds, want {3 ** d}",
         )
     )
-    report = validate_transcript(t)
+    # history consistency only: the dimension check below decides the set once
+    report = validate_transcript(replace(t, config=replace(t.config, d=None)))
     results.append(
         _check(
             f"lower:{d} ternary consistency",

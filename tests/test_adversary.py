@@ -20,7 +20,7 @@ from oraclebench.adversary import (
 )
 from oraclebench.errors import InconsistentOracleClass
 from oraclebench.game import GameConfig, run_game, save_transcript
-from oraclebench.hypotheses import HypothesisClass, is_consistent
+from oraclebench.hypotheses import HypothesisClass, Sample, is_consistent
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
 from oraclebench.verification import threshold_hypotheses
@@ -95,7 +95,7 @@ def test_ternary_adversary_stops_after_all_points() -> None:
         x = adv.next_point()
         assert x == r
         y, f = adv.respond(x, 0)
-        assert is_consistent(f, [(i, lab) for i, lab in enumerate(adv.labels)])
+        assert is_consistent(f, Sample(tuple(enumerate(adv.labels))))
     assert adv.next_point() is None
 
 
@@ -122,7 +122,7 @@ def test_flood_adversary_counts_and_dimension() -> None:
             y, f = adv.respond(x, rounds % 2)
             assert y == 1 - rounds % 2
             pairs.append((x, y))
-            assert is_consistent(f, pairs)
+            assert is_consistent(f, Sample(tuple(pairs)))
             functions.append(f)
             rounds += 1
         assert rounds == 2 ** (d + 1) - 1
@@ -142,7 +142,7 @@ def test_class_greedy_flips_when_legal() -> None:
     c = HypothesisClass(domain, tuple(h for h in threshold_hypotheses(4)))
     y, f = ClassGreedyAdversary(c).respond(0, 0)
     assert y == 1
-    assert is_consistent(f, [(0, 1)])
+    assert is_consistent(f, Sample(((0, 1),)))
 
 
 def test_class_greedy_concedes_when_pinned() -> None:
@@ -173,7 +173,7 @@ def test_random_class_adversary_is_legal_and_seeded() -> None:
         x = adv.next_point()
         y, f = adv.respond(x, 0)
         history.append((x, y))
-        assert is_consistent(f, history)
+        assert is_consistent(f, Sample(tuple(history)))
         trace_a.append((x, y, f.name))
     adv2 = RandomClassAdversary(c, seed=5)
     trace_b = [(x := adv2.next_point(),) + adv2.respond(x, 0) for _ in range(10)]

@@ -71,6 +71,15 @@ def test_full_validation_catches_dimension_violation() -> None:
         run_game(PredictLearner(), FreeAdversary(), config)
 
 
+def test_full_validation_checks_every_round_up_to_the_guard() -> None:
+    # a free game reveals a chain; the 64th function takes it to dimension
+    # 6, past 32 distinct functions but within the guard of 81
+    run_game(PredictLearner(), FreeAdversary(), GameConfig(d=5, round_cap=63, validation="full"))
+    config = GameConfig(d=5, round_cap=64, validation="full")
+    with pytest.raises(DimensionViolation, match="revealed set has dimension above 5"):
+        run_game(PredictLearner(), FreeAdversary(), config)
+
+
 def test_full_validation_passes_legal_adversary() -> None:
     config = GameConfig(d=2, round_cap=50, validation="full")
     t = run_game(PredictLearner(), TernaryAdversary(2), config)

@@ -76,10 +76,10 @@ def test_equality_is_agreement_on_domain_union(ones_a, ones_b, pad_a, pad_b) -> 
 
 def test_is_consistent_examples() -> None:
     zero = Hypothesis("zero", (), ())
-    assert is_consistent(zero, [(3, 0), (7, 0)])
-    assert not is_consistent(zero, [(3, 1)])
+    assert is_consistent(zero, Sample(((3, 0), (7, 0))))
+    assert not is_consistent(zero, Sample(((3, 1),)))
     one_at_0 = Hypothesis("h", (0,), (1,))
-    assert is_consistent(one_at_0, [(0, 1), (5, 0)])
+    assert is_consistent(one_at_0, Sample(((0, 1), (5, 0))))
 
 
 def test_sample_rejects_contradiction() -> None:
@@ -98,14 +98,14 @@ def test_sample_rejects_non_bit_labels() -> None:
 
 def test_table_oracle_first_in_class_order() -> None:
     c = HypothesisClass.from_rows([0, 1], [("h0", "00"), ("h1", "11")])
-    assert table_oracle(c, [(0, 1)]).name == "h1"
-    assert table_oracle(c, []).name == "h0"
+    assert table_oracle(c, Sample(((0, 1),))).name == "h1"
+    assert table_oracle(c, Sample(())).name == "h0"
 
 
 def test_table_oracle_non_realizable() -> None:
     c = HypothesisClass.from_rows([0], [("h0", "0")])
     with pytest.raises(NonRealizable):
-        table_oracle(c, [(0, 1)])
+        table_oracle(c, Sample(((0, 1),)))
 
 
 def test_random_table_oracle_is_consistent_and_seeded() -> None:
@@ -137,18 +137,16 @@ def test_table_oracle_answers_are_consistent(data) -> None:
 
 
 def test_minimal_extension_examples() -> None:
-    h = minimal_extension_oracle([(2, 1), (5, 0)])
+    h = minimal_extension_oracle(Sample(((2, 1), (5, 0))))
     assert h(2) == 1 and h(5) == 0 and h(7) == 0
     assert h.support == 0b100
-    assert minimal_extension_oracle([]).support == 0
-    with pytest.raises(ContradictorySample):
-        minimal_extension_oracle([(2, 1), (2, 0)])
+    assert minimal_extension_oracle(Sample(())).support == 0
 
 
 @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 1)), max_size=8))
 def test_minimal_extension_is_consistent(pairs) -> None:
     labels = {}
-    deduped = [(x, y) for x, y in pairs if labels.setdefault(x, y) == y]
+    deduped = Sample(tuple((x, y) for x, y in pairs if labels.setdefault(x, y) == y))
     h = minimal_extension_oracle(deduped)
     assert is_consistent(h, deduped)
 
@@ -204,7 +202,6 @@ def test_mask_consistency_agrees_with_the_pairwise_definition(table, pairs) -> N
     sample = Sample(tuple(pairs.items()))
     pairwise = all(table.get(x, 0) == y for x, y in sample.pairs)
     assert is_consistent(h, sample) == pairwise
-    assert is_consistent(h, list(sample.pairs)) == pairwise
 
 
 @given(a=tables, b=tables)

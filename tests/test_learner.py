@@ -12,7 +12,7 @@ from oraclebench.errors import (
     ScheduleViolation,
     SizeLimitExceeded,
 )
-from oraclebench.hypotheses import Hypothesis, minimal_extension_oracle
+from oraclebench.hypotheses import Hypothesis, Sample, minimal_extension_oracle
 from oraclebench.learner import (
     ActiveList,
     LearnerState,
@@ -68,7 +68,7 @@ class FlipRounds:
         return y
 
     def oracle(self, sample) -> Hypothesis:
-        return minimal_extension_oracle(self.history, name=f"g{len(self.history)}")
+        return minimal_extension_oracle(Sample(tuple(self.history)), name=f"g{len(self.history)}")
 
     def annotate_update(self, appended, deleted) -> None:
         pass

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,14 @@ def test_certificates_match_recorded_output() -> None:
     assert format_tree(find_shattered_tree(threshold_hypotheses(16), 4)) == (
         "(7 (11 (13 (14 * *) (12 * *)) (9 (10 * *) (8 * *))) (3 (5 (6 * *) (4 * *)) (1 (2 * *) (0 * *))))"
     )
+
+
+def test_ternary5_revealed_set_has_dimension_exactly_5_quickly() -> None:
+    functions = run_game(PredictLearner(), TernaryAdversary(5), GameConfig(d=5, round_cap=3**5)).functions
+    start = time.perf_counter()
+    assert ldim(functions) == 5
+    # the deepening search refutes depth 6 in about 0.1 s
+    assert time.perf_counter() - start < 0.5
 
 
 def test_ternary4_revealed_set_has_dimension_exactly_4() -> None:

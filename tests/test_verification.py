@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from oraclebench import game
 from oraclebench.adversary import TernaryAdversary
 from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
@@ -41,6 +42,22 @@ def test_verify_lower_4_runs_both_dimension_checks() -> None:
     for name in ("lower:4 ternary dimension", "lower:4 flood dimension"):
         assert results[name].ok
         assert results[name].detail == "revealed set has dimension at most 4"
+
+
+def test_verify_lower_decides_the_ternary_set_once(monkeypatch) -> None:
+    calls = []
+
+    def counting_ldim(functions):
+        calls.append(len(functions))
+        return ldim(functions)
+
+    monkeypatch.setattr(game, "ldim", counting_ldim)
+    results = {r.name: r for r in verify_lower(4, orderings=2)}
+    assert results["lower:4 ternary consistency"].ok
+    assert results["lower:4 ternary dimension"].ok
+    # the flood:4 set is settled by the size bound; the ternary:4 set
+    # (78 distinct functions) is searched once
+    assert calls == [78]
 
 
 def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
