@@ -27,6 +27,7 @@ from .errors import (
     EmptyVersionSpace,
     IllegalAdversaryFunction,
     IllegalLabel,
+    IllegalPrediction,
     InconsistentOracleClass,
     InsufficientAgreement,
     NonRealizable,

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import and_, or_
 from typing import Callable
 
 from .errors import InconsistentOracleClass, NonRealizable
@@ -25,6 +23,7 @@ from .hypotheses import (
     Point,
     point_bit,
 )
+from .littlestone import _DimensionEngine
 
 
 def ternary_digit(x: int, position: int) -> int:
@@ -147,33 +146,39 @@ class ClassGreedyAdversary:
     """Greedy legal adversary: plays points where the surviving hypotheses
     disagree and flips whenever the class allows it.
 
-    Its oracle answer is the first survivor with the revealed label: the
-    first class member consistent with the history, since the survivors
-    are the class's distinct members in first-occurrence order.
+    The survivors are an index mask over the class's distinct members in
+    first-occurrence order, so the oracle answer, the lowest set bit, is the
+    first class member consistent with the history. A round is one AND with
+    the point's column, and the first splitting point in domain order is
+    rescanned only when the mask shrinks: O(1) big-int operations a round.
     """
 
     def __init__(self, c: HypothesisClass):
         self.cls = c
         self.name = "class-greedy"
         self._rounds = 0
-        self._survivors = c.distinct()
+        self._engine = _DimensionEngine(c.hypotheses)
+        self._survivors = self._engine.full
+        self._split = self._first_split(self._survivors)
+
+    def _first_split(self, s: int) -> Point | None:
+        return next((x for x in self.cls.domain if 0 != s & self._engine.column(x) != s), None)
 
     def next_point(self) -> Point:
-        supports = [h.support for h in self._survivors]
-        split = reduce(or_, supports, 0) & ~reduce(and_, supports, -1)
-        for x in self.cls.domain:
-            if split >> x & 1:
-                return x
-        # no disagreement left anywhere: keep the game alive round-robin
-        return self.cls.domain[self._rounds % len(self.cls.domain)]
+        if self._split is None:
+            # no disagreement left anywhere: keep the game alive round-robin
+            return self.cls.domain[self._rounds % len(self.cls.domain)]
+        return self._split
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
+        one = self._survivors & self._engine.column(x)
         for y in (1 - y_hat, y_hat):
-            kept = tuple(h for h in self._survivors if h(x) == y)
+            kept = (self._survivors ^ one, one)[y] if y in (0, 1) else 0
             if kept:
                 self._rounds += 1
-                self._survivors = kept
-                return y, kept[0]
+                if kept != self._survivors:
+                    self._survivors, self._split = kept, self._first_split(kept)
+                return y, self._engine.hyps[(kept & -kept).bit_length() - 1]
         raise NonRealizable(f"no surviving hypothesis takes label {1 - y_hat} or {y_hat} at point {x}")
 
 
@@ -321,13 +326,18 @@ def informative_predict(state: InformativeState, z: Point) -> Bit:
     return _analyze(state, z)[0]
 
 
-def informative_update(state: InformativeState, z: Point, y_true: Bit) -> InformativeState:
-    """Advance the learner after the true value at ``z`` is revealed."""
+def _informative_step(state: InformativeState, z: Point, y_true: Bit) -> tuple[Bit, InformativeState]:
+    """The prediction at ``z`` and the state once its true value is revealed."""
     prediction, promoted, on_mistake = _analyze(state, z)
     if y_true == prediction:
-        return promoted
+        return prediction, promoted
     if on_mistake is None:
         raise InconsistentOracleClass(
             f"observed value {y_true} at {z} contradicts every class member"
         )
-    return on_mistake()
+    return prediction, on_mistake()
+
+
+def informative_update(state: InformativeState, z: Point, y_true: Bit) -> InformativeState:
+    """Advance the learner after the true value at ``z`` is revealed."""
+    return _informative_step(state, z, y_true)[1]

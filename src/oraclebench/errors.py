@@ -50,6 +50,10 @@ class RepeatedActiveFunction(OracleBenchError):
     active list."""
 
 
+class IllegalPrediction(OracleBenchError):
+    """A learner submitted a prediction that is not the int 0 or 1."""
+
+
 class IllegalAdversaryFunction(OracleBenchError):
     """The adversary revealed a function inconsistent with the game history."""
 

@@ -11,7 +11,7 @@ byte-reproducible from the configuration and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -19,6 +19,7 @@ from .errors import (
     ContradictorySample,
     DimensionViolation,
     IllegalAdversaryFunction,
+    IllegalPrediction,
     NonRealizable,
     TranscriptError,
 )
@@ -52,9 +53,7 @@ class GameConfig:
     adversary); ``validation`` is "consistency" (always-on history check)
     or "full" (additionally check the revealed set's dimension each round
     that reveals a new distinct function, up to ``DIMENSION_CHECK_LIMIT``
-    of them: 81, since a full-validation ``ternary:4`` game spends about
-    0.1 s on its checks, where a limit of 243 would spend about 7 s on
-    ``ternary:5``; README "Size guards" has the measurements).
+    of them; README "Size guards" has the measurements).
     """
 
     d: int | None
@@ -69,8 +68,11 @@ class GameConfig:
             raise ValueError("validation must be 'consistency' or 'full'")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Round:
+    """One round, as a slotted record the engine builds positionally; only
+    ``annotate_update`` edits it, to attach the learner's list mutations."""
+
     index: int
     x: Point
     y_hat: Bit
@@ -175,15 +177,16 @@ class RoundChannel:
     def submit(self, y_hat: Bit, *, vote_width: int = 0, active_count: int = 0) -> Bit:
         if self._pending is None:
             raise RuntimeError("submit called before next_point")
+        rounds = self._transcript.rounds
+        if type(y_hat) is not int or y_hat not in (0, 1):
+            raise IllegalPrediction(f"round {len(rounds)}: prediction {y_hat!r} is not the int 0 or 1")
         x = self._pending
         self._pending = None
         y, f = self._adversary.respond(x, y_hat)
         self._validate(x, y, f)
         self._current_f = f
         self._transcript.functions.append(f)
-        rounds = self._transcript.rounds
-        rounds.append(Round(index=len(rounds), x=x, y_hat=y_hat, y=y, mistake=y != y_hat,
-                            f_id=f.name, vote_width=vote_width, active_count=active_count))
+        rounds.append(Round(len(rounds), x, y_hat, y, y != y_hat, f.name, vote_width, active_count))
         return y
 
     def oracle(self, sample: Sample) -> Hypothesis:
@@ -201,7 +204,7 @@ class RoundChannel:
         """Attach the learner's list mutations to the round just played."""
         rounds = self._transcript.rounds
         if rounds:
-            rounds[-1] = replace(rounds[-1], appended=tuple(appended), deleted=tuple(deleted))
+            rounds[-1].appended, rounds[-1].deleted = tuple(appended), tuple(deleted)
 
     def _validate(self, x: Point, y: Bit, f: Hypothesis) -> None:
         if not self._history.admits(x, y, f):

@@ -20,8 +20,7 @@ from .adversary import (
     InformativeState,
     RandomClassAdversary,
     TernaryAdversary,
-    informative_predict,
-    informative_update,
+    _informative_step,
     ternary_function,
 )
 from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
@@ -169,11 +168,9 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
             state = InformativeState(d=d, labels=labels)
             mistakes = 0
             for z in order:
-                y_hat = informative_predict(state, z)
                 y = f_r(z)
-                if y != y_hat:
-                    mistakes += 1
-                state = informative_update(state, z, y)
+                y_hat, state = _informative_step(state, z, y)
+                mistakes += y != y_hat
             worst = max(worst, mistakes)
             if mistakes > d:
                 failures += 1

@@ -5,13 +5,19 @@ leaf's path assignment is realized by some hypothesis, and the dimension
 is the deepest complete tree shattered. No version spaces, no masks, no
 memoization: functions are only ever evaluated, h(x), at given points.
 Only meant for small inputs.
+
+The class-greedy reference keeps its survivors as a tuple of hypotheses
+and re-filters them every round, the way the adversary was first written.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Sequence
 
-from oraclebench.hypotheses import Bit, Hypothesis, LabeledPair
+from oraclebench.errors import NonRealizable
+from oraclebench.hypotheses import Bit, Hypothesis, HypothesisClass, LabeledPair, Point
 
 
 def realizable(hyps: Sequence[Hypothesis], pairs: list[LabeledPair]) -> bool:
@@ -63,3 +69,37 @@ def brute_ternary_function(r: int, d: int, labels: Sequence[Bit]) -> Callable[[i
         return digit(r, i)
 
     return f
+
+
+class SurvivorFilterAdversary:
+    """Greedy legal adversary: plays points where the surviving hypotheses
+    disagree and flips whenever the class allows it.
+
+    Its oracle answer is the first survivor with the revealed label: the
+    first class member consistent with the history, since the survivors
+    are the class's distinct members in first-occurrence order.
+    """
+
+    def __init__(self, c: HypothesisClass):
+        self.cls = c
+        self.name = "class-greedy"
+        self._rounds = 0
+        self._survivors = c.distinct()
+
+    def next_point(self) -> Point:
+        supports = [h.support for h in self._survivors]
+        split = reduce(or_, supports, 0) & ~reduce(and_, supports, -1)
+        for x in self.cls.domain:
+            if split >> x & 1:
+                return x
+        # no disagreement left anywhere: keep the game alive round-robin
+        return self.cls.domain[self._rounds % len(self.cls.domain)]
+
+    def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
+        for y in (1 - y_hat, y_hat):
+            kept = tuple(h for h in self._survivors if h(x) == y)
+            if kept:
+                self._rounds += 1
+                self._survivors = kept
+                return y, kept[0]
+        raise NonRealizable(f"no surviving hypothesis takes label {1 - y_hat} or {y_hat} at point {x}")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from brute_oracles import brute_ldim, brute_ternary_function
+from brute_oracles import SurvivorFilterAdversary, brute_ldim, brute_ternary_function
 from oraclebench.adversary import (
     ClassGreedyAdversary,
     FloodAdversary,
@@ -20,10 +20,14 @@ from oraclebench.adversary import (
 )
 from oraclebench.errors import InconsistentOracleClass
 from oraclebench.game import GameConfig, run_game, save_transcript
-from oraclebench.hypotheses import HypothesisClass, Sample, is_consistent
+from oraclebench.hypotheses import Hypothesis, HypothesisClass, Sample, is_consistent
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
-from oraclebench.verification import threshold_hypotheses
+from oraclebench.verification import (
+    random_classes_of_dimension,
+    threshold_hypotheses,
+    threshold_pair_classes,
+)
 
 
 def test_ternary_digits() -> None:
@@ -162,6 +166,38 @@ def test_class_greedy_adversary_plays_disagreement_points() -> None:
     y, f = adv.respond(2, 0)
     assert y == 1 and f.name == "b"
     assert adv.next_point() in (0, 1, 2)  # pinned, keeps the game alive
+
+
+def _classes_with_repeats(count: int, seed: int) -> list[HypothesisClass]:
+    """Seeded random classes whose members repeat (under other names) and
+    whose domain lists its points in shuffled order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        domain = rng.sample(range(12), rng.randint(1, 8))
+        rows: list[tuple[int, ...]] = []
+        for _ in range(rng.randint(1, 10)):
+            fresh = tuple(rng.randint(0, 1) for _ in domain)
+            rows.append(rng.choice(rows) if rows and rng.random() < 0.4 else fresh)
+        hyps = tuple(Hypothesis(f"h{i}", domain, row) for i, row in enumerate(rows))
+        out.append(HypothesisClass(tuple(domain), hyps))
+    return out
+
+
+@pytest.mark.parametrize("learner", [lambda c: PredictLearner(), SOALearner], ids=["predict", "soa"])
+def test_class_greedy_plays_the_survivor_filter_reference(learner) -> None:
+    classes = (
+        threshold_pair_classes(8)
+        + random_classes_of_dimension(1, 100, seed=11)
+        + _classes_with_repeats(100, seed=12)
+    )
+    config = GameConfig(d=None, round_cap=60)
+    for i, c in enumerate(classes):
+        want = run_game(learner(c), SurvivorFilterAdversary(c), config)
+        got = run_game(learner(c), ClassGreedyAdversary(c), config)
+        assert got.rounds == want.rounds, i
+        assert [(f.name, f.support) for f in got.functions] == [(f.name, f.support) for f in want.functions], i
+        assert got.stopped_by == want.stopped_by, i
 
 
 def test_random_class_adversary_is_legal_and_seeded() -> None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,18 @@ from hypothesis import strategies as st
 from brute_oracles import brute_ldim
 from conftest import hyp
 from oraclebench.adversary import FloodAdversary, FreeAdversary, TernaryAdversary
-from oraclebench.errors import DimensionViolation, IllegalAdversaryFunction, PointError, TranscriptError
+from oraclebench.errors import (
+    DimensionViolation,
+    IllegalAdversaryFunction,
+    IllegalPrediction,
+    PointError,
+    TranscriptError,
+)
 from oraclebench.game import (
     GameConfig,
+    Round,
+    RoundChannel,
+    Transcript,
     exceeds_dimension,
     load_transcript,
     run_game,
@@ -116,8 +127,6 @@ def test_validate_transcript_passes_and_detects_tampering() -> None:
     t = run_game(PredictLearner(), TernaryAdversary(2), GameConfig(d=2, round_cap=100))
     report = validate_transcript(t)
     assert report.passed and not report.failures
-
-    from dataclasses import replace
 
     t.rounds[4] = replace(t.rounds[4], y=1 - t.rounds[4].y)
     tampered = validate_transcript(t)
@@ -232,6 +241,7 @@ def test_save_load_save_is_byte_identical_and_validates(tmp_path, name) -> None:
     loaded = load_transcript(first)
     save_transcript(loaded, second)
     assert first.read_bytes() == second.read_bytes()
+    assert loaded.rounds == t.rounds
     assert [(f.name, f.support) for f in loaded.functions] == [(f.name, f.support) for f in t.functions]
     report = validate_transcript(loaded)
     assert report.passed and report.checks >= len(t.rounds)
@@ -364,3 +374,60 @@ def test_negative_point_from_an_adversary_is_a_typed_error() -> None:
 
     with pytest.raises(PointError, match="negative point -1"):
         run_game(PredictLearner(), NegativeAdversary(), GameConfig(d=None, round_cap=5))
+
+
+# ----------------------------------------------------------------------
+# rounds as slotted records; predictions must be bits
+
+
+def test_annotate_update_lands_on_the_last_round_only() -> None:
+    config = GameConfig(d=None, round_cap=10)
+    adversary = FreeAdversary()
+    t = Transcript(config, "x", adversary.name)
+    channel = RoundChannel(adversary, config, t)
+    for _ in range(3):
+        channel.next_point()
+        channel.submit(0)
+    channel.annotate_update(["f3"], ["f1", "f2"])
+    assert [(r.appended, r.deleted) for r in t.rounds] == [((), ()), ((), ()), (("f3",), ("f1", "f2"))]
+
+
+def test_round_is_a_slotted_record_that_replace_copies() -> None:
+    r = Round(4, 7, 0, 1, True, "f4", 2, 5)
+    assert not hasattr(r, "__dict__")
+    assert [f.name for f in fields(Round)] == [
+        "index", "x", "y_hat", "y", "mistake", "f_id", "vote_width", "active_count", "appended", "deleted",
+    ]
+    flipped = replace(r, y=0, mistake=False)
+    assert flipped == Round(4, 7, 0, 0, False, "f4", 2, 5)
+    assert (r.y, r.mistake) == (1, True)
+
+
+class BadPredictionLearner:
+    """Predicts 0 for three rounds, then submits ``y_hat`` every round."""
+
+    name = "bad-prediction"
+
+    def __init__(self, y_hat) -> None:
+        self.y_hat = y_hat
+
+    def run(self, rounds) -> None:
+        for r in itertools.count():
+            rounds.next_point()
+            rounds.submit(0 if r < 3 else self.y_hat)
+
+
+@pytest.mark.parametrize("y_hat", [2, True], ids=["two", "true"])
+@pytest.mark.parametrize(
+    "adversary",
+    [FreeAdversary, lambda: ClassGreedyAdversary(HypothesisClass.from_rows([0, 1], [("a", "01"), ("b", "10")]))],
+    ids=["free", "class-greedy"],
+)
+def test_submit_rejects_a_prediction_that_is_not_a_bit(adversary, y_hat) -> None:
+    adv = adversary()
+    asked = []
+    respond = adv.respond
+    adv.respond = lambda x, y: asked.append(y) or respond(x, y)
+    with pytest.raises(IllegalPrediction, match=rf"round 3: prediction {y_hat!r} is not the int 0 or 1"):
+        run_game(BadPredictionLearner(y_hat), adv, GameConfig(d=None, round_cap=10))
+    assert asked == [0, 0, 0]
