@@ -24,7 +24,6 @@ from .errors import (
     ContradictorySample,
     DimensionViolation,
     EmptyClass,
-    EmptyVersionSpace,
     IllegalAdversaryFunction,
     IllegalLabel,
     IllegalPrediction,
@@ -54,13 +53,9 @@ from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     Sample,
-    hypothesis_from_support,
     is_consistent,
     load_class_file,
-    minimal_extension_oracle,
-    random_table_oracle,
     save_class_file,
-    table_oracle,
 )
 from .learner import (
     ActiveList,
@@ -88,8 +83,6 @@ from .littlestone import (
     ldim,
     ldim_at_least,
     minimax_adversary_value,
-    soa_predict,
-    soa_update,
 )
 
 __version__ = "0.1.0"

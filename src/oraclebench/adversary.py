@@ -187,8 +187,7 @@ class RandomClassAdversary:
     legal labels, random consistent oracle answers.
 
     Its oracle answer is a uniform choice among the class members
-    consistent with the history, in class order with duplicates included:
-    the list random_table_oracle would draw from.
+    consistent with the history, in class order with duplicates included.
     """
 
     def __init__(self, c: HypothesisClass, seed: int):

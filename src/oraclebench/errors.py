@@ -23,10 +23,6 @@ class EmptyClass(OracleBenchError):
     """A hypothesis class must contain at least one hypothesis."""
 
 
-class EmptyVersionSpace(OracleBenchError):
-    """The version space ran empty; the label history was not realizable."""
-
-
 class IllegalLabel(OracleBenchError):
     """A label was revealed that no remaining hypothesis can produce."""
 
@@ -55,7 +51,8 @@ class IllegalPrediction(OracleBenchError):
 
 
 class IllegalAdversaryFunction(OracleBenchError):
-    """The adversary revealed a function inconsistent with the game history."""
+    """The adversary revealed a label that is not the int 0 or 1, or a
+    function inconsistent with the game history."""
 
 
 class DimensionViolation(OracleBenchError):

@@ -62,6 +62,8 @@ class GameConfig:
     validation: str = "consistency"
 
     def __post_init__(self) -> None:
+        if self.d is not None and (type(self.d) is not int or self.d < 0):
+            raise ValueError(f"d must be None or an int >= 0, got {self.d!r}")
         if self.round_cap < 1:
             raise ValueError("round_cap must be at least 1")
         if self.validation not in ("consistency", "full"):
@@ -183,6 +185,8 @@ class RoundChannel:
         x = self._pending
         self._pending = None
         y, f = self._adversary.respond(x, y_hat)
+        if type(y) is not int or y not in (0, 1):
+            raise IllegalAdversaryFunction(f"round {len(rounds)}: label {y!r} is not the int 0 or 1")
         self._validate(x, y, f)
         self._current_f = f
         self._transcript.functions.append(f)
@@ -302,8 +306,13 @@ TRANSCRIPT_FORMAT = 2
 # The stopped_by values run_game records.
 STOP_REASONS = ("round_cap", "adversary_done", "learner_halted")
 _HEX_DIGITS = frozenset("0123456789abcdef")
-# Round fields stored under their own names, in Round's field order.
-_ROUND_KEYS = ("x", "y_hat", "y", "mistake", "f_id", "vote_width", "active_count")
+# The fields of a round record, in Round's field order, with the type each
+# must load as (a bool is not an int here). Round.index is stored as "round";
+# the rest are stored under their own names.
+_ROUND_TYPES = {"round": int, "x": int, "y_hat": int, "y": int, "mistake": bool, "f_id": str,
+                "vote_width": int, "active_count": int}
+_ROUND_KEYS = tuple(_ROUND_TYPES)[1:]
+_FUNCTION_TYPES = {"round": int, "f_id": str}
 
 
 def _line(record: dict) -> str:
@@ -339,6 +348,23 @@ def save_transcript(t: Transcript, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _typed(rec: dict, types: dict[str, type]) -> list:
+    """The record's values under the keys of ``types``, each of exactly its type."""
+    values = [rec[key] for key in types]
+    if list(map(type, values)) != list(types.values()):
+        for (key, want), value in zip(types.items(), values):
+            if type(value) is not want:
+                raise TranscriptError(f"{key!r} must be of type {want.__name__}, got {value!r}")
+    return values
+
+
+def _names(rec: dict, key: str) -> tuple[str, ...]:
+    names = rec.get(key, [])
+    if type(names) is not list or not set(map(type, names)) <= {str}:
+        raise TranscriptError(f"{key!r} must be a list of strings, got {names!r}")
+    return tuple(names)
+
+
 def _read_record(rec: dict, t: Transcript | None) -> Transcript:
     kind = rec["type"]
     if kind == "header":
@@ -351,17 +377,19 @@ def _read_record(rec: dict, t: Transcript | None) -> Transcript:
     if t is None:
         raise TranscriptError(f"{kind!r} record before the header")
     if kind == "round":
-        lists = (tuple(rec.get("appended", ())), tuple(rec.get("deleted", ())))
-        t.rounds.append(Round(rec["round"], *(rec[k] for k in _ROUND_KEYS), *lists))
+        fields = _typed(rec, _ROUND_TYPES)
+        for key in ("y_hat", "y"):
+            if rec[key] not in (0, 1):
+                raise TranscriptError(f"{key!r} is not the int 0 or 1: {rec[key]!r}")
+        t.rounds.append(Round(*fields, _names(rec, "appended"), _names(rec, "deleted")))
     elif kind == "function":
         ones = rec["ones"]
         if not isinstance(ones, str) or not ones or not _HEX_DIGITS.issuperset(ones):
             raise TranscriptError(f"'ones' is not a lowercase hex string: {ones!r}")
-        if rec["round"] != len(t.functions):
-            raise TranscriptError(
-                f"function record for round {rec['round']} is function number {len(t.functions)}"
-            )
-        t.functions.append(Hypothesis(rec["f_id"], support=int(ones, 16)))
+        index, name = _typed(rec, _FUNCTION_TYPES)
+        if index != len(t.functions):
+            raise TranscriptError(f"function record for round {index} is function number {len(t.functions)}")
+        t.functions.append(Hypothesis(name, support=int(ones, 16)))
     elif kind == "summary":
         if (rec["rounds"], rec["mistakes"]) != (len(t.rounds), t.mistake_count):
             raise TranscriptError(

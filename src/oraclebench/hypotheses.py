@@ -3,8 +3,8 @@
 A hypothesis is a total 0/1-valued function on the non-negative integers,
 stored as an int support mask: bit x is its value at x, so it is 0 past
 its highest set bit. Equality is extensional (equal masks), and hashing
-follows it. A sample carries the masks of its 1-labeled and 0-labeled
-points, so consistency is two big-int operations,
+follows it. A sample is the masks of its 1-labeled and 0-labeled points
+plus a count of its pairs, so consistency is two big-int operations,
 ``ones & ~f == 0 and f & zeros == 0``, whatever the sample's length.
 
 Points must lie in 0..MASK_WIDTH-1, which caps a mask at 2^20 bits
@@ -14,15 +14,14 @@ Points must lie in 0..MASK_WIDTH-1, which caps a mask at 2^20 bits
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable
 from weakref import WeakValueDictionary
 
-from .errors import ClassFileError, ContradictorySample, EmptyClass, NonRealizable, PointError
+from .errors import ClassFileError, ContradictorySample, EmptyClass, PointError
 
 Point = int
 Bit = int
@@ -138,14 +137,6 @@ class Hypothesis:
 _VIEWED: WeakValueDictionary[int, Hypothesis] = WeakValueDictionary()
 
 
-def hypothesis_from_support(name: str, ones: Iterable[Point], domain: Iterable[Point] = ()) -> Hypothesis:
-    """Build a hypothesis from its 1-set; extra domain points get value 0."""
-    one_points = sorted(set(ones))
-    zero_points = sorted(set(domain) - set(one_points))
-    points = tuple(one_points + zero_points)
-    return Hypothesis(name, points, tuple([1] * len(one_points) + [0] * len(zero_points)))
-
-
 def add_label(ones: int, zeros: int, x: Point, y: Bit) -> tuple[int, int]:
     """The (ones, zeros) masks after labeling ``x`` with ``y``; checks only
     this pair against the masks."""
@@ -157,40 +148,40 @@ def add_label(ones: int, zeros: int, x: Point, y: Bit) -> tuple[int, int]:
     return (ones | bit, zeros) if y else (ones, zeros | bit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sample:
-    """An ordered list of labeled points, with the masks of its 1-labeled
-    and 0-labeled points.
+    """A labeled sample as the masks of its 1-labeled and 0-labeled points,
+    and ``size``, the number of pairs it was built from.
 
-    A point may repeat only with the same label; anything else is rejected
-    at construction because no function could realize it.
+    ``Sample(pairs)`` is the only way to build one: a point may repeat only
+    with the same label, and anything else is rejected because no function
+    could realize it. ``extended`` adds one pair in O(1) big-int operations.
     """
 
-    pairs: tuple[LabeledPair, ...]
-    ones: int = field(init=False, repr=False, compare=False)
-    zeros: int = field(init=False, repr=False, compare=False)
+    ones: int
+    zeros: int
+    size: int
 
-    def __post_init__(self) -> None:
-        ones = zeros = 0
-        for x, y in self.pairs:
+    def __init__(self, pairs: Iterable[LabeledPair] = ()) -> None:
+        ones = zeros = size = 0
+        for x, y in pairs:
             ones, zeros = add_label(ones, zeros, x, y)
+            size += 1
         object.__setattr__(self, "ones", ones)
         object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "size", size)
 
     def extended(self, x: Point, y: Bit) -> "Sample":
         """This sample plus the pair (x, y), checking only the new pair."""
         ones, zeros = add_label(self.ones, self.zeros, x, y)
         s = object.__new__(Sample)
-        object.__setattr__(s, "pairs", self.pairs + ((x, y),))
         object.__setattr__(s, "ones", ones)
         object.__setattr__(s, "zeros", zeros)
+        object.__setattr__(s, "size", self.size + 1)
         return s
 
-    def __iter__(self):
-        return iter(self.pairs)
-
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.size
 
 
 def distinct(hypotheses: Iterable[Hypothesis]) -> tuple[Hypothesis, ...]:
@@ -239,31 +230,6 @@ ConsistentOracle = Callable[[Sample], Hypothesis]
 def is_consistent(h: Hypothesis, sample: Sample) -> bool:
     """True iff ``h`` agrees with every labeled pair of the sample."""
     return sample.ones & ~h.support == 0 and h.support & sample.zeros == 0
-
-
-def table_oracle(c: HypothesisClass, sample: Sample) -> Hypothesis:
-    """Return the first hypothesis in class order consistent with the sample.
-
-    Deterministic by construction; raises NonRealizable when no member fits.
-    """
-    for h in c.hypotheses:
-        if is_consistent(h, sample):
-            return h
-    raise NonRealizable(f"no hypothesis in the class realizes {sample.pairs}")
-
-
-def random_table_oracle(c: HypothesisClass, sample: Sample, rng: random.Random) -> Hypothesis:
-    """Seeded variant of table_oracle: a uniform choice among the consistent
-    members, for adversarial stress testing."""
-    fits = [h for h in c.hypotheses if is_consistent(h, sample)]
-    if not fits:
-        raise NonRealizable(f"no hypothesis in the class realizes {sample.pairs}")
-    return rng.choice(fits)
-
-
-def minimal_extension_oracle(sample: Sample, name: str = "ext") -> Hypothesis:
-    """The hypothesis that is 1 exactly on the sample's 1-labeled points."""
-    return Hypothesis(name, support=sample.ones)
 
 
 def load_class_file(path: str | Path) -> HypothesisClass:

@@ -94,18 +94,18 @@ class ActiveList:
 class LearnerState:
     """Everything the learner carries between rounds.
 
-    ``mistakes`` is the sample the oracle is queried on: one pair per
-    mistaken round, in order. Every active function was consistent with
-    the mistake sample as of its append.
+    ``mistakes`` is the sample the oracle is queried on: the masks of the
+    points labeled on mistaken rounds, and their count. Every active
+    function was consistent with the mistake sample as of its append.
     """
 
     oracle: ConsistentOracle
     active: ActiveList = field(default_factory=ActiveList)
-    mistakes: Sample = field(default_factory=lambda: Sample(()))
+    mistakes: Sample = field(default_factory=Sample)
 
     @property
     def mistake_count(self) -> int:
-        return len(self.mistakes)
+        return self.mistakes.size
 
 
 def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None:

@@ -19,28 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator
 
-from .errors import (
-    EmptyClass,
-    EmptyVersionSpace,
-    IllegalLabel,
-    PointError,
-    SizeLimitExceeded,
-)
-from .hypotheses import (
-    Bit,
-    Hypothesis,
-    HypothesisClass,
-    Point,
-    Sample,
-    distinct,
-    is_consistent,
-    mask_points,
-)
-
-HypothesisInput = Union[HypothesisClass, Sequence[Hypothesis]]
-VersionSpace = tuple[Hypothesis, ...]
+from .errors import EmptyClass, IllegalLabel, PointError, SizeLimitExceeded
+from .hypotheses import Hypothesis, HypothesisClass, Point, Sample, distinct, is_consistent, mask_points
 
 
 @dataclass(frozen=True)
@@ -67,7 +49,7 @@ class LabeledTree:
 
     def leaf_samples(self) -> Iterator[Sample]:
         """One sample per leaf: the (point, branch-bit) pairs on its path."""
-        yield from _leaf_samples(self.root, ())
+        yield from _leaf_samples(self.root, Sample())
 
 
 def _node_depth(node: TreeNode | None) -> int:
@@ -80,12 +62,12 @@ def _node_depth(node: TreeNode | None) -> int:
     return d0 + 1
 
 
-def _leaf_samples(node: TreeNode | None, prefix: tuple) -> Iterator[Sample]:
+def _leaf_samples(node: TreeNode | None, path: Sample) -> Iterator[Sample]:
     if node is None:
-        yield Sample(prefix)
+        yield path
         return
-    yield from _leaf_samples(node.zero, prefix + ((node.point, 0),))
-    yield from _leaf_samples(node.one, prefix + ((node.point, 1),))
+    yield from _leaf_samples(node.zero, path.extended(node.point, 0))
+    yield from _leaf_samples(node.one, path.extended(node.point, 1))
 
 
 def format_tree(tree: LabeledTree) -> str:
@@ -99,23 +81,20 @@ def format_tree(tree: LabeledTree) -> str:
     return fmt(tree.root)
 
 
-def _as_hypotheses(hypotheses: HypothesisInput) -> tuple[Hypothesis, ...]:
-    if isinstance(hypotheses, HypothesisClass):
-        return hypotheses.hypotheses
-    return tuple(hypotheses)
-
-
 class _DimensionEngine:
     """Index-bitset search state shared by dimension queries.
 
     One engine serves one family of hypotheses: member i of its distinct
     members is bit i of a set, so the memo is keyed by (set, depth) ints.
     ``columns`` holds (point, column) for the first point of each column
-    that can split a set, in increasing point order.
+    that can split a set, in increasing point order. Raises EmptyClass
+    when there are no hypotheses.
     """
 
-    def __init__(self, hyps: Sequence[Hypothesis]):
+    def __init__(self, hyps: Iterable[Hypothesis]):
         self.hyps = distinct(hyps)
+        if not self.hyps:
+            raise EmptyClass("the set of hypotheses is empty")
         self.full = (1 << len(self.hyps)) - 1
         self._memo: dict[tuple[int, int], bool] = {}
 
@@ -190,29 +169,23 @@ class _DimensionEngine:
         return None
 
 
-def ldim(hypotheses: HypothesisInput) -> int:
+def ldim(hypotheses: Iterable[Hypothesis]) -> int:
     """Exact Littlestone dimension of a finite set of hypotheses.
 
     Duplicates are removed first; the dimension is a property of the set
     of distinct functions. Raises EmptyClass on an empty input.
     """
-    hyps = _as_hypotheses(hypotheses)
-    if not hyps:
-        raise EmptyClass("ldim is undefined for the empty class")
-    engine = _DimensionEngine(hyps)
+    engine = _DimensionEngine(hypotheses)
     return engine.ldim(engine.full)
 
 
-def ldim_at_least(hypotheses: HypothesisInput, d: int) -> bool:
+def ldim_at_least(hypotheses: Iterable[Hypothesis], d: int) -> bool:
     """True iff the set of distinct hypotheses has dimension >= d."""
-    hyps = _as_hypotheses(hypotheses)
-    if not hyps:
-        raise EmptyClass("ldim is undefined for the empty class")
-    engine = _DimensionEngine(hyps)
+    engine = _DimensionEngine(hypotheses)
     return engine.at_least(engine.full, d)
 
 
-def find_shattered_tree(hypotheses: HypothesisInput, depth: int) -> LabeledTree | None:
+def find_shattered_tree(hypotheses: Iterable[Hypothesis], depth: int) -> LabeledTree | None:
     """A depth-``depth`` labeled tree shattered by the class, or None.
 
     The returned certificate is built from the dimension search, in point
@@ -220,60 +193,27 @@ def find_shattered_tree(hypotheses: HypothesisInput, depth: int) -> LabeledTree 
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    hyps = _as_hypotheses(hypotheses)
-    if not hyps:
-        raise EmptyClass("no hypotheses to shatter a tree with")
-    engine = _DimensionEngine(hyps)
+    engine = _DimensionEngine(hypotheses)
     root = engine.build_tree(engine.full, depth)
     if root is None:
         return None
     return LabeledTree(root, depth)
 
 
-def is_shattered(tree: LabeledTree, hypotheses: HypothesisInput) -> bool:
+def is_shattered(tree: LabeledTree, hypotheses: Iterable[Hypothesis]) -> bool:
     """Definition-based check: every leaf's path sample is realizable.
 
     Independent of the search that builds certificates; it walks all
-    2^depth leaves and tests consistency pair by pair.
+    2^depth leaves and tests each hypothesis against the leaf's sample.
     """
-    hyps = _as_hypotheses(hypotheses)
+    hyps = tuple(hypotheses)
     return all(
         any(is_consistent(h, leaf) for h in hyps) for leaf in tree.leaf_samples()
     )
 
 
-def _soa_predict(engine: _DimensionEngine, s: int, x: Point) -> Bit:
-    """soa_predict's rule on the version space ``s``, an index mask of
-    ``engine``."""
-    if not s:
-        raise EmptyVersionSpace("cannot predict from an empty version space")
-    one = s & engine.column(x)
-    zero = s ^ one
-    score0 = engine.ldim(zero) if zero else -1
-    score1 = engine.ldim(one) if one else -1
-    return 0 if score0 >= score1 else 1
-
-
-def soa_predict(v: VersionSpace, x: Point) -> Bit:
-    """Predict the label whose restriction has the larger dimension.
-
-    Empty restrictions score -1 (they can never be the safe side); ties go
-    to 0.
-    """
-    engine = _DimensionEngine(v)
-    return _soa_predict(engine, engine.full, x)
-
-
-def soa_update(v: VersionSpace, x: Point, y: Bit) -> VersionSpace:
-    """Restrict the version space to hypotheses with h(x) = y."""
-    kept = tuple(h for h in v if h(x) == y)
-    if not kept:
-        raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")
-    return kept
-
-
 def minimax_adversary_value(
-    hypotheses: HypothesisInput,
+    hypotheses: Iterable[Hypothesis],
     *,
     max_hypotheses: int = 6,
     max_points: int = 5,
@@ -287,9 +227,7 @@ def minimax_adversary_value(
     the engine's deepening search, to whose dimension the value is
     provably equal.
     """
-    engine = _DimensionEngine(_as_hypotheses(hypotheses))
-    if not engine.hyps:
-        raise EmptyClass("the mistake game needs a non-empty class")
+    engine = _DimensionEngine(hypotheses)
     n, points = len(engine.hyps), reduce(or_, (h.support for h in engine.hyps)).bit_count()
     if n > max_hypotheses or points > max_points:
         raise SizeLimitExceeded(
@@ -318,9 +256,11 @@ def minimax_adversary_value(
 class SOALearner:
     """Game driver that plays the version-space strategy over a known class.
 
-    Makes at most ldim(class) mistakes against any legal adversary. One
-    dimension engine serves the whole game: the version space is an index
-    mask of its members, so every round's ldim queries share one memo.
+    It predicts the label whose side of the version space has the larger
+    dimension (an empty side scores -1; ties go to 0), so it makes at most
+    ldim(class) mistakes against any legal adversary. One dimension engine
+    serves the whole game: the version space is an index mask of its
+    members, so every round's ldim queries share one memo.
     """
 
     name = "soa"
@@ -333,9 +273,11 @@ class SOALearner:
         s = engine.full
         while True:
             x = rounds.next_point()
-            y_hat = _soa_predict(engine, s, x)
-            y = rounds.submit(y_hat, vote_width=0, active_count=s.bit_count())
             one = s & engine.column(x)
-            s = one if y else s ^ one
+            zero = s ^ one
+            score0 = engine.ldim(zero) if zero else -1
+            score1 = engine.ldim(one) if one else -1
+            y = rounds.submit(0 if score0 >= score1 else 1, vote_width=0, active_count=s.bit_count())
+            s = one if y else zero
             if not s:
                 raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")

@@ -7,7 +7,9 @@ memoization: functions are only ever evaluated, h(x), at given points.
 Only meant for small inputs.
 
 The class-greedy reference keeps its survivors as a tuple of hypotheses
-and re-filters them every round, the way the adversary was first written.
+and re-filters them every round, the way the adversary was first written;
+the SOA reference does the same with its version space, and scores each
+side of a split by brute_ldim.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Callable, Sequence
 
-from oraclebench.errors import NonRealizable
+from oraclebench.errors import IllegalLabel, NonRealizable
 from oraclebench.hypotheses import Bit, Hypothesis, HypothesisClass, LabeledPair, Point
 
 
@@ -103,3 +105,27 @@ class SurvivorFilterAdversary:
                 self._survivors = kept
                 return y, kept[0]
         raise NonRealizable(f"no surviving hypothesis takes label {1 - y_hat} or {y_hat} at point {x}")
+
+
+class PerRoundSOA:
+    """Reference SOA learner over a tuple version space: each round it
+    predicts the label whose side of the version space has the larger
+    brute_ldim (an empty side scores -1; ties go to 0), then keeps the side
+    with the revealed label."""
+
+    name = "soa"
+
+    def __init__(self, c: HypothesisClass):
+        self.cls = c
+        self.version_space = c.distinct()
+
+    def run(self, rounds) -> None:
+        while True:
+            x = rounds.next_point()
+            sides = [tuple(h for h in self.version_space if h(x) == y) for y in (0, 1)]
+            score0, score1 = (brute_ldim(side, self.cls.domain) if side else -1 for side in sides)
+            y_hat = 0 if score0 >= score1 else 1
+            y = rounds.submit(y_hat, vote_width=0, active_count=len(self.version_space))
+            self.version_space = sides[y]
+            if not self.version_space:
+                raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")

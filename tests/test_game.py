@@ -203,6 +203,13 @@ def test_game_config_validation() -> None:
         GameConfig(d=1, validation="sometimes")
 
 
+def test_game_config_rejects_a_d_that_is_not_a_non_negative_int() -> None:
+    for d in ("2", -1, True, 1.0):
+        with pytest.raises(ValueError, match="d must be None or an int >= 0"):
+            GameConfig(d=d)
+    assert (GameConfig(d=0).d, GameConfig(d=None).d) == (0, None)
+
+
 def test_channel_enforces_round_ordering() -> None:
     from oraclebench.game import RoundChannel, Transcript
 
@@ -431,3 +438,76 @@ def test_submit_rejects_a_prediction_that_is_not_a_bit(adversary, y_hat) -> None
     with pytest.raises(IllegalPrediction, match=rf"round 3: prediction {y_hat!r} is not the int 0 or 1"):
         run_game(BadPredictionLearner(y_hat), adv, GameConfig(d=None, round_cap=10))
     assert asked == [0, 0, 0]
+
+
+class BadLabelAdversary(FreeAdversary):
+    """A free adversary that answers ``label`` from round 3 on."""
+
+    name = "bad-label"
+
+    def __init__(self, label) -> None:
+        super().__init__()
+        self.label = label
+
+    def respond(self, x, y_hat):
+        y, f = super().respond(x, y_hat)
+        return (y if self._rounds <= 3 else self.label), f
+
+
+@pytest.mark.parametrize("label", [2, -1, True, None], ids=["two", "minus-one", "true", "none"])
+def test_submit_rejects_an_adversary_label_that_is_not_a_bit(label) -> None:
+    with pytest.raises(IllegalAdversaryFunction, match=rf"round 3: label {label!r} is not the int 0 or 1"):
+        run_game(PredictLearner(), BadLabelAdversary(label), GameConfig(d=None, round_cap=10))
+
+
+# ----------------------------------------------------------------------
+# load-time type checks on every stored field
+
+
+def _round_record(records, index) -> dict:
+    return next(r for r in records if r["type"] == "round" and r["round"] == index)
+
+
+def test_load_transcript_rejects_a_header_d_that_is_not_an_int(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    records[0]["d"] = "2"
+    with pytest.raises(TranscriptError, match="line 1: d must be None or an int >= 0, got '2'"):
+        load_transcript(_write(tmp_path, records))
+
+
+# (field, stored value, what the TranscriptError says) for round 3's record
+ROUND_FIELD_PROBES = [
+    ("y_hat", 2, "'y_hat' is not the int 0 or 1: 2"),
+    ("y", True, "'y' must be of type int, got True"),
+    ("y", 2, "'y' is not the int 0 or 1: 2"),
+    ("x", "3", "'x' must be of type int, got '3'"),
+    ("round", 3.0, "'round' must be of type int, got 3.0"),
+    ("vote_width", None, "'vote_width' must be of type int, got None"),
+    ("active_count", False, "'active_count' must be of type int, got False"),
+    ("mistake", 1, "'mistake' must be of type bool, got 1"),
+    ("f_id", 3, "'f_id' must be of type str, got 3"),
+    ("appended", "abc", "'appended' must be a list of strings, got 'abc'"),
+    ("deleted", [1], r"'deleted' must be a list of strings, got \[1\]"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", ROUND_FIELD_PROBES, ids=[f"{key}={value!r}" for key, value, _ in ROUND_FIELD_PROBES]
+)
+def test_load_transcript_type_checks_every_round_field(tmp_path, ternary_lines, key, value, message) -> None:
+    records = _records(ternary_lines)
+    line = records.index(_round_record(records, 3)) + 1
+    records[line - 1][key] = value
+    with pytest.raises(TranscriptError, match=f"line {line}: {message}"):
+        load_transcript(_write(tmp_path, records))
+
+
+def test_load_transcript_type_checks_a_function_record(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    line = next(n for n, r in enumerate(records, 1) if r["type"] == "function" and r["round"] == 1)
+    for key, value, message in (("f_id", ["f1"], r"'f_id' must be of type str, got \['f1'\]"),
+                                ("round", True, "'round' must be of type int, got True")):
+        bad = [dict(r) for r in records]
+        bad[line - 1][key] = value
+        with pytest.raises(TranscriptError, match=f"line {line}: {message}"):
+            load_transcript(_write(tmp_path, bad))

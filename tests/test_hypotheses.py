@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from oraclebench.errors import (
     ClassFileError,
     ContradictorySample,
     EmptyClass,
-    NonRealizable,
     PointError,
 )
 from oraclebench.hypotheses import (
@@ -20,13 +18,9 @@ from oraclebench.hypotheses import (
     Hypothesis,
     HypothesisClass,
     Sample,
-    hypothesis_from_support,
     is_consistent,
     load_class_file,
-    minimal_extension_oracle,
-    random_table_oracle,
     save_class_file,
-    table_oracle,
 )
 
 
@@ -67,9 +61,13 @@ def test_extensional_equality_ignores_names_and_zero_padding() -> None:
     pad_b=st.frozensets(st.integers(0, 9)),
 )
 def test_equality_is_agreement_on_domain_union(ones_a, ones_b, pad_a, pad_b) -> None:
-    a = hypothesis_from_support("a", ones_a, ones_a | pad_a)
-    b = hypothesis_from_support("b", ones_b, ones_b | pad_b)
-    union = set(a.domain) | set(b.domain)
+    def table(name, ones, domain):
+        points = tuple(sorted(domain))
+        return Hypothesis(name, points, tuple(int(x in ones) for x in points))
+
+    a = table("a", ones_a, ones_a | pad_a)
+    b = table("b", ones_b, ones_b | pad_b)
+    union = ones_a | pad_a | ones_b | pad_b
     agree = all(a(x) == b(x) for x in union)
     assert (a == b) == agree
 
@@ -91,63 +89,30 @@ def test_sample_rejects_contradiction() -> None:
     assert len(s) == 3
 
 
+def test_a_repeated_pair_counts_twice_with_the_masks_of_one() -> None:
+    twice, once = Sample(((4, 1), (4, 1))), Sample(((4, 1),))
+    assert (len(twice), len(once)) == (2, 1)
+    assert (twice.ones, twice.zeros) == (once.ones, once.zeros) == (0b10000, 0)
+    assert not hasattr(twice, "pairs")
+
+
 def test_sample_rejects_non_bit_labels() -> None:
     with pytest.raises(ValueError):
         Sample(((0, 2),))
 
 
-def test_table_oracle_first_in_class_order() -> None:
-    c = HypothesisClass.from_rows([0, 1], [("h0", "00"), ("h1", "11")])
-    assert table_oracle(c, Sample(((0, 1),))).name == "h1"
-    assert table_oracle(c, Sample(())).name == "h0"
-
-
-def test_table_oracle_non_realizable() -> None:
-    c = HypothesisClass.from_rows([0], [("h0", "0")])
-    with pytest.raises(NonRealizable):
-        table_oracle(c, Sample(((0, 1),)))
-
-
-def test_random_table_oracle_is_consistent_and_seeded() -> None:
-    c = HypothesisClass.from_rows(
-        [0, 1, 2], [("a", "100"), ("b", "101"), ("c", "011"), ("d", "111")]
-    )
-    sample = Sample(((0, 1),))
-    picks = [random_table_oracle(c, sample, random.Random(s)).name for s in range(20)]
-    assert all(is_consistent(table_oracle(c, sample), sample) for _ in range(1))
-    assert set(picks) <= {"a", "b", "d"}
-    assert len(set(picks)) > 1  # actually randomizes
-    again = [random_table_oracle(c, sample, random.Random(s)).name for s in range(20)]
-    assert picks == again
-
-
-@given(st.data())
-@settings(max_examples=60)
-def test_table_oracle_answers_are_consistent(data) -> None:
-    n_points = data.draw(st.integers(1, 5))
-    rows = data.draw(
-        st.lists(st.text(alphabet="01", min_size=n_points, max_size=n_points), min_size=1, max_size=6)
-    )
-    c = HypothesisClass.from_rows(range(n_points), [(f"h{i}", r) for i, r in enumerate(rows)])
-    target = data.draw(st.sampled_from(c.hypotheses))
-    points = data.draw(st.lists(st.integers(0, n_points - 1), max_size=5))
-    sample = Sample(tuple((x, target(x)) for x in points))
-    answer = table_oracle(c, sample)
-    assert is_consistent(answer, sample)
-
-
 def test_minimal_extension_examples() -> None:
-    h = minimal_extension_oracle(Sample(((2, 1), (5, 0))))
+    h = Hypothesis("ext", support=Sample(((2, 1), (5, 0))).ones)
     assert h(2) == 1 and h(5) == 0 and h(7) == 0
     assert h.support == 0b100
-    assert minimal_extension_oracle(Sample(())).support == 0
+    assert Hypothesis("ext", support=Sample(()).ones).support == 0
 
 
 @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 1)), max_size=8))
 def test_minimal_extension_is_consistent(pairs) -> None:
     labels = {}
     deduped = Sample(tuple((x, y) for x, y in pairs if labels.setdefault(x, y) == y))
-    h = minimal_extension_oracle(deduped)
+    h = Hypothesis("ext", support=deduped.ones)
     assert is_consistent(h, deduped)
 
 
@@ -200,7 +165,7 @@ def test_mask_consistency_agrees_with_the_pairwise_definition(table, pairs) -> N
     # sample points range past every table, where the function is 0
     h = Hypothesis("h", tuple(table), tuple(table.values()))
     sample = Sample(tuple(pairs.items()))
-    pairwise = all(table.get(x, 0) == y for x, y in sample.pairs)
+    pairwise = all(table.get(x, 0) == y for x, y in pairs.items())
     assert is_consistent(h, sample) == pairwise
 
 
@@ -271,7 +236,7 @@ def test_negative_points_raise_a_typed_error() -> None:
     with pytest.raises(PointError, match="negative point -1"):
         Sample(()).extended(-1, 1)
     with pytest.raises(PointError, match="negative point -2"):
-        hypothesis_from_support("h", [-2])
+        Hypothesis("h", (-2,), (1,))
     with pytest.raises(PointError, match="negative point -1"):
         Hypothesis("h", (0,), (1,))(-1)
     with pytest.raises(PointError):

@@ -12,9 +12,12 @@ from oraclebench.errors import (
     ScheduleViolation,
     SizeLimitExceeded,
 )
-from oraclebench.hypotheses import Hypothesis, Sample, minimal_extension_oracle
+from oraclebench.adversary import FreeAdversary
+from oraclebench.game import GameConfig, run_game
+from oraclebench.hypotheses import Hypothesis, Sample
 from oraclebench.learner import (
     ActiveList,
+    CreateAdvancedLearner,
     LearnerState,
     appended_functions,
     check_advanced,
@@ -68,7 +71,7 @@ class FlipRounds:
         return y
 
     def oracle(self, sample) -> Hypothesis:
-        return minimal_extension_oracle(Sample(tuple(self.history)), name=f"g{len(self.history)}")
+        return Hypothesis(f"g{len(self.history)}", support=Sample(self.history).ones)
 
     def annotate_update(self, appended, deleted) -> None:
         pass
@@ -99,19 +102,19 @@ def test_active_list_delete_preserves_order_and_frees_supports() -> None:
 
 def test_empty_list_predicts_zero() -> None:
     rounds = ScriptedRounds([(5, 0)])
-    state = LearnerState(oracle=lambda s: minimal_extension_oracle(s))
+    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
     # y matches the default prediction 0, so the procedure keeps looping;
     # feed a second round that forces the mistake and the return
     rounds.script.append((6, 1))
     vote_and_update(state, 0, rounds)
     assert rounds.submitted == [(5, 0, 0), (6, 0, 1)]
-    assert state.mistakes.pairs == ((6, 1),)
+    assert (state.mistakes.ones, state.mistakes.zeros, len(state.mistakes)) == (1 << 6, 0, 1)
     assert len(state.active) == 1
     assert rounds.updates == [((state.active[0].name,), ())]
 
 
 def test_width_one_vote_follows_last_function() -> None:
-    state = LearnerState(oracle=lambda s: minimal_extension_oracle(s))
+    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
     state.active.append(hyp("g", "1"))  # g(0) = 1
     rounds = ScriptedRounds([(0, 0)])
     vote_and_update(state, 0, rounds)
@@ -120,7 +123,7 @@ def test_width_one_vote_follows_last_function() -> None:
 
 
 def test_tie_prediction_is_one_and_keeps_the_agreeing_voter() -> None:
-    state = LearnerState(oracle=lambda s: minimal_extension_oracle(s))
+    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
     state.active.append(hyp("one", "1"))   # 1 at point 0
     state.active.append(hyp("zero", "0"))  # 0 at point 0
     rounds = ScriptedRounds([(0, 0)])
@@ -130,7 +133,7 @@ def test_tie_prediction_is_one_and_keeps_the_agreeing_voter() -> None:
 
 
 def test_majority_deletion_keeps_earliest_agreeing_half() -> None:
-    state = LearnerState(oracle=lambda s: minimal_extension_oracle(s))
+    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
     for name, bits in (("a", "100"), ("b", "110"), ("c", "101"), ("d", "010")):
         state.active.append(hyp(name, bits))
     rounds = ScriptedRounds([(0, 0)])
@@ -142,7 +145,7 @@ def test_majority_deletion_keeps_earliest_agreeing_half() -> None:
 
 
 def test_short_list_defaults_to_zero_and_appends() -> None:
-    state = LearnerState(oracle=lambda s: minimal_extension_oracle(s))
+    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
     state.active.append(hyp("g", "1"))
     rounds = ScriptedRounds([(3, 1)])
     vote_and_update(state, 2, rounds)  # width 4 > 1 active function
@@ -152,7 +155,7 @@ def test_short_list_defaults_to_zero_and_appends() -> None:
 
 def test_returns_after_exactly_one_mistake() -> None:
     rounds = ScriptedRounds([(0, 0), (1, 0), (2, 1), (9, 9)])
-    state = LearnerState(oracle=lambda s: minimal_extension_oracle(s))
+    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
     vote_and_update(state, 0, rounds)
     assert len(rounds.submitted) == 3  # stopped at the first mistake
     assert state.mistake_count == 1
@@ -174,6 +177,16 @@ def test_create_advanced_counts(k: int, mistakes: int, attached: int) -> None:
     functions = state.active.functions()
     assert len(functions) == attached == appended_functions(k)
     assert len({h.support for h in functions}) == attached
+
+
+def test_mistake_sample_of_a_create_advanced_2_game_matches_its_transcript() -> None:
+    learner = CreateAdvancedLearner(2)
+    t = run_game(learner, FreeAdversary(), GameConfig(d=None, round_cap=5000))
+    assert t.stopped_by == "learner_halted"
+    mistakes = learner.state.mistakes
+    assert mistakes.size == len(mistakes) == 4368
+    rebuilt = Sample((r.x, r.y) for r in t.rounds if r.mistake)
+    assert (mistakes.ones, mistakes.zeros) == (rebuilt.ones, rebuilt.zeros)
 
 
 def test_create_advanced_never_deletes_preexisting_functions() -> None:

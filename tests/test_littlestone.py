@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_oracles import brute_ldim, exists_shattered_tree
+from brute_oracles import PerRoundSOA, brute_ldim, exists_shattered_tree
 from conftest import hyp
 from oraclebench.errors import (
     EmptyClass,
-    EmptyVersionSpace,
     IllegalLabel,
     PointError,
     SizeLimitExceeded,
@@ -35,8 +34,6 @@ from oraclebench.littlestone import (
     ldim,
     ldim_at_least,
     minimax_adversary_value,
-    soa_predict,
-    soa_update,
 )
 from oraclebench.verification import (
     random_class,
@@ -157,53 +154,55 @@ def test_format_tree() -> None:
     assert text.startswith("(")
 
 
+class ScriptedAdversary:
+    """Plays the script's (point, function) steps in order, each time
+    revealing the function and its value at the point."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.played = 0
+
+    def next_point(self):
+        return self.script[self.played][0] if self.played < len(self.script) else None
+
+    def respond(self, x, y_hat):
+        f = self.script[self.played][1]
+        self.played += 1
+        return f(x), f
+
+
+def soa_game(hyps, script):
+    domain = tuple(range(max(h.support.bit_length() for h in hyps) + 1))
+    c = HypothesisClass(domain, tuple(hyps))
+    return run_game(SOALearner(c), ScriptedAdversary(script), GameConfig(d=None, round_cap=len(script)))
+
+
 def test_soa_predict_tie_goes_to_zero() -> None:
-    assert soa_predict(ALL_FOUR.hypotheses, 0) == 0
+    assert soa_game(ALL_FOUR.hypotheses, [(0, ALL_FOUR.hypotheses[0])]).rounds[0].y_hat == 0
     pair = (hyp("z", "00"), hyp("o", "11"))
-    assert soa_predict(pair, 0) == 0
-    assert soa_predict((hyp("z", "00"),), 1) == 0
+    assert soa_game(pair, [(0, pair[1])]).rounds[0].y_hat == 0
+    assert soa_game(pair[:1], [(1, pair[0])]).rounds[0].y_hat == 0
 
 
 def test_soa_predict_prefers_larger_side() -> None:
     # three functions with value 1 at point 0 vs a single one with value 0
     v = (hyp("a", "100"), hyp("b", "110"), hyp("c", "111"), hyp("d", "000"))
-    assert soa_predict(v, 0) == 1
-
-
-def test_soa_predict_empty_version_space() -> None:
-    with pytest.raises(EmptyVersionSpace):
-        soa_predict((), 0)
+    assert soa_game(v, [(0, v[3])]).rounds[0].y_hat == 1
 
 
 def test_soa_predict_at_a_negative_point_is_a_typed_error() -> None:
     with pytest.raises(PointError, match="negative point -1"):
-        soa_predict(ALL_FOUR.hypotheses, -1)
+        soa_game(ALL_FOUR.hypotheses, [(-1, ALL_FOUR.hypotheses[0])])
 
 
 def test_soa_update() -> None:
-    v = soa_update(ALL_FOUR.hypotheses, 0, 1)
-    assert {h.name for h in v} == {"h10", "h11"}
-    only_zero = (hyp("z", "00"),)
-    assert soa_update(only_zero, 5, 0) == only_zero
-    with pytest.raises(IllegalLabel):
-        soa_update(only_zero, 5, 1)
-
-
-class PerRoundSOA:
-    """Reference SOA learner: one soa_predict and one soa_update call per
-    round over a tuple version space."""
-
-    name = "soa"
-
-    def __init__(self, c: HypothesisClass):
-        self.version_space = c.distinct()
-
-    def run(self, rounds) -> None:
-        while True:
-            x = rounds.next_point()
-            y_hat = soa_predict(self.version_space, x)
-            y = rounds.submit(y_hat, vote_width=0, active_count=len(self.version_space))
-            self.version_space = soa_update(self.version_space, x, y)
+    h10, h11 = ALL_FOUR.hypotheses[2:]
+    t = soa_game(ALL_FOUR.hypotheses, [(0, h10), (1, h11)])
+    # the version space is restricted to the members with value 1 at 0
+    assert [r.active_count for r in t.rounds] == [4, 2]
+    assert t.rounds[1].y_hat == 0  # h10 and h11 tie at point 1
 
 
 @pytest.mark.parametrize("adversary", [ClassGreedyAdversary, lambda c: RandomClassAdversary(c, 5)])

@@ -1,0 +1,41 @@
+"""Every public name of the package has a caller outside its own module."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oraclebench"
+# check_advanced's return type: callers read its fields, not its name.
+NO_CALLER_NEEDED = {"AdvancedCheck"}
+
+
+def exported_names() -> dict[str, Path]:
+    """Each name the package's __init__ imports, with the module defining it."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name: PACKAGE / f"{node.module}.py"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_every_exported_name_has_a_caller_outside_its_module() -> None:
+    exports = exported_names()
+    assert "Sample" in exports and exports["Sample"].name == "hypotheses.py"
+    sources = {
+        path: path.read_text()
+        for folder in ("src", "demos", "tests")
+        for path in (ROOT / folder).rglob("*.py")
+        if path not in (PACKAGE / "__init__.py", Path(__file__).resolve())
+    }
+    uncalled = sorted(
+        name
+        for name, home in exports.items()
+        if name not in NO_CALLER_NEEDED
+        and not any(re.search(rf"\b{name}\b", text) for path, text in sources.items() if path != home)
+    )
+    assert uncalled == []
