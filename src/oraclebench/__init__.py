@@ -14,9 +14,7 @@ from .adversary import (
     InformativeState,
     RandomClassAdversary,
     TernaryAdversary,
-    informative_predict,
-    informative_update,
-    ternary_digits,
+    informative_step,
     ternary_function,
 )
 from .errors import (

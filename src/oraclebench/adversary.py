@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .errors import InconsistentOracleClass, NonRealizable
 from .hypotheses import (
@@ -30,11 +29,6 @@ def ternary_digit(x: int, position: int) -> int:
     """Digit of ``x`` at the given base-3 position (position 0 is least
     significant)."""
     return (x // 3**position) % 3
-
-
-def ternary_digits(x: int, d: int) -> tuple[int, ...]:
-    """Length-d base-3 expansion of ``x``, most significant digit first."""
-    return tuple(ternary_digit(x, i) for i in range(d - 1, -1, -1))
 
 
 def _ternary_support(r: int, d: int, label_mask: int) -> int:
@@ -85,7 +79,6 @@ class TernaryAdversary:
         self._n = 3**d
         self._r = 0
         self._label_mask = 0
-        self.labels: list[Bit] = []
 
     def next_point(self) -> Point | None:
         # The mistake bound is realized after 3^d rounds; stop there.
@@ -94,7 +87,6 @@ class TernaryAdversary:
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
         r = self._r
         y = 1 - y_hat
-        self.labels.append(y)
         self._label_mask |= y << r
         self._r += 1
         return y, Hypothesis(f"f{r}", support=_ternary_support(r, self.d, self._label_mask))
@@ -210,19 +202,17 @@ class RandomClassAdversary:
 class InformativeState:
     """State of the digit-recovery learner for a ternary class.
 
-    ``level`` counts how many leading base-3 digits of the hidden index
-    are certified (at least the number of mistakes so far);
-    ``known_digits`` holds the level-1 most significant digits recovered;
-    ``witness`` is a point whose expansion matches those digits and whose
-    revealed label differs from the hidden function's value there.
+    ``witness`` is None before the first mistake; after it, it is a point
+    whose expansion matches ``known_digits``, the most significant base-3
+    digits of the hidden index recovered so far, and whose revealed label
+    differs from the hidden function's value there. A witness certifies
+    len(known_digits) + 1 leading digits.
     """
 
     d: int
     labels: tuple[Bit, ...]
-    level: int = 0
     known_digits: tuple[int, ...] = ()
     witness: Point | None = None
-    witness_label: Bit | None = None
     recovered_index: int | None = None
     recovered: Hypothesis | None = None
 
@@ -233,110 +223,77 @@ class InformativeState:
             )
 
 
-def _recover(state: InformativeState) -> InformativeState:
-    """Turn a fully informative witness into the hidden index."""
-    last = ternary_digit(state.witness, 0)
-    if last == 1:
-        low = 0
-    elif last == 2:
-        low = 1 - state.witness_label
-    else:
+def _advance(state: InformativeState, witness: Point, digit: int | None) -> InformativeState:
+    """The state once ``witness`` certifies one more leading digit, which is
+    ``digit`` (None on the first mistake, which certifies a witness and no
+    known digit); at depth d the witness pins down the hidden index."""
+    digits = state.known_digits + (() if digit is None else (digit,))
+    out = replace(state, known_digits=digits, witness=witness)
+    if len(digits) + 1 < state.d:
+        return out
+    last = ternary_digit(witness, 0)
+    if last == 0:
         raise InconsistentOracleClass(
             "witness ends in digit 0, impossible for any class member"
         )
-    r = low
-    for position, digit in zip(range(state.d - 1, 0, -1), state.known_digits):
-        r += digit * 3**position
+    r = 0 if last == 1 else 1 - state.labels[witness]
+    for position, known in zip(range(state.d - 1, 0, -1), digits):
+        r += known * 3**position
     f = ternary_function(r, state.d, state.labels[: r + 1])
-    return replace(state, recovered_index=r, recovered=f)
-
-
-def _advance(state: InformativeState, witness: Point, digit: int) -> InformativeState:
-    out = replace(
-        state,
-        level=state.level + 1,
-        known_digits=state.known_digits + (digit,),
-        witness=witness,
-        witness_label=state.labels[witness],
-    )
-    if out.level == out.d:
-        out = _recover(out)
-    return out
-
-
-def _first_mistake(state: InformativeState, z: Point) -> InformativeState:
-    out = replace(state, level=1, witness=z, witness_label=state.labels[z])
-    if out.d == 1:
-        out = _recover(out)
-    return out
+    return replace(out, recovered_index=r, recovered=f)
 
 
 def _analyze(
     state: InformativeState, z: Point
-) -> tuple[Bit, InformativeState, Callable[[], InformativeState] | None]:
-    """Work out the prediction for ``z``.
+) -> tuple[Bit, InformativeState, tuple[Point, int | None] | None]:
+    """Work out the prediction for ``z`` without its true value.
 
     Returns (prediction, state after promotions that need no feedback,
-    transition to apply if the prediction turns out wrong). The transition
-    is lazy: a genuine mistake guarantees its preconditions, whereas a
-    hypothetical one need not. It is None on paths where the class makes
-    a mistake impossible.
+    the (witness, digit) that ``_advance`` applies if the prediction turns
+    out wrong). A genuine mistake guarantees that transition's
+    preconditions, whereas a hypothetical one need not. It is None on
+    paths where the class makes a mistake impossible.
     """
     d = state.d
-    n = 3**d
-    st = state
     while True:
-        if st.recovered is not None:
-            return st.recovered(z), st, None
-        if z >= n:
-            return 0, st, None
-        y_z = st.labels[z]
-        if st.level == 0:
-            return y_z, st, lambda st=st: _first_mistake(st, z)
+        if state.recovered is not None:
+            return state.recovered(z), state, None
+        if z >= 3**d:
+            return 0, state, None
+        y_z = state.labels[z]
+        if state.witness is None:
+            return y_z, state, (z, None)
+        level = len(state.known_digits) + 1
         # compare z against the certified prefix, most significant first
-        mismatch = None
-        for position, r_i in zip(range(d - 1, d - st.level, -1), st.known_digits):
+        for position, r_i in zip(range(d - 1, d - level, -1), state.known_digits):
             z_i = ternary_digit(z, position)
             if z_i != r_i:
-                mismatch = (r_i, z_i)
-                break
-        if mismatch is not None:
-            r_i, z_i = mismatch
-            return (y_z if z_i < r_i else r_i), st, None
-        a = ternary_digit(st.witness, d - st.level)
-        b = ternary_digit(z, d - st.level)
+                return (y_z if z_i < r_i else r_i), state, None
+        a = ternary_digit(state.witness, d - level)
+        b = ternary_digit(z, d - level)
         if a == 0:
             # the witness already certifies the next digit to be 0
-            st = _advance(st, st.witness, 0)
+            state = _advance(state, state.witness, 0)
             continue
-        y_w = st.witness_label
+        y_w = state.labels[state.witness]
         if b == 0:
-            return y_z, st, lambda st=st: _advance(st, z, 0)
+            return y_z, state, (z, 0)
         if a <= b:
-            return 1 - y_w, st, lambda st=st: _advance(st, st.witness, a)
+            return 1 - y_w, state, (state.witness, a)
         # a == 2, b == 1
         if y_w == 0:
-            return y_z, st, lambda st=st: _advance(st, z, 1)
-        return 0, st, lambda st=st: _advance(st, st.witness, 2)
+            return y_z, state, (z, 1)
+        return 0, state, (state.witness, 2)
 
 
-def informative_predict(state: InformativeState, z: Point) -> Bit:
-    """Prediction of the digit-recovery learner at ``z``."""
-    return _analyze(state, z)[0]
-
-
-def _informative_step(state: InformativeState, z: Point, y_true: Bit) -> tuple[Bit, InformativeState]:
-    """The prediction at ``z`` and the state once its true value is revealed."""
-    prediction, promoted, on_mistake = _analyze(state, z)
-    if y_true == prediction:
-        return prediction, promoted
+def informative_step(state: InformativeState, z: Point, y: Bit) -> tuple[Bit, InformativeState]:
+    """The learner's prediction at ``z``, fixed before ``y`` is read, and
+    its state once ``y``, the true value at ``z``, is revealed."""
+    prediction, state, on_mistake = _analyze(state, z)
+    if y == prediction:
+        return prediction, state
     if on_mistake is None:
         raise InconsistentOracleClass(
-            f"observed value {y_true} at {z} contradicts every class member"
+            f"observed value {y} at {z} contradicts every class member"
         )
-    return prediction, on_mistake()
-
-
-def informative_update(state: InformativeState, z: Point, y_true: Bit) -> InformativeState:
-    """Advance the learner after the true value at ``z`` is revealed."""
-    return _informative_step(state, z, y_true)[1]
+    return prediction, _advance(state, *on_mistake)

@@ -16,14 +16,13 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 from .errors import (
-    ContradictorySample,
     DimensionViolation,
     IllegalAdversaryFunction,
     IllegalPrediction,
     NonRealizable,
     TranscriptError,
 )
-from .hypotheses import Bit, Hypothesis, Point, Sample, add_label, is_consistent
+from .hypotheses import Bit, Hypothesis, Point, Sample, is_consistent, point_bit
 from .littlestone import ldim
 
 
@@ -140,10 +139,15 @@ class _History:
         self.zeros = 0
 
     def admits(self, x: Point, y: Bit, f: Hypothesis) -> bool:
-        """Add the pair (x, y); True iff ``f`` agrees with every pair so far."""
-        try:
-            self.ones, self.zeros = add_label(self.ones, self.zeros, x, y)
-        except ContradictorySample:
+        """Add the pair (x, y); True iff ``f`` agrees with every pair so far.
+        A label that is not 0 or 1 is never admitted, and a point labeled
+        both ways leaves no function to agree with."""
+        bit = point_bit(x)
+        if y == 1:
+            self.ones |= bit
+        elif y == 0:
+            self.zeros |= bit
+        else:
             return False
         return self.ones & ~f.support == 0 and f.support & self.zeros == 0
 
@@ -213,7 +217,7 @@ class RoundChannel:
     def _validate(self, x: Point, y: Bit, f: Hypothesis) -> None:
         if not self._history.admits(x, y, f):
             raise IllegalAdversaryFunction(
-                f"function {f.name!r} contradicts the revealed history"
+                f"round {len(self._transcript.rounds)}: function {f.name!r} contradicts the revealed history"
             )
         d = self._config.d
         if self._config.validation == "full" and d is not None and f.support not in self._distinct:

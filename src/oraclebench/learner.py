@@ -168,21 +168,15 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
 
 def create_advanced(state: LearnerState, k: int, rounds: RoundInterface) -> None:
     """The halting procedure: 16 rounds of the k-1 procedure, each chased
-    by one vote over the functions it produced.
+    by one vote over the functions it produced, run as the flattened
+    sequence of vote widths :func:`create_advanced_widths` lists.
 
     When it returns it has consumed exactly ``halting_mistakes(k)``
     mistakes and grown the active list by exactly 2 * 8^(k+1) functions,
     without deleting any function that predated the call.
     """
-    if k < 0:
-        raise ValueError("procedure index must be non-negative")
-    if k == 0:
-        for _ in range(16):
-            vote_and_update(state, 0, rounds)
-    else:
-        for _ in range(16):
-            create_advanced(state, k - 1, rounds)
-            vote_and_update(state, 3 * k + 1, rounds)
+    for width in create_advanced_widths(k):
+        vote_and_update(state, width, rounds)
 
 
 def create_advanced_widths(k: int) -> list[int]:

@@ -20,8 +20,7 @@ from .adversary import (
     InformativeState,
     RandomClassAdversary,
     TernaryAdversary,
-    _informative_step,
-    ternary_function,
+    informative_step,
 )
 from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
 from .hypotheses import Hypothesis, HypothesisClass
@@ -139,8 +138,7 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
     mistake counts while staying within dimension d."""
     results = []
 
-    ternary = TernaryAdversary(d)
-    t = run_game(PredictLearner(), ternary, GameConfig(d=d, round_cap=3**d + 10))
+    t = run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d + 10))
     results.append(
         _check(
             f"lower:{d} ternary mistakes",
@@ -159,17 +157,17 @@ def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResul
     )
     results.append(_dimension_check(f"lower:{d} ternary dimension", t.functions, d))
 
-    labels = tuple(ternary.labels)
+    # the class is the revealed set: labels and each f_r come from the game
+    start = InformativeState(d=d, labels=tuple(r.y for r in t.rounds))
     worst = 0
     failures = 0
-    for r in range(3**d):
-        f_r = ternary_function(r, d, labels[: r + 1])
+    for r, f_r in enumerate(t.functions):
         for order in _query_orders(d, orderings, seed + r):
-            state = InformativeState(d=d, labels=labels)
+            state = start
             mistakes = 0
             for z in order:
                 y = f_r(z)
-                y_hat, state = _informative_step(state, z, y)
+                y_hat, state = informative_step(state, z, y)
                 mistakes += y != y_hat
             worst = max(worst, mistakes)
             if mistakes > d:

@@ -18,8 +18,7 @@ from oraclebench.adversary import (
     InformativeState,
     RandomClassAdversary,
     TernaryAdversary,
-    informative_predict,
-    informative_update,
+    informative_step,
     ternary_function,
 )
 from oraclebench.errors import IllegalAdversaryFunction
@@ -53,9 +52,8 @@ def ternary_games():
     """One full ternary game per dimension, against the oracle learner."""
     games = {}
     for d in (1, 2, 3):
-        adversary = TernaryAdversary(d)
-        t = run_game(PredictLearner(), adversary, GameConfig(d=d, round_cap=3**d + 10))
-        games[d] = (t, tuple(adversary.labels))
+        t = run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d + 10))
+        games[d] = (t, tuple(r.y for r in t.rounds))
     return games
 
 
@@ -100,10 +98,9 @@ def test_criterion_2_ternary_construction_is_legal(ternary_games) -> None:
                 state = InformativeState(d=d, labels=labels)
                 mistakes = 0
                 for z in order:
-                    y_hat = informative_predict(state, z)
                     y = f_r(z)
+                    y_hat, state = informative_step(state, z, y)
                     mistakes += y != y_hat
-                    state = informative_update(state, z, y)
                 worst[d] = max(worst[d], mistakes)
             assert worst[d] <= d
     print(f"PASS criterion 2: revealed-set dimension within bound; recovery "

@@ -13,9 +13,7 @@ from oraclebench.adversary import (
     InformativeState,
     RandomClassAdversary,
     TernaryAdversary,
-    informative_predict,
-    informative_update,
-    ternary_digits,
+    informative_step,
     ternary_function,
 )
 from oraclebench.errors import InconsistentOracleClass
@@ -28,13 +26,6 @@ from oraclebench.verification import (
     threshold_hypotheses,
     threshold_pair_classes,
 )
-
-
-def test_ternary_digits() -> None:
-    assert ternary_digits(4, 2) == (1, 1)
-    assert ternary_digits(7, 2) == (2, 1)
-    assert ternary_digits(5, 2) == (1, 2)
-    assert ternary_digits(0, 3) == (0, 0, 0)
 
 
 def test_ternary_function_most_significant_difference_rule() -> None:
@@ -95,11 +86,13 @@ def test_ternary_adversary_first_round() -> None:
 
 def test_ternary_adversary_stops_after_all_points() -> None:
     adv = TernaryAdversary(1)
+    played = []
     for r in range(3):
         x = adv.next_point()
         assert x == r
         y, f = adv.respond(x, 0)
-        assert is_consistent(f, Sample(tuple(enumerate(adv.labels))))
+        played.append((x, y))
+        assert is_consistent(f, Sample(played))
     assert adv.next_point() is None
 
 
@@ -245,10 +238,9 @@ def _play(d: int, labels: tuple[int, ...], r: int, order) -> tuple[int, Informat
     state = InformativeState(d=d, labels=labels)
     mistakes = 0
     for z in order:
-        y_hat = informative_predict(state, z)
         y = f_r(z)
+        y_hat, state = informative_step(state, z, y)
         mistakes += y != y_hat
-        state = informative_update(state, z, y)
     return mistakes, state
 
 
@@ -299,16 +291,16 @@ def test_informative_learner_exact_after_recovery() -> None:
         mistakes, state = _play(2, labels, r, list(range(9)) * 2)
         if state.recovered_index is not None:
             f_r = ternary_function(r, 2, labels[: r + 1])
-            assert all(informative_predict(state, z) == f_r(z) for z in range(12))
+            assert all(informative_step(state, z, f_r(z)) == (f_r(z), state) for z in range(12))
 
 
 def test_informative_learner_rejects_labels_outside_the_class() -> None:
     labels = (1, 1, 1)
     state = InformativeState(d=1, labels=labels)
     # every class member is 0 past 3^d, so observing a 1 there is malformed
-    assert informative_predict(state, 7) == 0
+    assert informative_step(state, 7, 0) == (0, state)
     with pytest.raises(InconsistentOracleClass):
-        informative_update(state, 7, 1)
+        informative_step(state, 7, 1)
 
 
 def test_informative_state_validates_label_count() -> None:

@@ -136,6 +136,18 @@ def test_verify_lower(capsys) -> None:
     assert "ternary mistakes" in out and "flood mistakes" in out
 
 
+def test_verify_lower_3_golden(capsys) -> None:
+    assert main(["verify", "lower:3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS lower:3 ternary mistakes: 27 mistakes in 27 rounds, want 27",
+        "PASS lower:3 ternary consistency: every revealed function matches the history",
+        "PASS lower:3 ternary dimension: revealed set has dimension at most 3",
+        "PASS lower:3 informative learner: worst case 3 mistakes over 100 orderings per function, bound 3",
+        "PASS lower:3 flood mistakes: 15 mistakes in 15 rounds, want 15",
+        "PASS lower:3 flood dimension: revealed set has dimension at most 3",
+    ]
+
+
 def test_verify_prints_a_skipped_check_as_skip(capsys, monkeypatch) -> None:
     guarded = CheckResult("guarded", True, "skipped: size guard", skipped=True)
     passed = CheckResult("checked", True, "holds")
@@ -172,6 +184,17 @@ def test_bench_table(capsys, tmp_path) -> None:
     assert ("2", "predict", "ternary", "9") in cells
     assert ("1", "predict", "flood", "3") in cells
     assert ("2", "predict", "flood", "7") in cells
+
+
+def test_bench_class_greedy_rows(capsys) -> None:
+    code = main(["bench", "--dims", "1", "--learners", "predict,soa", "--adversaries", "class-greedy"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 0
+    # d, learner, adversary, mistakes, bound, rounds; the runtime varies
+    assert [r.split("\t")[:6] for r in rows[1:]] == [
+        ["1", "predict", "class-greedy", "1", "271", "10800"],
+        ["1", "soa", "class-greedy", "1", "1", "1080"],
+    ]
 
 
 def test_bench_records_cell_failures_and_continues(capsys) -> None:

@@ -383,6 +383,51 @@ def test_negative_point_from_an_adversary_is_a_typed_error() -> None:
         run_game(PredictLearner(), NegativeAdversary(), GameConfig(d=None, round_cap=5))
 
 
+# (point, label, support) per round of a game that labels point 1 again
+# at round 3, 1 where round 1 revealed 0, with a function agreeing with
+# the new label only
+RELABEL_SCRIPT = [(0, 1, 0b1), (1, 0, 0b1), (2, 1, 0b101), (1, 1, 0b111)]
+
+
+class RelabelingAdversary:
+    """Plays RELABEL_SCRIPT whatever the learner predicts."""
+
+    name = "relabeling"
+
+    def __init__(self) -> None:
+        self._r = 0
+
+    def next_point(self):
+        return RELABEL_SCRIPT[self._r][0] if self._r < len(RELABEL_SCRIPT) else None
+
+    def respond(self, x, y_hat):
+        _, y, support = RELABEL_SCRIPT[self._r]
+        self._r += 1
+        return y, Hypothesis(f"f{self._r - 1}", support=support)
+
+
+def test_a_live_adversary_that_relabels_a_point_is_rejected_at_that_round() -> None:
+    with pytest.raises(IllegalAdversaryFunction, match="round 3: function 'f3' contradicts the revealed history"):
+        run_game(PredictLearner(), RelabelingAdversary(), GameConfig(d=None, round_cap=10))
+
+
+def test_a_stored_relabeling_fails_validation_at_that_round(tmp_path) -> None:
+    t = Transcript(GameConfig(d=None, round_cap=10), "predict", "relabeling", stopped_by="adversary_done")
+    for i, (x, y, support) in enumerate(RELABEL_SCRIPT):
+        t.rounds.append(Round(i, x, 0, y, y != 0, f"f{i}", 0, 0))
+        t.functions.append(Hypothesis(f"f{i}", support=support))
+    save_transcript(t, tmp_path / "t.jsonl")
+    report = validate_transcript(load_transcript(tmp_path / "t.jsonl"))
+    assert report.failures == ("round 3: function 'f3' inconsistent with history",)
+
+
+def test_validate_transcript_fails_a_label_that_is_not_a_bit() -> None:
+    t = run_game(PredictLearner(), TernaryAdversary(1), GameConfig(d=1, round_cap=10))
+    t.rounds[1] = replace(t.rounds[1], y=2, mistake=True)
+    report = validate_transcript(t)
+    assert report.failures == ("round 1: function 'f1' inconsistent with history",)
+
+
 # ----------------------------------------------------------------------
 # rounds as slotted records; predictions must be bits
 

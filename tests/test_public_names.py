@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside its own module."""
+"""Every public name of the package has a caller outside its own module,
+and no module imports a private name from another."""
 
 from __future__ import annotations
 
@@ -39,3 +40,19 @@ def test_every_exported_name_has_a_caller_outside_its_module() -> None:
         and not any(re.search(rf"\b{name}\b", text) for path, text in sources.items() if path != home)
     )
     assert uncalled == []
+
+
+# class-greedy and check_advanced share the ldim engine, which is not public API.
+SHARED_PRIVATE = {"_DimensionEngine"}
+
+
+def test_no_module_imports_a_private_name_from_a_sibling() -> None:
+    private = sorted(
+        f"{path.name}: {alias.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name not in SHARED_PRIVATE
+    )
+    assert private == []
