@@ -19,6 +19,7 @@ from oraclebench import (
     minimax_adversary_value,
     run_game,
 )
+from oraclebench.hypotheses import distinct
 from oraclebench.verification import random_class, threshold_hypotheses
 
 all_four = HypothesisClass.from_rows(
@@ -44,7 +45,7 @@ for i in range(5):
     game_value = minimax_adversary_value(c)
     cert = find_shattered_tree(c, dim) if dim >= 1 else None
     cert_note = format_tree(cert) if cert else "(dimension 0, no tree)"
-    print(f"  #{i}: {len(c.distinct())} distinct functions, "
+    print(f"  #{i}: {len(distinct(c))} distinct functions, "
           f"ldim = {dim}, minimax = {game_value}, certificate {cert_note}")
 
 print()

@@ -4,6 +4,7 @@ verification suites, and produce benchmark tables."""
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -25,16 +26,20 @@ from .verification import (
 )
 
 
+def _spec_int(spec: str, text: str, least: int) -> int:
+    """``text``, part of the command-line spec ``spec``, as an int >= ``least``."""
+    if not re.fullmatch("[0-9]+", text) or int(text) < least:
+        raise argparse.ArgumentTypeError(f"{spec!r}: {text!r} is not an integer >= {least}")
+    return int(text)
+
+
 def _parse_adversary(spec: str):
     kind, _, arg = spec.partition(":")
     if kind == "free":
         return FreeAdversary(), None, None
-    if kind == "flood":
-        d = int(arg)
-        return FloodAdversary(d), d, None
-    if kind == "ternary":
-        d = int(arg)
-        return TernaryAdversary(d), d, None
+    if kind in ("flood", "ternary"):
+        d = _spec_int(spec, arg, 1)
+        return (FloodAdversary if kind == "flood" else TernaryAdversary)(d), d, None
     if kind == "class-greedy":
         c = load_class_file(arg)
         return ClassGreedyAdversary(c), ldim(c), c
@@ -56,7 +61,7 @@ def _parse_learner(spec: str, cls: HypothesisClass | None):
         return SOALearner(cls)
     kind, _, arg = spec.partition(":")
     if kind == "create-adv":
-        return CreateAdvancedLearner(int(arg))
+        return CreateAdvancedLearner(_spec_int(spec, arg, 0))
     raise argparse.ArgumentTypeError(
         f"unknown learner {spec!r}; expected predict, create-adv:<k>, or soa"
     )
@@ -67,8 +72,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.class_file:
         cls = load_class_file(args.class_file)
     learner = _parse_learner(args.learner, cls)
-    d = args.d if args.d is not None else inferred_d
-    config = GameConfig(d=d, round_cap=args.cap, seed=args.seed, validation=args.validate)
+    d = _spec_int(f"--d {args.d}", args.d, 0) if args.d is not None else inferred_d
+    cap = _spec_int(f"--cap {args.cap}", args.cap, 1)
+    config = GameConfig(d=d, round_cap=cap, seed=args.seed, validation=args.validate)
     transcript = run_game(learner, adversary, config)
     report = validate_transcript(transcript)
     if args.out:
@@ -94,20 +100,19 @@ def cmd_ldim(args: argparse.Namespace) -> int:
 
 
 _SUITES = {
-    "advanced": lambda arg, args: verify_advanced(int(arg), seed=args.seed),
-    "prefix": lambda arg, args: verify_prefix(int(arg)),
-    "lower": lambda arg, args: verify_lower(int(arg), seed=args.seed),
-    "upper": lambda arg, args: verify_upper(int(arg), seed=args.seed),
+    "advanced": lambda arg, args: verify_advanced(_spec_int(args.check, arg, 0), seed=args.seed),
+    "prefix": lambda arg, args: verify_prefix(_spec_int(args.check, arg, 0)),
+    "lower": lambda arg, args: verify_lower(_spec_int(args.check, arg, 1), seed=args.seed),
+    "upper": lambda arg, args: verify_upper(_spec_int(args.check, arg, 1), seed=args.seed),
     "props": lambda arg, args: verify_props(seed=args.seed),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     kind, _, arg = args.check.partition(":")
-    if kind not in _SUITES or (kind != "props" and not arg):
-        print(f"unknown check {args.check!r}; expected advanced:<k>, prefix:<k>, "
-              f"lower:<d>, upper:<d>, or props", file=sys.stderr)
-        return 2
+    if kind not in _SUITES:
+        raise argparse.ArgumentTypeError(f"unknown check {args.check!r}; expected advanced:<k>, prefix:<k>, "
+                                         f"lower:<d>, upper:<d>, or props")
     results: list[CheckResult] = _SUITES[kind](arg, args)
     for r in results:
         status = "FAIL" if not r.ok else "SKIP" if r.skipped else "PASS"
@@ -119,11 +124,9 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int, seed: int):
     """One benchmark row; returns (mistakes, bound, rounds) or a failure note."""
     if adversary_spec == "ternary":
         adversary, bound, cap = TernaryAdversary(d), 3**d, 3**d + 10
-        cls = None
     elif adversary_spec == "flood":
         n = 2 ** (d + 1) - 1
         adversary, bound, cap = FloodAdversary(d), n, n + 10
-        cls = None
     elif adversary_spec == "class-greedy":
         if d != 1:
             raise OracleBenchError("class-greedy rows are enumerated for d = 1 only")
@@ -138,14 +141,15 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int, seed: int):
         return worst, bound, rounds
     else:
         raise OracleBenchError(f"unknown bench adversary {adversary_spec!r}")
-    learner = _parse_learner(learner_spec, cls)
+    learner = _parse_learner(learner_spec, None)
     t = run_game(learner, adversary, GameConfig(d=d, round_cap=cap, seed=seed))
     return t.mistake_count, bound, len(t.rounds)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     lo, _, hi = args.dims.partition("-")
-    dims = range(int(lo), int(hi or lo) + 1)
+    spec = f"--dims {args.dims}"
+    dims = range(_spec_int(spec, lo, 1), _spec_int(spec, hi or lo, 1) + 1)
     rows = ["d\tlearner\tadversary\tmistakes\tbound\trounds\truntime_s"]
     failed = False
     for d in dims:
@@ -182,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--learner", required=True, help="predict | create-adv:<k> | soa")
     sim.add_argument("--adversary", required=True,
                      help="flood:<d> | ternary:<d> | class-greedy:<classfile> | free")
-    sim.add_argument("--d", type=int, default=None, help="declared dimension bound")
-    sim.add_argument("--cap", type=int, default=1000, help="maximum rounds to play")
+    sim.add_argument("--d", default=None, help="declared dimension bound")
+    sim.add_argument("--cap", default="1000", help="maximum rounds to play")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=None, help="write the transcript here")
     sim.add_argument("--validate", choices=["consistency", "full"], default="consistency")

@@ -71,15 +71,15 @@ class GameConfig:
 
 @dataclass(slots=True)
 class Round:
-    """One round, as a slotted record the engine builds positionally; only
-    ``annotate_update`` edits it, to attach the learner's list mutations."""
+    """One round and the function revealed in it, as a slotted record the
+    engine builds positionally; only ``annotate_update`` edits it."""
 
     index: int
     x: Point
     y_hat: Bit
     y: Bit
     mistake: bool
-    f_id: str
+    f: Hypothesis
     vote_width: int
     active_count: int
     appended: tuple[str, ...] = ()
@@ -88,15 +88,19 @@ class Round:
 
 @dataclass
 class Transcript:
-    """Complete record of one game: per-round data plus every revealed
-    function, so it can be re-validated offline."""
+    """Complete record of one game, one record per round; each round holds
+    its revealed function, so the game can be re-validated offline."""
 
     config: GameConfig
     learner: str
     adversary: str
     rounds: list[Round] = field(default_factory=list)
-    functions: list[Hypothesis] = field(default_factory=list)
     stopped_by: str = "unknown"
+
+    @property
+    def functions(self) -> list[Hypothesis]:
+        """The revealed functions in round order: the rounds' own objects."""
+        return [r.f for r in self.rounds]
 
     @property
     def mistake_count(self) -> int:
@@ -157,7 +161,7 @@ class RoundChannel:
 
     The learner pulls the next point, submits its prediction (with trace
     metadata), and gets the revealed label back. ``oracle`` exposes the
-    current round's revealed function as a consistent-oracle answer.
+    last round's revealed function as a consistent-oracle answer.
     """
 
     def __init__(self, adversary: Adversary, config: GameConfig, transcript: Transcript):
@@ -167,7 +171,6 @@ class RoundChannel:
         self._history = _History()
         self._distinct: dict[int, Hypothesis] = {}
         self._pending: Point | None = None
-        self._current_f: Hypothesis | None = None
 
     def next_point(self) -> Point:
         if self._pending is not None:
@@ -192,16 +195,14 @@ class RoundChannel:
         if type(y) is not int or y not in (0, 1):
             raise IllegalAdversaryFunction(f"round {len(rounds)}: label {y!r} is not the int 0 or 1")
         self._validate(x, y, f)
-        self._current_f = f
-        self._transcript.functions.append(f)
-        rounds.append(Round(len(rounds), x, y_hat, y, y != y_hat, f.name, vote_width, active_count))
+        rounds.append(Round(len(rounds), x, y_hat, y, y != y_hat, f, vote_width, active_count))
         return y
 
     def oracle(self, sample: Sample) -> Hypothesis:
         """Consistent-oracle view of the adversary's current function."""
-        f = self._current_f
-        if f is None:
+        if not self._transcript.rounds:
             raise RuntimeError("oracle queried before any round completed")
+        f = self._transcript.rounds[-1].f
         if not is_consistent(f, sample):
             raise NonRealizable(
                 f"revealed function {f.name!r} does not realize the queried sample"
@@ -261,31 +262,25 @@ def validate_transcript(t: Transcript) -> ValidationReport:
     """Offline re-validation of a stored transcript.
 
     Re-checks every revealed function against the history prefix it was
-    played under, each round's index against its position and its f_id
-    against its function's name, recomputes the mistake flags, and
-    (size-guarded) bounds the dimension of the full revealed set.
+    played under and each round's index against its position, recomputes
+    the mistake flags, and (size-guarded) bounds the dimension of the full
+    revealed set.
     """
     failures: list[str] = []
     notes: list[str] = []
     checks = 0
     history = _History()
-    for i, (r, f) in enumerate(zip(t.rounds, t.functions)):
+    for i, r in enumerate(t.rounds):
         checks += 1
         if r.index != i:
             failures.append(f"round {i}: stored index is {r.index}")
-        if r.f_id != f.name:
-            failures.append(f"round {i}: f_id {r.f_id!r} names function {f.name!r}")
         if r.mistake != (r.y_hat != r.y):
             failures.append(f"round {r.index}: mistake flag does not match labels")
-        if not history.admits(r.x, r.y, f):
+        if not history.admits(r.x, r.y, r.f):
             failures.append(
-                f"round {r.index}: function {f.name!r} inconsistent with history"
+                f"round {r.index}: function {r.f.name!r} inconsistent with history"
             )
             break
-    if len(t.rounds) != len(t.functions):
-        failures.append(
-            f"{len(t.rounds)} rounds but {len(t.functions)} revealed functions"
-        )
     d = t.config.d
     if d is not None and not failures:
         over = exceeds_dimension(t.functions, d)
@@ -306,17 +301,16 @@ def validate_transcript(t: Transcript) -> ValidationReport:
     )
 
 
-TRANSCRIPT_FORMAT = 2
+TRANSCRIPT_FORMAT = 3
 # The stopped_by values run_game records.
 STOP_REASONS = ("round_cap", "adversary_done", "learner_halted")
 _HEX_DIGITS = frozenset("0123456789abcdef")
-# The fields of a round record, in Round's field order, with the type each
-# must load as (a bool is not an int here). Round.index is stored as "round";
-# the rest are stored under their own names.
+# The typed fields of a header and of a round record, with the type each must
+# load as (a bool is not an int here). The round fields follow Round's order;
+# Round.f is stored as "f_id", its name, and "ones" (see save_transcript).
+_HEADER_TYPES = {"learner": str, "adversary": str, "round_cap": int, "seed": int}
 _ROUND_TYPES = {"round": int, "x": int, "y_hat": int, "y": int, "mistake": bool, "f_id": str,
                 "vote_width": int, "active_count": int}
-_ROUND_KEYS = tuple(_ROUND_TYPES)[1:]
-_FUNCTION_TYPES = {"round": int, "f_id": str}
 
 
 def _line(record: dict) -> str:
@@ -325,8 +319,10 @@ def _line(record: dict) -> str:
 
 def save_transcript(t: Transcript, path: str | Path) -> None:
     """Write a transcript as line-delimited JSON, bit-exact for identical
-    inputs: a header record, one record per round, one per revealed
-    function (its support mask in lowercase hex), and a trailing summary."""
+    inputs: a header record, one record per round and a trailing summary.
+    A round's ``ones`` is its function's support XOR the mask of the points
+    labeled 1 up to and including that round, in lowercase hex: "0" for a
+    function that is 1 exactly on the history's 1-points."""
     header = {
         "type": "header",
         "format": TRANSCRIPT_FORMAT,
@@ -338,15 +334,14 @@ def save_transcript(t: Transcript, path: str | Path) -> None:
         "validation": t.config.validation,
     }
     lines = [_line(header)]
-    lines.extend(
-        _line({"type": "round", "round": r.index, **{k: getattr(r, k) for k in _ROUND_KEYS},
-               "appended": list(r.appended), "deleted": list(r.deleted)})
-        for r in t.rounds
-    )
-    lines.extend(
-        _line({"type": "function", "round": i, "f_id": f.name, "ones": format(f.support, "x")})
-        for i, f in enumerate(t.functions)
-    )
+    ones = 0
+    for r in t.rounds:
+        if r.y == 1:
+            ones |= point_bit(r.x)
+        lines.append(_line({"type": "round", "round": r.index, "x": r.x, "y_hat": r.y_hat, "y": r.y,
+                            "mistake": r.mistake, "f_id": r.f.name, "ones": format(r.f.support ^ ones, "x"),
+                            "vote_width": r.vote_width, "active_count": r.active_count,
+                            "appended": list(r.appended), "deleted": list(r.deleted)}))
     lines.append(_line({"type": "summary", "rounds": len(t.rounds), "mistakes": t.mistake_count,
                         "stopped_by": t.stopped_by}))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -369,31 +364,33 @@ def _names(rec: dict, key: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _read_record(rec: dict, t: Transcript | None) -> Transcript:
+def _read_record(rec: dict, t: Transcript | None, ones: int) -> tuple[Transcript, int]:
+    """The transcript and the mask of the points labeled 1 so far, after
+    reading one more record."""
     kind = rec["type"]
     if kind == "header":
         if rec.get("format") != TRANSCRIPT_FORMAT:
             raise TranscriptError(
                 f"unknown transcript format {rec.get('format')!r}; expected {TRANSCRIPT_FORMAT}"
             )
-        config = GameConfig(rec["d"], rec["round_cap"], rec["seed"], rec["validation"])
-        return Transcript(config, rec["learner"], rec["adversary"])
+        learner, adversary, round_cap, seed = _typed(rec, _HEADER_TYPES)
+        return Transcript(GameConfig(rec["d"], round_cap, seed, rec["validation"]), learner, adversary), 0
     if t is None:
         raise TranscriptError(f"{kind!r} record before the header")
     if kind == "round":
-        fields = _typed(rec, _ROUND_TYPES)
+        index, x, y_hat, y, mistake, name, vote_width, active_count = _typed(rec, _ROUND_TYPES)
         for key in ("y_hat", "y"):
             if rec[key] not in (0, 1):
                 raise TranscriptError(f"{key!r} is not the int 0 or 1: {rec[key]!r}")
-        t.rounds.append(Round(*fields, _names(rec, "appended"), _names(rec, "deleted")))
-    elif kind == "function":
-        ones = rec["ones"]
-        if not isinstance(ones, str) or not ones or not _HEX_DIGITS.issuperset(ones):
-            raise TranscriptError(f"'ones' is not a lowercase hex string: {ones!r}")
-        index, name = _typed(rec, _FUNCTION_TYPES)
-        if index != len(t.functions):
-            raise TranscriptError(f"function record for round {index} is function number {len(t.functions)}")
-        t.functions.append(Hypothesis(name, support=int(ones, 16)))
+        delta = rec["ones"]
+        if not isinstance(delta, str) or not delta or not _HEX_DIGITS.issuperset(delta):
+            raise TranscriptError(f"'ones' is not a lowercase hex string: {delta!r}")
+        bit = point_bit(x)
+        if y:
+            ones |= bit
+        f = Hypothesis(name, support=int(delta, 16) ^ ones)
+        t.rounds.append(Round(index, x, y_hat, y, mistake, f, vote_width, active_count,
+                              _names(rec, "appended"), _names(rec, "deleted")))
     elif kind == "summary":
         if (rec["rounds"], rec["mistakes"]) != (len(t.rounds), t.mistake_count):
             raise TranscriptError(
@@ -410,19 +407,20 @@ def _read_record(rec: dict, t: Transcript | None) -> Transcript:
         t.stopped_by = stopped_by
     else:
         raise TranscriptError(f"unknown record type {kind!r}")
-    return t
+    return t, ones
 
 
 def load_transcript(path: str | Path) -> Transcript:
     """Read a transcript written by save_transcript. A malformed record, a
-    function record out of round order, or a summary whose counts or stop
+    point outside 0..MASK_WIDTH-1, or a summary whose counts or stop
     reason disagree with the records before it, raises TranscriptError
     naming its line. Which of adversary_done and learner_halted ended a
     game only a replay can tell, so a swap between the two loads."""
     t: Transcript | None = None
+    ones = 0
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         try:
-            t = _read_record(json.loads(line), t)
+            t, ones = _read_record(json.loads(line), t, ones)
         except KeyError as exc:
             raise TranscriptError(f"{path} line {lineno}: record lacks key {exc}") from exc
         except (TranscriptError, TypeError, ValueError) as exc:

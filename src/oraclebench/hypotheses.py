@@ -212,9 +212,6 @@ class HypothesisClass:
     def __iter__(self):
         return iter(self.hypotheses)
 
-    def distinct(self) -> tuple[Hypothesis, ...]:
-        return distinct(self.hypotheses)
-
     @classmethod
     def from_rows(cls, domain: Iterable[Point], rows: Iterable[tuple[str, str]]) -> "HypothesisClass":
         """Build a class from (name, '0101...') rows over a shared domain."""

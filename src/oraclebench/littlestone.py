@@ -212,12 +212,12 @@ def is_shattered(tree: LabeledTree, hypotheses: Iterable[Hypothesis]) -> bool:
     )
 
 
-def minimax_adversary_value(
-    hypotheses: Iterable[Hypothesis],
-    *,
-    max_hypotheses: int = 6,
-    max_points: int = 5,
-) -> int:
+# minimax_adversary_value walks the whole game tree, so it takes classes this small only
+MINIMAX_MAX_HYPOTHESES = 6
+MINIMAX_MAX_POINTS = 5
+
+
+def minimax_adversary_value(hypotheses: Iterable[Hypothesis]) -> int:
     """Exact value of the mistake game by explicit minimax search.
 
     The adversary picks a point, the learner picks a prediction, and the
@@ -229,10 +229,10 @@ def minimax_adversary_value(
     """
     engine = _DimensionEngine(hypotheses)
     n, points = len(engine.hyps), reduce(or_, (h.support for h in engine.hyps)).bit_count()
-    if n > max_hypotheses or points > max_points:
+    if n > MINIMAX_MAX_HYPOTHESES or points > MINIMAX_MAX_POINTS:
         raise SizeLimitExceeded(
             f"minimax guard: {n} hypotheses x {points} points "
-            f"exceeds {max_hypotheses} x {max_points}"
+            f"exceeds {MINIMAX_MAX_HYPOTHESES} x {MINIMAX_MAX_POINTS}"
         )
     memo: dict[int, int] = {}
 

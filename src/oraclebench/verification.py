@@ -23,7 +23,7 @@ from .adversary import (
     informative_step,
 )
 from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
-from .hypotheses import Hypothesis, HypothesisClass
+from .hypotheses import Hypothesis, HypothesisClass, distinct
 from .learner import (
     CreateAdvancedLearner,
     PredictLearner,
@@ -325,15 +325,15 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
     soa_ok = True
     detail = ""
     for i, c in enumerate(classes):
-        distinct = c.distinct()
+        members = distinct(c)
         dim = ldim(c)
-        limit = len(distinct).bit_length() - 1
+        limit = len(members).bit_length() - 1
         if dim > limit:
             size_bound_ok = False
             detail = detail or f"class #{i}: ldim {dim} > log2 bound {limit}"
         for x in c.domain:
-            zero = tuple(h for h in distinct if h(x) == 0)
-            one = tuple(h for h in distinct if h(x) == 1)
+            zero = tuple(h for h in members if h(x) == 0)
+            one = tuple(h for h in members if h(x) == 1)
             if zero and one and dim < min(ldim(zero), ldim(one)) + 1:
                 restriction_ok = False
                 detail = detail or f"class #{i}: restriction inequality fails at {x}"
@@ -345,7 +345,7 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
         if find_shattered_tree(c, dim + 1) is not None:
             certificate_ok = False
             detail = detail or f"class #{i}: certificate above the dimension"
-        if len(distinct) <= 6 and len(c.domain) <= 5:
+        if len(members) <= 6 and len(c.domain) <= 5:
             minimax_checked += 1
             if minimax_adversary_value(c) != dim:
                 minimax_ok = False

@@ -19,7 +19,7 @@ from operator import and_, or_
 from typing import Callable, Sequence
 
 from oraclebench.errors import IllegalLabel, NonRealizable
-from oraclebench.hypotheses import Bit, Hypothesis, HypothesisClass, LabeledPair, Point
+from oraclebench.hypotheses import Bit, Hypothesis, HypothesisClass, LabeledPair, Point, distinct
 
 
 def realizable(hyps: Sequence[Hypothesis], pairs: list[LabeledPair]) -> bool:
@@ -86,7 +86,7 @@ class SurvivorFilterAdversary:
         self.cls = c
         self.name = "class-greedy"
         self._rounds = 0
-        self._survivors = c.distinct()
+        self._survivors = distinct(c)
 
     def next_point(self) -> Point:
         supports = [h.support for h in self._survivors]
@@ -117,7 +117,7 @@ class PerRoundSOA:
 
     def __init__(self, c: HypothesisClass):
         self.cls = c
-        self.version_space = c.distinct()
+        self.version_space = distinct(c)
 
     def run(self, rounds) -> None:
         while True:

@@ -23,6 +23,7 @@ from oraclebench.adversary import (
 )
 from oraclebench.errors import IllegalAdversaryFunction
 from oraclebench.game import GameConfig, run_game, save_transcript, validate_transcript
+from oraclebench.hypotheses import distinct
 from oraclebench.learner import (
     CreateAdvancedLearner,
     PredictLearner,
@@ -180,15 +181,15 @@ def test_criterion_8_dimension_machinery() -> None:
     classes = random_classes(200, seed=8)
     minimax_checked = 0
     for i, c in enumerate(classes):
-        distinct = c.distinct()
+        members = distinct(c)
         dim = ldim(c)
-        assert dim <= len(distinct).bit_length() - 1
+        assert dim <= len(members).bit_length() - 1
         for x in c.domain:
-            zero = tuple(h for h in distinct if h(x) == 0)
-            one = tuple(h for h in distinct if h(x) == 1)
+            zero = tuple(h for h in members if h(x) == 0)
+            one = tuple(h for h in members if h(x) == 1)
             if zero and one:
                 assert dim >= min(ldim(zero), ldim(one)) + 1
-        if len(distinct) <= 6 and len(c.domain) <= 5:
+        if len(members) <= 6 and len(c.domain) <= 5:
             minimax_checked += 1
             assert minimax_adversary_value(c) == dim
         for adversary in (ClassGreedyAdversary(c), RandomClassAdversary(c, seed=i)):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from oraclebench.adversary import (
     ternary_function,
 )
 from oraclebench.errors import InconsistentOracleClass
-from oraclebench.game import GameConfig, run_game, save_transcript
+from oraclebench.game import GameConfig, load_transcript, run_game, save_transcript
 from oraclebench.hypotheses import Hypothesis, HypothesisClass, Sample, is_consistent
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
@@ -60,11 +61,23 @@ def test_ternary_function_matches_the_digit_rule(d: int) -> None:
         assert [f(x) for x in points] == [brute(x) for x in points], r
 
 
+def content_digest(t) -> str:
+    """SHA-256 of every round's fields and each revealed function's name and
+    support: the game itself, whatever the file format that stored it."""
+    rows = [[r.index, r.x, r.y_hat, r.y, r.mistake, r.vote_width, r.active_count, list(r.appended), list(r.deleted)]
+            for r in t.rounds]
+    rows += [[f.name, format(f.support, "x")] for f in t.functions]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def test_ternary6_transcript_matches_recorded_output(tmp_path) -> None:
     t = run_game(PredictLearner(), TernaryAdversary(6), GameConfig(d=6, round_cap=3**6 + 10))
     save_transcript(t, tmp_path / "t.jsonl")
     digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
-    assert digest == "f82241e723b79360599b04cffe515f7b23b25e401e5d7cdbaefacbd7908b5cdb"
+    assert digest == "d3165e19f07041f39b320812410f2b49247f87eeff0b7f2510280c323cf90357"
+    # the same game as the format-2 file pinned before, whose content digest this is
+    want = "b80c22c16bc0d570f81f7b5f45af474d1c432a8f1eb45cded1d12070dc9979c8"
+    assert content_digest(t) == content_digest(load_transcript(tmp_path / "t.jsonl")) == want
 
 
 def test_ternary_function_validates_arguments() -> None:
@@ -218,15 +231,17 @@ def test_random_class_transcript_matches_recorded_output(tmp_path) -> None:
             ("f", "10001"), ("g", "11111"), ("h", "00000"), ("i", "10001"), ("j", "01101")]
     c = HypothesisClass.from_rows(range(5), rows)
     t = run_game(SOALearner(c), RandomClassAdversary(c, seed=11), GameConfig(d=2, round_cap=25))
-    assert " ".join(f"{r.x}{r.y_hat}{r.y}{r.f_id}" for r in t.rounds) == (
+    assert " ".join(f"{r.x}{r.y_hat}{r.y}{r.f.name}" for r in t.rounds) == (
         "301e 400b 400e 400b 000e 200b 400b 400e 311b 400b 400b 000b 111b "
         "400b 311e 311b 400b 200e 000b 311e 311b 200e 111e 000b 400b"
     )
     path = tmp_path / "t.jsonl"
     save_transcript(t, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9050e83bb30ae11c8e9a9b4c48bff79088f0e753e2888cd67e76a0b426bb9211"
+        "399fff14e147c8babb79fec1fd8f4570cb6b249ad32a0ccfe68fa629367ca6a2"
     )
+    want = "b8c436597b1c130c72134c8f8257fb25234f740eb407ca61dfc9f30cd0c6e7a4"
+    assert content_digest(t) == content_digest(load_transcript(path)) == want
 
 
 # ----------------------------------------------------------------------

@@ -211,3 +211,26 @@ def test_ldim_class_file_with_a_negative_point_is_an_error_not_a_traceback(capsy
     path.write_text(json.dumps({"domain": [0, -1], "hypotheses": [{"name": "h", "values": "01"}]}))
     assert main(["ldim", str(path)]) == 2
     assert "negative point -1" in capsys.readouterr().err
+
+
+# (argv, the spec the error names) for malformed integer specs
+MALFORMED_SPECS = [
+    (["simulate", "--learner", "predict", "--adversary", "ternary:abc"], "'ternary:abc': 'abc'"),
+    (["simulate", "--learner", "predict", "--adversary", "ternary:0"], "'ternary:0': '0'"),
+    (["simulate", "--learner", "predict", "--adversary", "flood:-2"], "'flood:-2': '-2'"),
+    (["simulate", "--learner", "create-adv:x", "--adversary", "free"], "'create-adv:x': 'x'"),
+    (["simulate", "--learner", "create-adv:-1", "--adversary", "free"], "'create-adv:-1': '-1'"),
+    (["verify", "lower:x"], "'lower:x': 'x'"),
+    (["verify", "lower:0"], "'lower:0': '0'"),
+    (["bench", "--dims", "a-b"], "'--dims a-b': 'a'"),
+    (["simulate", "--learner", "predict", "--adversary", "free", "--cap", "0"], "'--cap 0': '0'"),
+    (["simulate", "--learner", "predict", "--adversary", "free", "--d", "-1"], "'--d -1': '-1'"),
+]
+
+
+@pytest.mark.parametrize("argv, spec", MALFORMED_SPECS, ids=[spec.split("'")[1] for _, spec in MALFORMED_SPECS])
+def test_a_malformed_spec_is_an_error_not_a_traceback(capsys, argv, spec) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {spec} is not an integer >= ")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +59,8 @@ def test_run_game_ternary_transcript() -> None:
     assert t.stopped_by == "adversary_done"
     assert [r.x for r in t.rounds] == [0, 1, 2]
     assert all(r.mistake for r in t.rounds)
-    assert [r.f_id for r in t.rounds] == ["f0", "f1", "f2"]
+    assert [r.f.name for r in t.rounds] == ["f0", "f1", "f2"]
+    assert all(f is r.f for f, r in zip(t.functions, t.rounds, strict=True))  # the rounds' own objects
     assert t.rounds[0].appended == ("f0",)
 
 
@@ -224,7 +226,8 @@ def test_channel_enforces_round_ordering() -> None:
 
 
 # ----------------------------------------------------------------------
-# format-2 transcripts: functions stored as hex support masks
+# format-3 transcripts: one record per round, its function stored as a hex
+# support mask XOR the history's 1-points
 
 
 def _games():
@@ -269,10 +272,9 @@ def test_flipping_a_history_bit_of_a_stored_function_fails_validation(
 ) -> None:
     records = [json.loads(line) for line in ternary_lines]
     rounds = [r for r in records if r["type"] == "round"]
-    functions = [r for r in records if r["type"] == "function"]
-    i = data.draw(st.integers(0, len(functions) - 1))
+    i = data.draw(st.integers(0, len(rounds) - 1))
     x = rounds[data.draw(st.integers(0, i))]["x"]
-    functions[i]["ones"] = format(int(functions[i]["ones"], 16) ^ (1 << x), "x")
+    rounds[i]["ones"] = format(int(rounds[i]["ones"], 16) ^ (1 << x), "x")
     path = tmp_path_factory.mktemp("tampered") / "t.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     report = validate_transcript(load_transcript(path))
@@ -286,22 +288,24 @@ def _write(tmp_path, records) -> str:
     return path
 
 
-def test_load_transcript_names_a_missing_key(tmp_path) -> None:
-    with pytest.raises(TranscriptError, match="line 1: record lacks key 'd'"):
-        load_transcript(_write(tmp_path, [{"type": "header", "format": 2}]))
+def test_load_transcript_names_a_missing_key(tmp_path, ternary_lines) -> None:
+    records = [json.loads(line) for line in ternary_lines]
+    del records[1]["ones"]
+    with pytest.raises(TranscriptError, match="line 2: record lacks key 'ones'"):
+        load_transcript(_write(tmp_path, records))
 
 
 def test_load_transcript_rejects_an_unknown_format(tmp_path, ternary_lines) -> None:
-    header = json.loads(ternary_lines[0])
-    for fmt in (1, 3, None):
-        header["format"] = fmt
+    records = [json.loads(line) for line in ternary_lines]
+    for fmt in (1, 2, None):
+        records[0]["format"] = fmt
         with pytest.raises(TranscriptError, match=f"line 1: unknown transcript format {fmt}"):
-            load_transcript(_write(tmp_path, [header]))
+            load_transcript(_write(tmp_path, records))
 
 
 def test_load_transcript_rejects_a_non_hex_support(tmp_path, ternary_lines) -> None:
     records = [json.loads(line) for line in ternary_lines]
-    line = next(n for n, r in enumerate(records, 1) if r["type"] == "function")
+    line = records.index(_round_record(records, 0)) + 1
     for bad in ("xyz", "-1f", "", 17):
         records[line - 1]["ones"] = bad
         with pytest.raises(TranscriptError, match=f"line {line}: 'ones' is not a lowercase hex string"):
@@ -310,16 +314,6 @@ def test_load_transcript_rejects_a_non_hex_support(tmp_path, ternary_lines) -> N
 
 def _records(ternary_lines) -> list[dict]:
     return [json.loads(line) for line in ternary_lines]
-
-
-def test_validate_transcript_rejects_a_forged_f_id(tmp_path, ternary_lines) -> None:
-    records = _records(ternary_lines)
-    function = next(r for r in records if r["type"] == "function" and r["round"] == 3)
-    function["f_id"] = "forged"
-    report = validate_transcript(load_transcript(_write(tmp_path, records)))
-    assert not report.passed
-    assert report.first_failure == "round 3: f_id 'f3' names function 'forged'"
-    assert report.checks == 9  # one per round
 
 
 def test_validate_transcript_rejects_a_round_index_jump(tmp_path, ternary_lines) -> None:
@@ -336,14 +330,6 @@ def test_load_transcript_rejects_a_summary_that_disagrees(tmp_path, ternary_line
     records = _records(ternary_lines)
     records[-1][key] = value
     with pytest.raises(TranscriptError, match=f"line {len(records)}: summary claims"):
-        load_transcript(_write(tmp_path, records))
-
-
-def test_load_transcript_rejects_a_function_record_out_of_round_order(tmp_path, ternary_lines) -> None:
-    records = _records(ternary_lines)
-    line = next(n for n, r in enumerate(records, 1) if r["type"] == "function" and r["round"] == 2)
-    records[line - 1]["round"] = 99
-    with pytest.raises(TranscriptError, match=f"line {line}: function record for round 99 is function number 2"):
         load_transcript(_write(tmp_path, records))
 
 
@@ -414,8 +400,7 @@ def test_a_live_adversary_that_relabels_a_point_is_rejected_at_that_round() -> N
 def test_a_stored_relabeling_fails_validation_at_that_round(tmp_path) -> None:
     t = Transcript(GameConfig(d=None, round_cap=10), "predict", "relabeling", stopped_by="adversary_done")
     for i, (x, y, support) in enumerate(RELABEL_SCRIPT):
-        t.rounds.append(Round(i, x, 0, y, y != 0, f"f{i}", 0, 0))
-        t.functions.append(Hypothesis(f"f{i}", support=support))
+        t.rounds.append(Round(i, x, 0, y, y != 0, Hypothesis(f"f{i}", support=support), 0, 0))
     save_transcript(t, tmp_path / "t.jsonl")
     report = validate_transcript(load_transcript(tmp_path / "t.jsonl"))
     assert report.failures == ("round 3: function 'f3' inconsistent with history",)
@@ -445,13 +430,14 @@ def test_annotate_update_lands_on_the_last_round_only() -> None:
 
 
 def test_round_is_a_slotted_record_that_replace_copies() -> None:
-    r = Round(4, 7, 0, 1, True, "f4", 2, 5)
+    f4 = Hypothesis("f4", support=0b10000000)
+    r = Round(4, 7, 0, 1, True, f4, 2, 5)
     assert not hasattr(r, "__dict__")
     assert [f.name for f in fields(Round)] == [
-        "index", "x", "y_hat", "y", "mistake", "f_id", "vote_width", "active_count", "appended", "deleted",
+        "index", "x", "y_hat", "y", "mistake", "f", "vote_width", "active_count", "appended", "deleted",
     ]
     flipped = replace(r, y=0, mistake=False)
-    assert flipped == Round(4, 7, 0, 0, False, "f4", 2, 5)
+    assert flipped == Round(4, 7, 0, 0, False, f4, 2, 5) and flipped.f is f4
     assert (r.y, r.mistake) == (1, True)
 
 
@@ -548,11 +534,86 @@ def test_load_transcript_type_checks_every_round_field(tmp_path, ternary_lines, 
 
 
 def test_load_transcript_type_checks_a_function_record(tmp_path, ternary_lines) -> None:
+    # a function is stored in its round's record, as f_id and ones
     records = _records(ternary_lines)
-    line = next(n for n, r in enumerate(records, 1) if r["type"] == "function" and r["round"] == 1)
+    line = records.index(_round_record(records, 1)) + 1
     for key, value, message in (("f_id", ["f1"], r"'f_id' must be of type str, got \['f1'\]"),
-                                ("round", True, "'round' must be of type int, got True")):
+                                ("ones", ["1"], r"'ones' is not a lowercase hex string: \['1'\]")):
         bad = [dict(r) for r in records]
         bad[line - 1][key] = value
         with pytest.raises(TranscriptError, match=f"line {line}: {message}"):
             load_transcript(_write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("y", [0, 1])
+@pytest.mark.parametrize("x, message", [(-1, "negative point -1"), (1 << 20, "point 1048576 is past the mask-width limit")])
+def test_load_transcript_rejects_a_point_outside_the_mask_width(tmp_path, ternary_lines, x, message, y) -> None:
+    records = _records(ternary_lines)
+    line = records.index(_round_record(records, 2)) + 1
+    records[line - 1].update(x=x, y=y, mistake=records[line - 1]["y_hat"] != y)
+    with pytest.raises(TranscriptError, match=f"line {line}: {message}"):
+        load_transcript(_write(tmp_path, records))
+
+
+# (header key, stored value, what the TranscriptError says)
+HEADER_FIELD_PROBES = [
+    ("learner", 5, "'learner' must be of type str, got 5"),
+    ("adversary", None, "'adversary' must be of type str, got None"),
+    ("round_cap", True, "'round_cap' must be of type int, got True"),
+    ("round_cap", "5", "'round_cap' must be of type int, got '5'"),
+    ("seed", "x", "'seed' must be of type int, got 'x'"),
+    ("seed", None, "'seed' must be of type int, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", HEADER_FIELD_PROBES, ids=[f"{key}={value!r}" for key, value, _ in HEADER_FIELD_PROBES]
+)
+def test_load_transcript_type_checks_every_header_field(tmp_path, ternary_lines, key, value, message) -> None:
+    records = _records(ternary_lines)
+    records[0][key] = value
+    with pytest.raises(TranscriptError, match=f"line 1: {message}"):
+        load_transcript(_write(tmp_path, records))
+
+
+# ----------------------------------------------------------------------
+# format-3 sizes and the exactness of the stored supports
+
+
+def test_a_create_advanced_2_transcript_fits_in_a_megabyte(tmp_path) -> None:
+    t = run_game(CreateAdvancedLearner(2), FreeAdversary(), GameConfig(d=None, round_cap=5000))
+    assert (t.mistake_count, t.stopped_by) == (4368, "learner_halted")
+    path = tmp_path / "t.jsonl"
+    save_transcript(t, path)
+    assert path.stat().st_size <= 1_000_000
+    # a free function is the history's 1-points, so it stores "0"
+    assert {json.loads(line).get("ones") for line in path.read_text().splitlines()} == {None, "0"}
+
+
+@st.composite
+def stored_games(draw) -> list[tuple[int, int, str, int]]:
+    """(x, y, name, support) per round: points that may repeat and supports
+    that need not agree with the history, so most games are forged."""
+    return draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1), st.text(max_size=4),
+                                   st.integers(0, (1 << 48) - 1)), max_size=12))
+
+
+@given(game=stored_games())
+@settings(max_examples=150, deadline=None)
+def test_save_then_load_returns_the_exact_names_and_supports(tmp_path_factory, game) -> None:
+    t = Transcript(GameConfig(d=None, round_cap=20), "predict", "scripted", stopped_by="adversary_done")
+    for i, (x, y, name, support) in enumerate(game):
+        t.rounds.append(Round(i, x, 1 - y, y, True, Hypothesis(name, support=support), 0, 0))
+    path = tmp_path_factory.mktemp("stored") / "t.jsonl"
+    save_transcript(t, path)
+    loaded = load_transcript(path)
+    assert [(f.name, f.support) for f in loaded.functions] == [(name, support) for _, _, name, support in game]
+    assert loaded.rounds == t.rounds
+
+
+def test_the_readme_shows_the_first_lines_of_a_real_transcript(tmp_path) -> None:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    shown = readme.split("### Transcripts", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    t = run_game(CreateAdvancedLearner(0), FreeAdversary(), GameConfig(d=None, round_cap=100))
+    save_transcript(t, tmp_path / "t.jsonl")
+    assert shown.splitlines() == (tmp_path / "t.jsonl").read_text().splitlines()[:3]

@@ -18,6 +18,7 @@ from oraclebench.hypotheses import (
     Hypothesis,
     HypothesisClass,
     Sample,
+    distinct,
     is_consistent,
     load_class_file,
     save_class_file,
@@ -125,7 +126,7 @@ def test_class_requires_shared_domain_and_nonempty() -> None:
 
 def test_class_distinct_preserves_order() -> None:
     c = HypothesisClass.from_rows([0], [("a", "1"), ("b", "0"), ("c", "1")])
-    assert [h.name for h in c.distinct()] == ["a", "b"]
+    assert [h.name for h in distinct(c)] == ["a", "b"]
 
 
 def test_class_file_round_trip(tmp_path) -> None:

@@ -21,8 +21,9 @@ from oraclebench.adversary import (
     RandomClassAdversary,
     TernaryAdversary,
 )
+from oraclebench import littlestone
 from oraclebench.game import GameConfig, run_game
-from oraclebench.hypotheses import HypothesisClass
+from oraclebench.hypotheses import HypothesisClass, distinct
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import (
     LabeledTree,
@@ -90,7 +91,7 @@ def test_ldim_log2_size_bound_on_seeded_classes() -> None:
     rng = random.Random(11)
     for _ in range(200):
         c = random_class(rng)
-        assert ldim(c) <= (len(c.distinct())).bit_length() - 1
+        assert ldim(c) <= (len(distinct(c))).bit_length() - 1
 
 
 def test_restriction_inequality_on_seeded_classes() -> None:
@@ -99,8 +100,8 @@ def test_restriction_inequality_on_seeded_classes() -> None:
         c = random_class(rng)
         dim = ldim(c)
         for x in c.domain:
-            zero = [h for h in c.distinct() if h(x) == 0]
-            one = [h for h in c.distinct() if h(x) == 1]
+            zero = [h for h in distinct(c) if h(x) == 0]
+            one = [h for h in distinct(c) if h(x) == 1]
             if zero and one:
                 assert dim >= min(ldim(zero), ldim(one)) + 1
 
@@ -238,11 +239,12 @@ def test_minimax_equals_ldim_on_seeded_classes() -> None:
     assert checked == 120
 
 
-def test_minimax_guard() -> None:
+def test_minimax_guard(monkeypatch) -> None:
     big = [hyp(f"h{i}", format(i, "03b")) for i in range(8)]
     with pytest.raises(SizeLimitExceeded):
         minimax_adversary_value(big)
-    assert minimax_adversary_value(big, max_hypotheses=8) == 3
+    monkeypatch.setattr(littlestone, "MINIMAX_MAX_HYPOTHESES", 8)
+    assert minimax_adversary_value(big) == 3
 
 
 # ----------------------------------------------------------------------
