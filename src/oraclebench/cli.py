@@ -102,7 +102,7 @@ def cmd_ldim(args: argparse.Namespace) -> int:
 _SUITES = {
     "advanced": lambda arg, args: verify_advanced(_spec_int(args.check, arg, 0), seed=args.seed),
     "prefix": lambda arg, args: verify_prefix(_spec_int(args.check, arg, 0)),
-    "lower": lambda arg, args: verify_lower(_spec_int(args.check, arg, 1), seed=args.seed),
+    "lower": lambda arg, args: verify_lower(_spec_int(args.check, arg, 1)),
     "upper": lambda arg, args: verify_upper(_spec_int(args.check, arg, 1), seed=args.seed),
     "props": lambda arg, args: verify_props(seed=args.seed),
 }
@@ -120,7 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _bench_cell(learner_spec: str, adversary_spec: str, d: int, seed: int):
+def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
     """One benchmark row; returns (mistakes, bound, rounds) or a failure note."""
     if adversary_spec == "ternary":
         adversary, bound, cap = TernaryAdversary(d), 3**d, 3**d + 10
@@ -135,14 +135,14 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int, seed: int):
         worst = rounds = 0
         for c in classes:
             learner = _parse_learner(learner_spec, c)
-            t = run_game(learner, ClassGreedyAdversary(c), GameConfig(d=d, round_cap=bound + 29, seed=seed))
+            t = run_game(learner, ClassGreedyAdversary(c), GameConfig(d=d, round_cap=bound + 29))
             worst = max(worst, t.mistake_count)
             rounds += len(t.rounds)
         return worst, bound, rounds
     else:
         raise OracleBenchError(f"unknown bench adversary {adversary_spec!r}")
     learner = _parse_learner(learner_spec, None)
-    t = run_game(learner, adversary, GameConfig(d=d, round_cap=cap, seed=seed))
+    t = run_game(learner, adversary, GameConfig(d=d, round_cap=cap))
     return t.mistake_count, bound, len(t.rounds)
 
 
@@ -157,7 +157,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for adversary_spec in args.adversaries.split(","):
                 start = time.perf_counter()
                 try:
-                    mistakes, bound, rounds = _bench_cell(learner_spec, adversary_spec, d, args.seed)
+                    mistakes, bound, rounds = _bench_cell(learner_spec, adversary_spec, d)
                     elapsed = time.perf_counter() - start
                     rows.append(
                         f"{d}\t{learner_spec}\t{adversary_spec}\t{mistakes}\t{bound}\t{rounds}\t{elapsed:.3f}"
@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dims", default="1-2", help="dimension range, e.g. 1-4")
     bench.add_argument("--learners", default="predict")
     bench.add_argument("--adversaries", default="ternary,flood")
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=cmd_bench)
     return parser

@@ -63,8 +63,10 @@ class GameConfig:
     def __post_init__(self) -> None:
         if self.d is not None and (type(self.d) is not int or self.d < 0):
             raise ValueError(f"d must be None or an int >= 0, got {self.d!r}")
-        if self.round_cap < 1:
-            raise ValueError("round_cap must be at least 1")
+        if type(self.round_cap) is not int or self.round_cap < 1:
+            raise ValueError(f"round_cap must be an int >= 1, got {self.round_cap!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.validation not in ("consistency", "full"):
             raise ValueError("validation must be 'consistency' or 'full'")
 

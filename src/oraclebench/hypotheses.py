@@ -130,7 +130,7 @@ class Hypothesis:
         return hash(self.support)
 
     def __repr__(self) -> str:
-        return f"Hypothesis({self.name!r}, ones={list(self.domain)})"
+        return f"Hypothesis({self.name!r}, support={self.support:#x})"
 
 
 # The hypothesis that holds the views of each mask, while one is alive.
@@ -241,6 +241,8 @@ def load_class_file(path: str | Path) -> HypothesisClass:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise ClassFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ClassFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "domain" not in doc or "hypotheses" not in doc:

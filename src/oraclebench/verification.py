@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from .adversary import (
     ClassGreedyAdversary,
@@ -22,6 +21,7 @@ from .adversary import (
     TernaryAdversary,
     informative_step,
 )
+from .errors import InconsistentOracleClass, OracleBenchError
 from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
 from .hypotheses import Hypothesis, HypothesisClass, distinct
 from .learner import (
@@ -114,14 +114,38 @@ def random_classes_of_dimension(d: int, count: int, seed: int) -> list[Hypothesi
 # suites
 
 
-def _query_orders(d: int, count: int, seed: int) -> Iterator[list[int]]:
-    """Seeded permutations of 0..3^d-1 with out-of-range points mixed in."""
-    rng = random.Random(seed)
-    n = 3**d
-    for _ in range(count):
-        order = list(range(n)) + [n, n + rng.randint(1, 50)]
-        rng.shuffle(order)
-        yield order
+def _recovery_worst_case(start: InformativeState, f: Hypothesis) -> int:
+    """The most mistakes the digit-recovery learner makes on ``f`` over every
+    query sequence, repeats included (point 3^d stands for all past 3^d - 1):
+    a longest path over its states. A step that changes the state must set
+    the witness or append a digit, so a state's scan can stop once its best
+    reaches the progress left. Raises OracleBenchError on a learner fault."""
+    memo: dict[tuple, int] = {}
+
+    def progress(s: InformativeState) -> int:
+        return len(s.known_digits) + (s.witness is not None)
+
+    def longest(s: InformativeState) -> int:
+        if s.recovered is not None:
+            if s.recovered != f:
+                raise InconsistentOracleClass(f"recovered {s.recovered.name}, hidden {f.name}")
+            return 0
+        key = (s.known_digits, s.witness, s.recovered_index)
+        if key not in memo:
+            best = 0
+            for z in range(3**s.d + 1):
+                y_hat, nxt = informative_step(s, z, y := f(z))
+                if y_hat == y and nxt == s:
+                    continue
+                if progress(nxt) <= progress(s):
+                    raise OracleBenchError(f"the step at {z} from {key} makes no progress")
+                best = max(best, (y_hat != y) + longest(nxt))
+                if best >= s.d - progress(s):
+                    break
+            memo[key] = best
+        return memo[key]
+
+    return longest(start)
 
 
 def _dimension_check(name: str, functions: list[Hypothesis], d: int) -> CheckResult:
@@ -133,65 +157,38 @@ def _dimension_check(name: str, functions: list[Hypothesis], d: int) -> CheckRes
     return _check(name, not over, f"revealed set has dimension {'above' if over else 'at most'} {d}")
 
 
-def verify_lower(d: int, seed: int = 0, orderings: int = 100) -> list[CheckResult]:
-    """Lower-bound suite: ternary and flood adversaries force their full
-    mistake counts while staying within dimension d."""
-    results = []
+def _mistakes_check(name: str, t: Transcript, want: int) -> CheckResult:
+    ok = t.mistake_count == want and len(t.rounds) == want
+    return _check(name, ok, f"{t.mistake_count} mistakes in {len(t.rounds)} rounds, want {want}")
 
+
+def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
+    """Lower-bound suite: ternary and flood adversaries force their full mistake
+    counts within dimension d. Every check is exact; ``seed`` changes nothing."""
     t = run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d + 10))
-    results.append(
-        _check(
-            f"lower:{d} ternary mistakes",
-            t.mistake_count == 3**d and len(t.rounds) == 3**d,
-            f"{t.mistake_count} mistakes in {len(t.rounds)} rounds, want {3 ** d}",
-        )
-    )
     # history consistency only: the dimension check below decides the set once
     report = validate_transcript(replace(t, config=replace(t.config, d=None)))
-    results.append(
-        _check(
-            f"lower:{d} ternary consistency",
-            report.passed,
-            report.first_failure or "every revealed function matches the history",
-        )
-    )
-    results.append(_dimension_check(f"lower:{d} ternary dimension", t.functions, d))
-
     # the class is the revealed set: labels and each f_r come from the game
     start = InformativeState(d=d, labels=tuple(r.y for r in t.rounds))
-    worst = 0
-    failures = 0
-    for r, f_r in enumerate(t.functions):
-        for order in _query_orders(d, orderings, seed + r):
-            state = start
-            mistakes = 0
-            for z in order:
-                y = f_r(z)
-                y_hat, state = informative_step(state, z, y)
-                mistakes += y != y_hat
-            worst = max(worst, mistakes)
-            if mistakes > d:
-                failures += 1
-    results.append(
-        _check(
-            f"lower:{d} informative learner",
-            failures == 0,
-            f"worst case {worst} mistakes over {orderings} orderings per function, bound {d}",
-        )
-    )
-
-    flood = FloodAdversary(d)
+    worst, faults = 0, []
+    for f_r in t.functions:
+        try:
+            worst = max(worst, _recovery_worst_case(start, f_r))
+        except OracleBenchError as exc:
+            faults.append(f"{f_r.name}: {exc}")
     n = 2 ** (d + 1) - 1
-    ft = run_game(PredictLearner(), flood, GameConfig(d=d, round_cap=n + 10))
-    results.append(
-        _check(
-            f"lower:{d} flood mistakes",
-            ft.mistake_count == n and len(ft.rounds) == n,
-            f"{ft.mistake_count} mistakes in {len(ft.rounds)} rounds, want {n}",
-        )
-    )
-    results.append(_dimension_check(f"lower:{d} flood dimension", ft.functions, d))
-    return results
+    ft = run_game(PredictLearner(), FloodAdversary(d), GameConfig(d=d, round_cap=n + 10))
+    return [
+        _mistakes_check(f"lower:{d} ternary mistakes", t, 3**d),
+        _check(f"lower:{d} ternary consistency", report.passed,
+               report.first_failure or "every revealed function matches the history"),
+        _dimension_check(f"lower:{d} ternary dimension", t.functions, d),
+        _check(f"lower:{d} informative learner", not faults and worst <= d,
+               f"learner fault on {len(faults)} of {len(t.functions)} functions, first {faults[0]}" if faults
+               else f"exact worst case {worst} mistakes over every query sequence, bound {d}"),
+        _mistakes_check(f"lower:{d} flood mistakes", ft, n),
+        _dimension_check(f"lower:{d} flood dimension", ft.functions, d),
+    ]
 
 
 def verify_upper(d: int, seed: int = 0, class_count: int = 100) -> list[CheckResult]:

@@ -41,6 +41,7 @@ from oraclebench.littlestone import (
     minimax_adversary_value,
 )
 from oraclebench.verification import (
+    _recovery_worst_case,
     random_classes,
     random_classes_of_dimension,
     threshold_pair_classes,
@@ -85,27 +86,34 @@ def test_criterion_2_ternary_construction_is_legal(ternary_games) -> None:
     for d in (1, 2):
         t, _ = ternary_games[d]
         assert ldim(t.functions) <= d
+    # the sampled orderings cross-check the exact longest-path search
     worst = {}
+    exact = {}
     for d in (1, 2, 3):
         _, labels = ternary_games[d]
         n = 3**d
-        worst[d] = 0
+        worst[d] = exact[d] = 0
+        start = InformativeState(d=d, labels=labels)
         for r in range(n):
             f_r = ternary_function(r, d, labels[: r + 1])
+            exact_r = _recovery_worst_case(start, f_r)
+            exact[d] = max(exact[d], exact_r)
             rng = random.Random(1000 * d + r)
             for _ in range(100):
                 order = list(range(n)) + [n, n + rng.randint(1, 40)]
                 rng.shuffle(order)
-                state = InformativeState(d=d, labels=labels)
+                state = start
                 mistakes = 0
                 for z in order:
                     y = f_r(z)
                     y_hat, state = informative_step(state, z, y)
                     mistakes += y != y_hat
+                assert mistakes <= exact_r
                 worst[d] = max(worst[d], mistakes)
-            assert worst[d] <= d
+        assert worst[d] <= exact[d] == d
     print(f"PASS criterion 2: revealed-set dimension within bound; recovery "
-          f"learner worst-case mistakes {worst} over 100 orderings per function")
+          f"learner worst-case mistakes {worst} over 100 orderings per function, "
+          f"exactly {exact} over every query sequence")
 
 
 def test_criterion_3_flood_forces_exactly_2_to_the_d_plus_1_minus_1() -> None:

@@ -23,6 +23,7 @@ from oraclebench.hypotheses import Hypothesis, HypothesisClass, Sample, is_consi
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
 from oraclebench.verification import (
+    _recovery_worst_case,
     random_classes_of_dimension,
     threshold_hypotheses,
     threshold_pair_classes,
@@ -292,12 +293,15 @@ def test_informative_learner_mistake_bound_sweep(d: int) -> None:
     rng = random.Random(d)
     labels = tuple(rng.randint(0, 1) for _ in range(3**d))
     n = 3**d
+    start = InformativeState(d=d, labels=labels)
     for r in range(n):
+        exact = _recovery_worst_case(start, ternary_function(r, d, labels[: r + 1]))
+        assert exact <= d
         for trial in range(15):
             order = list(range(n)) + [n + rng.randint(0, 30)]
             rng.shuffle(order)
             mistakes, _ = _play(d, labels, r, order)
-            assert mistakes <= d
+            assert mistakes <= exact
 
 
 def test_informative_learner_exact_after_recovery() -> None:

@@ -122,6 +122,17 @@ def test_ldim_malformed_file_names_offender(capsys, tmp_path) -> None:
     assert "broken" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ldim", "missing.json"],
+    ["simulate", "--learner", "predict", "--adversary", "class-greedy:missing.json"],
+    ["simulate", "--learner", "predict", "--adversary", "free", "--class-file", "missing.json"],
+], ids=["ldim", "class-greedy", "class-file"])
+def test_a_missing_class_file_is_an_error_not_a_traceback(capsys, tmp_path, monkeypatch, argv) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: missing.json: cannot read: No such file or directory\n"
+
+
 def test_verify_prefix(capsys) -> None:
     assert main(["verify", "prefix:2"]) == 0
     out = capsys.readouterr().out
@@ -142,10 +153,17 @@ def test_verify_lower_3_golden(capsys) -> None:
         "PASS lower:3 ternary mistakes: 27 mistakes in 27 rounds, want 27",
         "PASS lower:3 ternary consistency: every revealed function matches the history",
         "PASS lower:3 ternary dimension: revealed set has dimension at most 3",
-        "PASS lower:3 informative learner: worst case 3 mistakes over 100 orderings per function, bound 3",
+        "PASS lower:3 informative learner: exact worst case 3 mistakes over every query sequence, bound 3",
         "PASS lower:3 flood mistakes: 15 mistakes in 15 rounds, want 15",
         "PASS lower:3 flood dimension: revealed set has dimension at most 3",
     ]
+
+
+def test_verify_lower_output_does_not_depend_on_the_seed(capsys) -> None:
+    assert main(["verify", "lower:3", "--seed", "0"]) == 0
+    seed_0 = capsys.readouterr().out
+    assert main(["verify", "lower:3", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == seed_0
 
 
 def test_verify_prints_a_skipped_check_as_skip(capsys, monkeypatch) -> None:

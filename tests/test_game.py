@@ -212,6 +212,17 @@ def test_game_config_rejects_a_d_that_is_not_a_non_negative_int() -> None:
     assert (GameConfig(d=0).d, GameConfig(d=None).d) == (0, None)
 
 
+def test_game_config_rejects_a_round_cap_or_seed_that_is_not_an_int() -> None:
+    with pytest.raises(ValueError, match="round_cap must be an int >= 1, got True"):
+        GameConfig(d=None, round_cap=True, seed="x")
+    with pytest.raises(ValueError, match="round_cap must be an int >= 1, got '5'"):
+        GameConfig(d=1, round_cap="5")
+    with pytest.raises(ValueError, match="seed must be an int, got 'x'"):
+        GameConfig(d=None, seed="x")
+    with pytest.raises(ValueError, match="seed must be an int, got False"):
+        GameConfig(d=None, seed=False)
+
+
 def test_channel_enforces_round_ordering() -> None:
     from oraclebench.game import RoundChannel, Transcript
 

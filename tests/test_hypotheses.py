@@ -47,6 +47,13 @@ def test_hypothesis_validation() -> None:
         Hypothesis("bad", (-1,), (0,))
 
 
+def test_repr_shows_the_name_and_the_hex_support_without_building_views() -> None:
+    h = Hypothesis("f3", support=0x1A)
+    assert repr(h) == "Hypothesis('f3', support=0x1a)"
+    assert repr(Hypothesis("zero", support=0)) == "Hypothesis('zero', support=0x0)"
+    assert "domain" not in vars(h)
+
+
 def test_extensional_equality_ignores_names_and_zero_padding() -> None:
     a = Hypothesis("a", (0, 1, 5), (1, 0, 0))
     b = Hypothesis("b", (0,), (1,))

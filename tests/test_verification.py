@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from oraclebench import game
+import inspect
+from dataclasses import replace
+
+from oraclebench import adversary, game
 from oraclebench.adversary import TernaryAdversary
 from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
@@ -33,12 +36,12 @@ def test_random_classes_of_dimension_hits_the_target() -> None:
 
 
 def test_verify_lower_passes() -> None:
-    results = verify_lower(2, orderings=10)
+    results = verify_lower(2)
     assert _all_ok(results), [r for r in results if not r.ok]
 
 
 def test_verify_lower_4_runs_both_dimension_checks() -> None:
-    results = {r.name: r for r in verify_lower(4, orderings=2)}
+    results = {r.name: r for r in verify_lower(4)}
     for name in ("lower:4 ternary dimension", "lower:4 flood dimension"):
         assert results[name].ok
         assert results[name].detail == "revealed set has dimension at most 4"
@@ -52,12 +55,51 @@ def test_verify_lower_decides_the_ternary_set_once(monkeypatch) -> None:
         return ldim(functions)
 
     monkeypatch.setattr(game, "ldim", counting_ldim)
-    results = {r.name: r for r in verify_lower(4, orderings=2)}
+    results = {r.name: r for r in verify_lower(4)}
     assert results["lower:4 ternary consistency"].ok
     assert results["lower:4 ternary dimension"].ok
     # the flood:4 set is settled by the size bound; the ternary:4 set
     # (78 distinct functions) is searched once
     assert calls == [78]
+
+
+def _informative_check(d: int):
+    return next(r for r in verify_lower(d) if r.name == f"lower:{d} informative learner")
+
+
+def test_verify_lower_decides_the_informative_learner_exactly() -> None:
+    for d in (1, 2, 3, 4):
+        check = _informative_check(d)
+        assert check.ok
+        assert check.detail == f"exact worst case {d} mistakes over every query sequence, bound {d}"
+
+
+def test_a_planted_digit_comparison_fault_fails_the_check(monkeypatch) -> None:
+    source = inspect.getsource(adversary._analyze)
+    assert source.count("z_i < r_i") == 1
+    namespace = dict(vars(adversary))
+    exec(source.replace("z_i < r_i", "z_i > r_i"), namespace)
+    monkeypatch.setattr(adversary, "_analyze", namespace["_analyze"])
+    check = _informative_check(3)
+    assert not check.ok
+    assert check.detail.startswith("learner fault on 23 of 27 functions, first f0: ")
+
+
+def test_a_step_without_progress_fails_the_check(monkeypatch) -> None:
+    # a mistake that moves the witness to a new point but certifies no
+    # digit: the state changes without progress, which the cut-off must not
+    # hide as a capped count
+    advance = adversary._advance
+
+    def stalled(state, witness, digit):
+        if state.witness in (None, witness):
+            return advance(state, witness, digit)
+        return replace(state, witness=witness)
+
+    monkeypatch.setattr(adversary, "_advance", stalled)
+    check = _informative_check(2)
+    assert not check.ok
+    assert "makes no progress" in check.detail
 
 
 def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
