@@ -12,7 +12,7 @@ forcing a mistake every round.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InconsistentOracleClass, NonRealizable
 from .hypotheses import (
@@ -228,9 +228,8 @@ def _advance(state: InformativeState, witness: Point, digit: int | None) -> Info
     ``digit`` (None on the first mistake, which certifies a witness and no
     known digit); at depth d the witness pins down the hidden index."""
     digits = state.known_digits + (() if digit is None else (digit,))
-    out = replace(state, known_digits=digits, witness=witness)
     if len(digits) + 1 < state.d:
-        return out
+        return _successor(state, digits, witness)
     last = ternary_digit(witness, 0)
     if last == 0:
         raise InconsistentOracleClass(
@@ -240,7 +239,28 @@ def _advance(state: InformativeState, witness: Point, digit: int | None) -> Info
     for position, known in zip(range(state.d - 1, 0, -1), digits):
         r += known * 3**position
     f = ternary_function(r, state.d, state.labels[: r + 1])
-    return replace(out, recovered_index=r, recovered=f)
+    return _successor(state, digits, witness, r, f)
+
+
+def _successor(
+    state: InformativeState,
+    known_digits: tuple[int, ...],
+    witness: Point,
+    recovered_index: int | None = None,
+    recovered: Hypothesis | None = None,
+) -> InformativeState:
+    """``state`` with new progress fields. Its labels carry over unchanged,
+    so the successor is built field by field, without re-running the
+    label-count check of ``__post_init__`` as ``dataclasses.replace`` would."""
+    out = object.__new__(InformativeState)
+    set_field = object.__setattr__  # the dataclass is frozen
+    set_field(out, "d", state.d)
+    set_field(out, "labels", state.labels)
+    set_field(out, "known_digits", known_digits)
+    set_field(out, "witness", witness)
+    set_field(out, "recovered_index", recovered_index)
+    set_field(out, "recovered", recovered)
+    return out
 
 
 def _analyze(

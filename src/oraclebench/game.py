@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .errors import (
     DimensionViolation,
@@ -23,7 +23,7 @@ from .errors import (
     TranscriptError,
 )
 from .hypotheses import Bit, Hypothesis, Point, Sample, is_consistent, point_bit
-from .littlestone import ldim
+from .littlestone import _DimensionEngine, ldim
 
 
 class Adversary(Protocol):
@@ -52,7 +52,8 @@ class GameConfig:
     adversary); ``validation`` is "consistency" (always-on history check)
     or "full" (additionally check the revealed set's dimension each round
     that reveals a new distinct function, up to ``DIMENSION_CHECK_LIMIT``
-    of them; README "Size guards" has the measurements).
+    of them, on one dimension engine that grows with the game; README
+    "Size guards" has the measurements).
     """
 
     d: int | None
@@ -116,23 +117,31 @@ class GameStopped(Exception):
         self.reason = reason
 
 
-# The dimension check decides at most 3^4 distinct functions, the ternary:4
-# set. validation="full" pays it each round that reveals a new function:
-# about 0.1 s over a whole ternary:4 game, where 3^5 = 243 would cost about
-# 7 s over a ternary:5 game, each round searching afresh.
-DIMENSION_CHECK_LIMIT = 81
+# The dimension check decides at most 3^5 distinct functions, the ternary:5
+# set. validation="full" pays it each round that reveals a new function, on
+# one engine that grows with the game and keeps its memo: about 0.01 s over
+# a whole ternary:4 game and 0.3-0.4 s over a ternary:5 game (README "Size
+# guards").
+DIMENSION_CHECK_LIMIT = 243
+
+
+def _guarded(count: int, d: int, search: Callable[[], bool]) -> bool | None:
+    """The dimension guard on ``count`` distinct functions: False with no
+    search for fewer than 2^(d+1) of them (ldim <= log2 n), None (undecided)
+    for more than DIMENSION_CHECK_LIMIT, else ``search()``, which decides
+    whether their dimension is above d."""
+    if count.bit_length() <= d + 1:
+        return False
+    if count > DIMENSION_CHECK_LIMIT:
+        return None
+    return search()
 
 
 def exceeds_dimension(functions: Iterable[Hypothesis], d: int) -> bool | None:
-    """Whether the distinct functions have dimension above d: False with no
-    search for fewer than 2^(d+1) of them (ldim <= log2 n), None (undecided)
-    for more than DIMENSION_CHECK_LIMIT."""
+    """Whether the distinct functions have dimension above d, or None where
+    the guard leaves that undecided (see ``_guarded``)."""
     distinct = {f.support: f for f in functions}
-    if len(distinct).bit_length() <= d + 1:
-        return False
-    if len(distinct) > DIMENSION_CHECK_LIMIT:
-        return None
-    return ldim(list(distinct.values())) > d
+    return _guarded(len(distinct), d, lambda: ldim(list(distinct.values())) > d)
 
 
 class _History:
@@ -171,7 +180,10 @@ class RoundChannel:
         self._config = config
         self._transcript = transcript
         self._history = _History()
-        self._distinct: dict[int, Hypothesis] = {}
+        # the revealed set, grown one new distinct function at a time while
+        # validation="full" can still decide its dimension
+        self._engine: _DimensionEngine | None = None
+        self._checking = config.validation == "full" and config.d is not None
         self._pending: Point | None = None
 
     def next_point(self) -> Point:
@@ -222,12 +234,21 @@ class RoundChannel:
             raise IllegalAdversaryFunction(
                 f"round {len(self._transcript.rounds)}: function {f.name!r} contradicts the revealed history"
             )
-        d = self._config.d
-        if self._config.validation == "full" and d is not None and f.support not in self._distinct:
-            self._distinct[f.support] = f
-            # past the guard the answer is never True, so skip its O(n) dedup
-            if len(self._distinct) <= DIMENSION_CHECK_LIMIT and exceeds_dimension(self._distinct.values(), d):
-                raise DimensionViolation(f"revealed set has dimension above {d}")
+        if self._checking:
+            self._check_dimension(f)
+
+    def _check_dimension(self, f: Hypothesis) -> None:
+        engine, d = self._engine, self._config.d
+        if engine is None:
+            engine = self._engine = _DimensionEngine((f,))
+        elif not engine.add(f):
+            return
+        over = _guarded(len(engine.hyps), d, lambda: engine.at_least(engine.full, d + 1))
+        if over is None:
+            # past the guard no later round is decided either
+            self._checking, self._engine = False, None
+        elif over:
+            raise DimensionViolation(f"round {len(self._transcript.rounds)}: revealed set has dimension above {d}")
 
 
 def run_game(learner: Learner, adversary: Adversary, config: GameConfig) -> Transcript:

@@ -5,9 +5,9 @@ A set of functions has dimension at least d > 0 iff some point x splits
 it into two non-empty restrictions {f : f(x) = 0} and {f : f(x) = 1}
 that both have dimension at least d - 1. One memoized decision search
 answers that question, and the dimension is found by deepening it: the
-deepest d for which it holds. Each split tests its smaller side first,
-which a size bound (dimension d needs 2^d functions) often refutes with
-no search. Internally the distinct functions are numbered, a set of
+deepest d for which it holds. A split is searched only when both sides
+pass the size bound (dimension d needs 2^d functions), and then its
+smaller side first. Internally the distinct functions are numbered, a set of
 them is an int with one bit per index, and each point has a column: the
 index mask of the functions that are 1 there. Splitting a set at a point
 is then one AND with the column, and only the first point of each
@@ -22,7 +22,7 @@ from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import EmptyClass, IllegalLabel, PointError, SizeLimitExceeded
-from .hypotheses import Hypothesis, HypothesisClass, Point, Sample, distinct, is_consistent, mask_points
+from .hypotheses import Hypothesis, HypothesisClass, Point, Sample, is_consistent, mask_points
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,34 @@ class _DimensionEngine:
     One engine serves one family of hypotheses: member i of its distinct
     members is bit i of a set, so the memo is keyed by (set, depth) ints.
     ``columns`` holds (point, column) for the first point of each column
-    that can split a set, in increasing point order. Raises EmptyClass
-    when there are no hypotheses.
+    that can split a set, in increasing point order. The family can grow
+    by ``add``. Raises EmptyClass when there are no hypotheses.
     """
 
     def __init__(self, hyps: Iterable[Hypothesis]):
-        self.hyps = distinct(hyps)
-        if not self.hyps:
+        self._members = dict.fromkeys(hyps)  # first occurrences, in order
+        if not self._members:
             raise EmptyClass("the set of hypotheses is empty")
+        self.hyps = list(self._members)
         self.full = (1 << len(self.hyps)) - 1
         self._memo: dict[tuple[int, int], bool] = {}
+
+    def add(self, h: Hypothesis) -> bool:
+        """Make ``h`` the next member, unless it equals one already there;
+        True iff it was added. Every memo entry stays valid: a set's
+        dimension does not depend on members outside the set."""
+        if h in self._members:
+            return False
+        self._members[h] = None
+        bit = 1 << len(self.hyps)
+        self.hyps.append(h)
+        self.full |= bit
+        if "_point_columns" in self.__dict__:
+            col = self._point_columns
+            for x in mask_points(h.support):
+                col[x] = col.get(x, 0) | bit
+        self.__dict__.pop("columns", None)
+        return True
 
     @cached_property
     def _point_columns(self) -> dict[Point, int]:
@@ -138,12 +156,14 @@ class _DimensionEngine:
     def at_least(self, s: int, d: int) -> bool:
         """Decision procedure: does the set shatter some depth-d tree?
 
-        Each split tests its smaller side first, the side more likely to
-        fail, and often on the size bound alone.
+        A split is searched only if both sides pass the size bound for
+        depth d - 1, and then its smaller side first, the side more likely
+        to fail.
         """
         if d <= 0:
             return True
-        if s.bit_count() < (1 << d):  # size bound: ldim <= log2 |H|
+        n = s.bit_count()
+        if n < (1 << d):  # size bound: ldim <= log2 |H|
             return False
         if d == 1:  # exact here: two distinct functions differ somewhere
             return True
@@ -151,10 +171,18 @@ class _DimensionEngine:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        ok = any(
-            self.at_least(small, d - 1) and self.at_least(s ^ small, d - 1)
-            for small in (min(zero, one, key=int.bit_count) for _, zero, one in self.splits(s))
-        )
+        need = 1 << (d - 1)
+        ok = False
+        seen: set[int] = set()
+        for _, col in self.columns:
+            one = s & col
+            k = one.bit_count()
+            if need <= k <= n - need and one not in seen:
+                seen.add(one)
+                small, big = (one, s ^ one) if k < n - k else (s ^ one, one)
+                if self.at_least(small, d - 1) and self.at_least(big, d - 1):
+                    ok = True
+                    break
         self._memo[key] = ok
         return ok
 

@@ -310,6 +310,7 @@ def test_informative_learner_exact_after_recovery() -> None:
         mistakes, state = _play(2, labels, r, list(range(9)) * 2)
         if state.recovered_index is not None:
             f_r = ternary_function(r, 2, labels[: r + 1])
+            assert state.recovered == f_r and state.recovered.name == f"f{r}"
             assert all(informative_step(state, z, f_r(z)) == (f_r(z), state) for z in range(12))
 
 

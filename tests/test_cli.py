@@ -79,13 +79,13 @@ def test_simulate_reports_a_revealed_set_above_its_d(capsys) -> None:
 
 
 def test_simulate_prints_a_skipped_dimension_check(capsys) -> None:
-    assert main(_simulate_free(100)) == 0
+    assert main(_simulate_free(250)) == 0
     assert capsys.readouterr().out == (
-        "mistakes=100 rounds=100 stopped_by=round_cap validation=ok "
-        "(dimension check skipped: 100 distinct functions exceed the guard of 81)\n"
+        "mistakes=250 rounds=250 stopped_by=round_cap validation=ok "
+        "(dimension check skipped: 250 distinct functions exceed the guard of 243)\n"
     )
-    assert main(["simulate", "--learner", "predict", "--adversary", "ternary:5"]) == 0
-    assert "validation=ok (dimension check skipped: 230 distinct" in capsys.readouterr().out
+    assert main(["simulate", "--learner", "predict", "--adversary", "ternary:6"]) == 0
+    assert "validation=ok (dimension check skipped: 694 distinct" in capsys.readouterr().out
 
 
 def test_simulate_unknown_learner(capsys) -> None:

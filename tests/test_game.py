@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -86,17 +87,49 @@ def test_full_validation_catches_dimension_violation() -> None:
 
 def test_full_validation_checks_every_round_up_to_the_guard() -> None:
     # a free game reveals a chain; the 64th function takes it to dimension
-    # 6, past 32 distinct functions but within the guard of 81
+    # 6, past 32 distinct functions but within the guard of 243
     run_game(PredictLearner(), FreeAdversary(), GameConfig(d=5, round_cap=63, validation="full"))
     config = GameConfig(d=5, round_cap=64, validation="full")
     with pytest.raises(DimensionViolation, match="revealed set has dimension above 5"):
         run_game(PredictLearner(), FreeAdversary(), config)
 
 
+@pytest.mark.parametrize(
+    "adversary, d, round_index",
+    [
+        # the 128th function, revealed in round 127, takes the chain to dimension 7
+        (FreeAdversary, 6, 127),
+        # the ternary:5 set passes dimension 4 at 118 distinct functions
+        (lambda: TernaryAdversary(5), 4, 121),
+    ],
+)
+def test_full_validation_names_the_round_past_the_old_guard_of_81(adversary, d, round_index) -> None:
+    run_game(PredictLearner(), adversary(), GameConfig(d=d, round_cap=round_index, validation="full"))
+    config = GameConfig(d=d, round_cap=300, validation="full")
+    with pytest.raises(DimensionViolation, match=rf"^round {round_index}: revealed set has dimension above {d}$"):
+        run_game(PredictLearner(), adversary(), config)
+
+
+def test_full_validation_stops_checking_past_the_guard() -> None:
+    # dimension 8 arrives with the 256th distinct function, past the guard of 243
+    config = GameConfig(d=7, round_cap=300, validation="full")
+    t = run_game(PredictLearner(), FreeAdversary(), config)
+    assert len(t.rounds) == 300 and t.stopped_by == "round_cap"
+    assert validate_transcript(t).notes == ("dimension check skipped: 300 distinct functions exceed the guard of 243",)
+
+
 def test_full_validation_passes_legal_adversary() -> None:
     config = GameConfig(d=2, round_cap=50, validation="full")
     t = run_game(PredictLearner(), TernaryAdversary(2), config)
     assert t.mistake_count == 9
+
+
+def test_full_validation_decides_a_whole_ternary_5_game_quickly() -> None:
+    start = time.perf_counter()
+    t = run_game(PredictLearner(), TernaryAdversary(5), GameConfig(d=5, round_cap=300, validation="full"))
+    assert t.mistake_count == 243
+    # its 167 searches share one growing engine: about 0.3 s
+    assert time.perf_counter() - start < 2
 
 
 def test_mistake_count_recomputable_from_rounds() -> None:
@@ -137,15 +170,17 @@ def test_validate_transcript_passes_and_detects_tampering() -> None:
 
 
 def test_validate_transcript_size_guard_note() -> None:
-    t = run_game(PredictLearner(), TernaryAdversary(5), GameConfig(d=5, round_cap=300))
+    t = run_game(PredictLearner(), TernaryAdversary(6), GameConfig(d=6, round_cap=800))
     report = validate_transcript(t)
-    assert report.passed and report.checks == 243
+    assert report.passed and report.checks == 729
     assert report.notes == (
-        "dimension check skipped: 230 distinct functions exceed the guard of 81",
+        "dimension check skipped: 694 distinct functions exceed the guard of 243",
     )
 
 
-@pytest.mark.parametrize("adversary, d, checks", [(FloodAdversary, 5, 64), (TernaryAdversary, 4, 82)])
+@pytest.mark.parametrize(
+    "adversary, d, checks", [(FloodAdversary, 5, 64), (TernaryAdversary, 4, 82), (TernaryAdversary, 5, 244)]
+)
 def test_validate_transcript_decides_sets_up_to_the_guard(adversary, d, checks) -> None:
     t = run_game(PredictLearner(), adversary(d), GameConfig(d=d, round_cap=300))
     report = validate_transcript(t)
@@ -179,14 +214,14 @@ def test_exceeds_dimension_agrees_with_brute_force(family, d) -> None:
         assert over is False
 
 
-def test_exceeds_dimension_skips_only_past_81_distinct_functions() -> None:
+def test_exceeds_dimension_skips_only_past_243_distinct_functions() -> None:
     def prefix_functions(count: int) -> list[Hypothesis]:
         return [Hypothesis(f"f{n}", support=(1 << n) - 1) for n in range(count)]
 
-    assert exceeds_dimension(prefix_functions(81), 1) is True
-    assert exceeds_dimension(prefix_functions(81) * 2, 1) is True
-    assert exceeds_dimension(prefix_functions(82), 1) is None
-    assert exceeds_dimension(prefix_functions(127), 6) is False  # size bound first
+    assert exceeds_dimension(prefix_functions(243), 1) is True
+    assert exceeds_dimension(prefix_functions(243) * 2, 1) is True
+    assert exceeds_dimension(prefix_functions(244), 1) is None
+    assert exceeds_dimension(prefix_functions(255), 7) is False  # size bound first
     assert exceeds_dimension([], 0) is False
 
 

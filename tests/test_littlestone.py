@@ -281,6 +281,28 @@ def test_engine_agrees_with_the_definitional_oracles(c: HypothesisClass) -> None
         assert tree is None or is_shattered(tree, c)
 
 
+@given(classes_with_repeats())
+@settings(max_examples=150, deadline=None)
+def test_a_growing_engine_answers_as_a_fresh_engine(c: HypothesisClass) -> None:
+    members = c.hypotheses
+    grown = littlestone._DimensionEngine(members[:1])
+    for i in range(1, len(members)):
+        before = dict(grown._memo)
+        grown.columns  # noqa: B018 - build the point columns, so that add must extend them
+        assert grown.add(members[i]) == (members[i] not in members[:i])
+        prefix = members[: i + 1]
+        fresh = littlestone._DimensionEngine(prefix)
+        assert (grown.hyps, grown.full, grown.columns) == (fresh.hyps, fresh.full, fresh.columns)
+        dim = grown.ldim(grown.full)
+        assert dim == fresh.ldim(fresh.full) == brute_ldim(prefix, c.domain)  # at most 8 distinct
+        for k in range(dim + 2):
+            assert grown.at_least(grown.full, k) == fresh.at_least(fresh.full, k) == (k <= dim)
+        # sets without the new member keep their answers, which a fresh engine confirms
+        for (s, k), answer in before.items():
+            assert grown._memo[s, k] == grown.at_least(s, k) == answer
+            assert fresh.at_least(s, k) == answer
+
+
 def test_certificates_match_recorded_output() -> None:
     # Recorded from the frozenset-of-supports engine: a certificate depends
     # on the split visit order (increasing point, first point per induced

@@ -106,16 +106,16 @@ def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
     def revealed(d: int):
         return run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d)).functions
 
-    skipped = _dimension_check("ternary dimension", revealed(5), 5)
+    skipped = _dimension_check("ternary dimension", revealed(6), 6)
     assert skipped.skipped and skipped.ok
     assert "skipped" in skipped.detail
-    functions = revealed(4)
-    run = _dimension_check("ternary dimension", functions, 4)
+    functions = revealed(5)
+    run = _dimension_check("ternary dimension", functions, 5)
     assert run.ok and not run.skipped
-    assert run.detail == "revealed set has dimension at most 4"
-    over = _dimension_check("ternary dimension", functions, 3)
+    assert run.detail == "revealed set has dimension at most 5"
+    over = _dimension_check("ternary dimension", functions, 4)
     assert not over.ok and not over.skipped
-    assert over.detail == "revealed set has dimension above 3"
+    assert over.detail == "revealed set has dimension above 4"
 
 
 def test_verify_upper_passes_at_reduced_scale() -> None:
