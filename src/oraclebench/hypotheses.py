@@ -32,9 +32,12 @@ MASK_WIDTH = 1 << 20
 _BITS = frozenset((0, 1))
 # bin() digits to byte values 0/1, so itertools.compress can select by them
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-# One shared int object per point: the tuples mask_points returns then cost
-# a pointer per point rather than a fresh int each.
-_POINTS: list[Point] = []
+# The points 0, 1, 2, ... as one shared tuple, so a view costs a pointer per
+# point rather than a fresh int each. It grows by doubling, capped at
+# MASK_WIDTH, and keeps its int objects when it grows: growing it to each
+# wider mask exactly would copy it once per request, quadratic over a long
+# game whose functions widen by a point at a time.
+_POINTS: tuple[Point, ...] = ()
 
 
 def point_bit(x: Point) -> int:
@@ -65,10 +68,19 @@ def _check_points(points: tuple, what: str = "") -> None:
 
 
 def mask_points(mask: int) -> tuple[Point, ...]:
-    """The set bits of ``mask``, in increasing order."""
+    """The set bits of ``mask``, in increasing order.
+
+    A single run of ones, such as every function a ``free`` game reveals,
+    is one slice of the point pool; any other mask is a scan of its bits.
+    """
+    global _POINTS
+    width = mask.bit_length()
+    if width > len(_POINTS):
+        _POINTS += tuple(range(len(_POINTS), max(width, min(2 * len(_POINTS), MASK_WIDTH))))
+    low = mask & -mask
+    if mask & (mask + low) == 0:  # no 0 bit between the lowest and highest 1
+        return _POINTS[low.bit_length() - 1 : width] if mask else ()
     bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    if len(bits) > len(_POINTS):
-        _POINTS.extend(range(len(_POINTS), len(bits)))
     return tuple(compress(_POINTS, bits))
 
 

@@ -85,9 +85,15 @@ class ActiveList:
 
     def delete(self, positions: Iterable[int]) -> None:
         doomed = set(positions)
+        if not doomed:
+            return
+        functions = self._functions
         for i in doomed:
-            self._supports.discard(self._functions[i].support)
-        self._functions = [h for i, h in enumerate(self._functions) if i not in doomed]
+            self._supports.discard(functions[i].support)
+        # only the tail from the first deleted position moves: a halving
+        # deletes inside the voted suffix, so it pays for that suffix alone
+        first = min(doomed)
+        functions[first:] = [h for i, h in enumerate(functions[first:], first) if i not in doomed]
 
 
 @dataclass
@@ -309,19 +315,21 @@ def check_advanced(
     # of the subsets and so the first counterexample
     engine = _DimensionEngine(sorted(hyps, key=lambda h: h.support))
     need = [_required_dimension(size, total, gamma) for size in range(total + 1)]
+    bits = [1 << i for i in range(total)]
     if sample_count is None:
-        picks = itertools.chain.from_iterable(
-            itertools.combinations(range(total), size) for size in range(1, total + 1)
+        subsets = itertools.chain.from_iterable(
+            map(sum, itertools.combinations(bits, size)) for size in range(1, total + 1)
         )
     else:
         rng = random.Random(seed)
-        picks = [tuple(range(total))]
+        subsets = [engine.full]
         for _ in range(sample_count):
             size = rng.randint(1, total)
-            picks.append(tuple(sorted(rng.sample(range(total), size))))
-    for checked, combo in enumerate(picks, 1):
-        if not engine.at_least(sum(1 << i for i in combo), need[len(combo)]):
-            return AdvancedCheck(False, gamma, checked, tuple(engine.hyps[i] for i in combo))
+            subsets.append(sum(bits[i] for i in rng.sample(range(total), size)))
+    for checked, subset in enumerate(subsets, 1):
+        if not engine.at_least(subset, need[subset.bit_count()]):
+            members = tuple(h for h, bit in zip(engine.hyps, bits) if subset & bit)
+            return AdvancedCheck(False, gamma, checked, members)
     return AdvancedCheck(True, gamma, checked, None)
 
 

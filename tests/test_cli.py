@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +256,22 @@ def test_a_malformed_spec_is_an_error_not_a_traceback(capsys, argv, spec) -> Non
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {spec} is not an integer >= ")
+
+
+def test_a_closed_stdout_pipe_is_exit_1_not_a_traceback() -> None:
+    # the reader is gone before the CLI writes a byte, as in `... | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "oraclebench.cli", "simulate", "--learner", "predict",
+             "--adversary", "ternary:1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "BrokenPipeError" not in done.stderr

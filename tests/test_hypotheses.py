@@ -13,6 +13,7 @@ from oraclebench.errors import (
     EmptyClass,
     PointError,
 )
+from oraclebench import hypotheses
 from oraclebench.hypotheses import (
     MASK_WIDTH,
     Hypothesis,
@@ -21,6 +22,7 @@ from oraclebench.hypotheses import (
     distinct,
     is_consistent,
     load_class_file,
+    mask_points,
     save_class_file,
 )
 
@@ -249,3 +251,44 @@ def test_negative_points_raise_a_typed_error() -> None:
         Hypothesis("h", (0,), (1,))(-1)
     with pytest.raises(PointError):
         Hypothesis("h", support=-1)
+
+
+# ----------------------------------------------------------------------
+# the read-only views: mask_points and their sharing
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+one_runs = st.builds(lambda lo, n: ((1 << n) - 1) << lo, st.integers(0, 3000), st.integers(1, 5000))
+masks = st.one_of(
+    st.just(0),
+    st.integers(1, 5000).map(lambda n: (1 << n) - 1),  # a run from 0, as free reveals
+    st.integers(0, 5000).map((1).__lshift__),  # a single bit
+    one_runs,
+    st.integers(0, 1 << 300),  # any mask, mostly several runs
+)
+
+
+@given(mask=masks)
+def test_mask_points_lists_the_set_bits_in_order(mask) -> None:
+    assert mask_points(mask) == _set_bits(mask)
+
+
+def test_mask_points_grows_the_pool_for_a_mask_wider_than_it() -> None:
+    width = min(2 * len(hypotheses._POINTS) + 3, MASK_WIDTH)
+    for mask in ((1 << width) - 1, (1 << width) - 3, 1 << width - 1 | 1):
+        assert mask_points(mask) == _set_bits(mask)
+        assert len(hypotheses._POINTS) >= width
+
+
+@pytest.mark.parametrize("support", [0b1110, 0b1011, 0], ids=["one run", "two runs", "empty"])
+def test_equal_supports_share_one_domain_and_values_object(support) -> None:
+    # built separately, one from a mask and one from a table
+    f = Hypothesis("f", support=support)
+    points = tuple(range(6))
+    g = Hypothesis("g", points, tuple(support >> x & 1 for x in points))
+    assert f.domain is g.domain
+    assert f.values is g.values
+    assert f.domain == _set_bits(support)

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import hyp
 from oraclebench.errors import (
@@ -98,6 +100,27 @@ def test_active_list_delete_preserves_order_and_frees_supports() -> None:
     assert [h.name for h in lst] == ["h0", "h3"]
     lst.append(hyp("again", "010"))  # deleted functions may return later
     assert [h.name for h in lst] == ["h0", "h3", "again"]
+
+
+@given(doomed_flags=st.lists(st.booleans(), max_size=12), unordered=st.booleans())
+def test_active_list_delete_matches_a_plain_list(doomed_flags, unordered) -> None:
+    # all False is the empty deletion, all True deletes everything, and any
+    # other pattern may leave kept functions after deleted ones
+    functions = [Hypothesis(f"h{i}", support=1 << i) for i in range(len(doomed_flags))]
+    lst = ActiveList()
+    for h in functions:
+        lst.append(h)
+    doomed = [i for i, flag in enumerate(doomed_flags) if flag]
+    lst.delete(reversed(doomed) if unordered else doomed)
+    kept = [h for h, flag in zip(functions, doomed_flags) if not flag]
+    assert list(lst) == kept
+    assert len(lst) == len(kept)
+    for h in kept:
+        with pytest.raises(RepeatedActiveFunction):
+            lst.append(Hypothesis("copy", support=h.support))
+    for i in doomed:
+        lst.append(Hypothesis(f"again{i}", support=1 << i))
+    assert [h.name for h in lst] == [h.name for h in kept] + [f"again{i}" for i in doomed]
 
 
 def test_empty_list_predicts_zero() -> None:
@@ -291,7 +314,10 @@ def test_check_advanced_detects_violations_at_higher_gamma() -> None:
     # a singleton subset needs dimension >= 2 + log16(1/16) = 1: impossible
     check = check_advanced(_distinct_functions(16), 2)
     assert not check.ok
-    assert len(check.counterexample) >= 1
+    # subsets run by size, then in support order: the first singleton,
+    # h15's (support 0b1000), fails first
+    assert check.subsets_checked == 1
+    assert [h.name for h in check.counterexample] == ["h15"]
 
 
 def test_check_advanced_rejects_duplicates_and_oversize() -> None:
