@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from .errors import (
     DimensionViolation,
@@ -23,7 +23,7 @@ from .errors import (
     TranscriptError,
 )
 from .hypotheses import Bit, Hypothesis, Point, Sample, is_consistent, point_bit
-from .littlestone import _DimensionEngine, ldim
+from .littlestone import _DimensionEngine, ldim  # noqa: F401  (perfbench traces game.ldim)
 
 
 class Adversary(Protocol):
@@ -50,10 +50,10 @@ class GameConfig:
 
     ``d`` is the declared dimension bound (None for an unconstrained
     adversary); ``validation`` is "consistency" (always-on history check)
-    or "full" (additionally check the revealed set's dimension each round
-    that reveals a new distinct function, up to ``DIMENSION_CHECK_LIMIT``
-    of them, on one dimension engine that grows with the game; README
-    "Size guards" has the measurements).
+    or "full" (additionally decide the revealed set's dimension in each
+    round that reveals one of its first ``DIMENSION_CHECK_LIMIT`` distinct
+    functions; later functions are undecided, so past them only the
+    history is checked). README "Size guards" has the rule and timings.
     """
 
     d: int | None
@@ -117,54 +117,72 @@ class GameStopped(Exception):
         self.reason = reason
 
 
-# The dimension check decides at most 3^5 distinct functions, the ternary:5
-# set. validation="full" pays it each round that reveals a new function, on
-# one engine that grows with the game and keeps its memo: about 0.01 s over
-# a whole ternary:4 game and 0.3-0.4 s over a ternary:5 game (README "Size
-# guards").
+# One rule bounds every revealed-set dimension check: decide the first 243
+# distinct functions (3^5, the ternary:5 set); past them, later functions are
+# undecided. validation="full" decides after each new one, on one engine that
+# grows with the game and keeps its memo: about 0.01 s over a whole ternary:4
+# game and 0.3 s over a ternary:5 game (README "Size guards").
 DIMENSION_CHECK_LIMIT = 243
 
 
-def _guarded(count: int, d: int, search: Callable[[], bool]) -> bool | None:
-    """The dimension guard on ``count`` distinct functions: False with no
-    search for fewer than 2^(d+1) of them (ldim <= log2 n), None (undecided)
-    for more than DIMENSION_CHECK_LIMIT, else ``search()``, which decides
-    whether their dimension is above d."""
-    if count.bit_length() <= d + 1:
-        return False
-    if count > DIMENSION_CHECK_LIMIT:
-        return None
-    return search()
+class _Referee:
+    """The rule a legal adversary keeps: every revealed function agrees with
+    the history, held as the masks of the 1- and of the 0-labeled points, and
+    with ``d`` set the revealed set stays within dimension d. The first
+    DIMENSION_CHECK_LIMIT distinct functions grow one dimension engine."""
+
+    def __init__(self, d: int | None):
+        self.d = d
+        self.ones = self.zeros = 0
+        self.supports: set[int] = set()  # of the distinct functions added
+        self._engine: _DimensionEngine | None = None
+
+    def admit(self, index: int, x: Point, y: Bit, f: Hypothesis) -> bool:
+        """Add round ``index``'s pair (x, y), and ``f`` with ``d`` set; True iff
+        ``f`` joined the engine. Raises IllegalAdversaryFunction unless ``f``
+        agrees with the history; a label that is not a bit labels x both ways."""
+        bit = point_bit(x)
+        if y != 0:
+            self.ones |= bit
+        if y != 1:
+            self.zeros |= bit
+        if self.ones & ~f.support or f.support & self.zeros:
+            raise IllegalAdversaryFunction(f"round {index}: function {f.name!r} contradicts the revealed history")
+        return self.d is not None and self.add(f)
+
+    def add(self, f: Hypothesis) -> bool:
+        """Add ``f`` to the revealed set; True iff it joined the engine."""
+        if f.support in self.supports:
+            return False
+        self.supports.add(f.support)
+        if len(self.supports) > DIMENSION_CHECK_LIMIT:
+            return False
+        if self._engine is None:
+            self._engine = _DimensionEngine((f,))
+        else:
+            self._engine.add(f)
+        return True
+
+    def exceeds(self) -> bool | None:
+        """Whether the revealed set has dimension above ``d``: False with no
+        search for fewer than 2^(d+1) distinct functions (ldim <= log2 n),
+        True when the engine's functions are above d whatever follows them,
+        None (undecided) when they are not and more follow, else False."""
+        n = len(self.supports)
+        if n.bit_length() <= self.d + 1:
+            return False
+        if self._engine.at_least(self._engine.full, self.d + 1):
+            return True
+        return None if n > DIMENSION_CHECK_LIMIT else False
 
 
 def exceeds_dimension(functions: Iterable[Hypothesis], d: int) -> bool | None:
     """Whether the distinct functions have dimension above d, or None where
-    the guard leaves that undecided (see ``_guarded``)."""
-    distinct = {f.support: f for f in functions}
-    return _guarded(len(distinct), d, lambda: ldim(list(distinct.values())) > d)
-
-
-class _History:
-    """The labels revealed so far, as masks of the 1- and 0-labeled points:
-    the engine's per-round check and validate_transcript's offline one,
-    a few big-int operations per round however long the history is."""
-
-    def __init__(self) -> None:
-        self.ones = 0
-        self.zeros = 0
-
-    def admits(self, x: Point, y: Bit, f: Hypothesis) -> bool:
-        """Add the pair (x, y); True iff ``f`` agrees with every pair so far.
-        A label that is not 0 or 1 is never admitted, and a point labeled
-        both ways leaves no function to agree with."""
-        bit = point_bit(x)
-        if y == 1:
-            self.ones |= bit
-        elif y == 0:
-            self.zeros |= bit
-        else:
-            return False
-        return self.ones & ~f.support == 0 and f.support & self.zeros == 0
+    that is undecided (see ``_Referee.exceeds``)."""
+    referee = _Referee(d)
+    for f in functions:
+        referee.add(f)
+    return referee.exceeds()
 
 
 class RoundChannel:
@@ -179,11 +197,7 @@ class RoundChannel:
         self._adversary = adversary
         self._config = config
         self._transcript = transcript
-        self._history = _History()
-        # the revealed set, grown one new distinct function at a time while
-        # validation="full" can still decide its dimension
-        self._engine: _DimensionEngine | None = None
-        self._checking = config.validation == "full" and config.d is not None
+        self._referee = _Referee(config.d if config.validation == "full" else None)
         self._pending: Point | None = None
 
     def next_point(self) -> Point:
@@ -201,15 +215,17 @@ class RoundChannel:
         if self._pending is None:
             raise RuntimeError("submit called before next_point")
         rounds = self._transcript.rounds
+        index = len(rounds)
         if type(y_hat) is not int or y_hat not in (0, 1):
-            raise IllegalPrediction(f"round {len(rounds)}: prediction {y_hat!r} is not the int 0 or 1")
+            raise IllegalPrediction(f"round {index}: prediction {y_hat!r} is not the int 0 or 1")
         x = self._pending
         self._pending = None
         y, f = self._adversary.respond(x, y_hat)
         if type(y) is not int or y not in (0, 1):
-            raise IllegalAdversaryFunction(f"round {len(rounds)}: label {y!r} is not the int 0 or 1")
-        self._validate(x, y, f)
-        rounds.append(Round(len(rounds), x, y_hat, y, y != y_hat, f, vote_width, active_count))
+            raise IllegalAdversaryFunction(f"round {index}: label {y!r} is not the int 0 or 1")
+        if self._referee.admit(index, x, y, f) and self._referee.exceeds():
+            raise DimensionViolation(f"round {index}: revealed set has dimension above {self._config.d}")
+        rounds.append(Round(index, x, y_hat, y, y != y_hat, f, vote_width, active_count))
         return y
 
     def oracle(self, sample: Sample) -> Hypothesis:
@@ -228,27 +244,6 @@ class RoundChannel:
         rounds = self._transcript.rounds
         if rounds:
             rounds[-1].appended, rounds[-1].deleted = tuple(appended), tuple(deleted)
-
-    def _validate(self, x: Point, y: Bit, f: Hypothesis) -> None:
-        if not self._history.admits(x, y, f):
-            raise IllegalAdversaryFunction(
-                f"round {len(self._transcript.rounds)}: function {f.name!r} contradicts the revealed history"
-            )
-        if self._checking:
-            self._check_dimension(f)
-
-    def _check_dimension(self, f: Hypothesis) -> None:
-        engine, d = self._engine, self._config.d
-        if engine is None:
-            engine = self._engine = _DimensionEngine((f,))
-        elif not engine.add(f):
-            return
-        over = _guarded(len(engine.hyps), d, lambda: engine.at_least(engine.full, d + 1))
-        if over is None:
-            # past the guard no later round is decided either
-            self._checking, self._engine = False, None
-        elif over:
-            raise DimensionViolation(f"round {len(self._transcript.rounds)}: revealed set has dimension above {d}")
 
 
 def run_game(learner: Learner, adversary: Adversary, config: GameConfig) -> Transcript:
@@ -292,36 +287,31 @@ def validate_transcript(t: Transcript) -> ValidationReport:
     failures: list[str] = []
     notes: list[str] = []
     checks = 0
-    history = _History()
+    d = t.config.d
+    referee = _Referee(d)
     for i, r in enumerate(t.rounds):
         checks += 1
         if r.index != i:
             failures.append(f"round {i}: stored index is {r.index}")
         if r.mistake != (r.y_hat != r.y):
             failures.append(f"round {r.index}: mistake flag does not match labels")
-        if not history.admits(r.x, r.y, r.f):
-            failures.append(
-                f"round {r.index}: function {r.f.name!r} inconsistent with history"
-            )
+        try:
+            referee.admit(r.index, r.x, r.y, r.f)
+        except IllegalAdversaryFunction as exc:
+            failures.append(str(exc))
             break
-    d = t.config.d
     if d is not None and not failures:
-        over = exceeds_dimension(t.functions, d)
+        over = referee.exceeds()
         if over is None:
             notes.append(
-                f"dimension check skipped: {len({f.support for f in t.functions})} distinct "
+                f"dimension check skipped: {len(referee.supports)} distinct "
                 f"functions exceed the guard of {DIMENSION_CHECK_LIMIT}"
             )
         else:
             checks += 1
             if over:
                 failures.append(f"revealed set has dimension above {d}")
-    return ValidationReport(
-        passed=not failures,
-        checks=checks,
-        failures=tuple(failures),
-        notes=tuple(notes),
-    )
+    return ValidationReport(passed=not failures, checks=checks, failures=tuple(failures), notes=tuple(notes))
 
 
 TRANSCRIPT_FORMAT = 3
@@ -387,11 +377,18 @@ def _names(rec: dict, key: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _read_record(rec: dict, t: Transcript | None, ones: int) -> tuple[Transcript, int]:
+def _read_record(rec: object, t: Transcript | None, ones: int) -> tuple[Transcript, int]:
     """The transcript and the mask of the points labeled 1 so far, after
-    reading one more record."""
+    reading one more record: a header first, then rounds, then a summary,
+    which sets ``stopped_by`` and ends the transcript."""
+    if type(rec) is not dict:
+        raise TranscriptError(f"a record must be a JSON object, got {type(rec).__name__}")
     kind = rec["type"]
+    if t is not None and t.stopped_by != "unknown":
+        raise TranscriptError(f"{kind!r} record after the summary")
     if kind == "header":
+        if t is not None:
+            raise TranscriptError("a second header record")
         if rec.get("format") != TRANSCRIPT_FORMAT:
             raise TranscriptError(
                 f"unknown transcript format {rec.get('format')!r}; expected {TRANSCRIPT_FORMAT}"
@@ -435,10 +432,11 @@ def _read_record(rec: dict, t: Transcript | None, ones: int) -> tuple[Transcript
 
 def load_transcript(path: str | Path) -> Transcript:
     """Read a transcript written by save_transcript. A malformed record, a
-    point outside 0..MASK_WIDTH-1, or a summary whose counts or stop
-    reason disagree with the records before it, raises TranscriptError
-    naming its line. Which of adversary_done and learner_halted ended a
-    game only a replay can tell, so a swap between the two loads."""
+    point outside 0..MASK_WIDTH-1, records out of the order header, rounds,
+    summary, or a summary whose counts or stop reason disagree with the
+    records before it, raises TranscriptError naming its line. Which of
+    adversary_done and learner_halted ended a game only a replay can tell,
+    so a swap between the two loads."""
     t: Transcript | None = None
     ones = 0
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -450,4 +448,6 @@ def load_transcript(path: str | Path) -> Transcript:
             raise TranscriptError(f"{path} line {lineno}: {exc}") from exc
     if t is None:
         raise TranscriptError(f"{path}: no header record")
+    if t.stopped_by == "unknown":
+        raise TranscriptError(f"{path} line {lineno}: the transcript ends without a summary record")
     return t

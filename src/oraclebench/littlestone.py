@@ -92,20 +92,16 @@ class _DimensionEngine:
     """
 
     def __init__(self, hyps: Iterable[Hypothesis]):
-        self._members = dict.fromkeys(hyps)  # first occurrences, in order
-        if not self._members:
+        self.hyps = list(dict.fromkeys(hyps))  # first occurrences, in order
+        if not self.hyps:
             raise EmptyClass("the set of hypotheses is empty")
-        self.hyps = list(self._members)
         self.full = (1 << len(self.hyps)) - 1
         self._memo: dict[tuple[int, int], bool] = {}
 
-    def add(self, h: Hypothesis) -> bool:
-        """Make ``h`` the next member, unless it equals one already there;
-        True iff it was added. Every memo entry stays valid: a set's
-        dimension does not depend on members outside the set."""
-        if h in self._members:
-            return False
-        self._members[h] = None
+    def add(self, h: Hypothesis) -> None:
+        """Make ``h``, which equals no member, the next member. Every memo
+        entry stays valid: a set's dimension does not depend on members
+        outside the set."""
         bit = 1 << len(self.hyps)
         self.hyps.append(h)
         self.full |= bit
@@ -114,7 +110,6 @@ class _DimensionEngine:
             for x in mask_points(h.support):
                 col[x] = col.get(x, 0) | bit
         self.__dict__.pop("columns", None)
-        return True
 
     @cached_property
     def _point_columns(self) -> dict[Point, int]:

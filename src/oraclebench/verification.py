@@ -35,6 +35,8 @@ from .learner import (
     predict_widths,
 )
 from .littlestone import (
+    MINIMAX_MAX_HYPOTHESES,
+    MINIMAX_MAX_POINTS,
     SOALearner,
     find_shattered_tree,
     is_shattered,
@@ -342,7 +344,7 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
         if find_shattered_tree(c, dim + 1) is not None:
             certificate_ok = False
             detail = detail or f"class #{i}: certificate above the dimension"
-        if len(members) <= 6 and len(c.domain) <= 5:
+        if len(members) <= MINIMAX_MAX_HYPOTHESES and len(c.domain) <= MINIMAX_MAX_POINTS:
             minimax_checked += 1
             if minimax_adversary_value(c) != dim:
                 minimax_ok = False

@@ -83,10 +83,17 @@ def test_simulate_reports_a_revealed_set_above_its_d(capsys) -> None:
 
 
 def test_simulate_prints_a_skipped_dimension_check(capsys) -> None:
-    assert main(_simulate_free(250)) == 0
+    # the first 243 functions already break d = 1: the rounds after them cannot hide it
+    assert main(_simulate_free(250)) == 1
     assert capsys.readouterr().out == (
-        "mistakes=250 rounds=250 stopped_by=round_cap validation=ok "
-        "(dimension check skipped: 250 distinct functions exceed the guard of 243)\n"
+        "mistakes=250 rounds=250 stopped_by=round_cap "
+        "validation=INVALID (revealed set has dimension above 1)\n"
+    )
+    # the first 243 stay within d = 7, and the chain passes it at its 256th function
+    assert main(["simulate", "--learner", "predict", "--adversary", "free", "--d", "7", "--cap", "300"]) == 0
+    assert capsys.readouterr().out == (
+        "mistakes=300 rounds=300 stopped_by=round_cap validation=ok "
+        "(dimension check skipped: 300 distinct functions exceed the guard of 243)\n"
     )
     assert main(["simulate", "--learner", "predict", "--adversary", "ternary:6"]) == 0
     assert "validation=ok (dimension check skipped: 694 distinct" in capsys.readouterr().out

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute_oracles import brute_ldim
@@ -118,6 +118,32 @@ def test_full_validation_stops_checking_past_the_guard() -> None:
     assert validate_transcript(t).notes == ("dimension check skipped: 300 distinct functions exceed the guard of 243",)
 
 
+ADVERSARIES = {"free": lambda k: FreeAdversary(), "flood": FloodAdversary, "ternary": TernaryAdversary}
+
+
+@given(
+    kind=st.sampled_from(sorted(ADVERSARIES)),
+    k=st.integers(1, 7),
+    d=st.integers(1, 7),
+    cap=st.integers(1, 300),
+    seed=st.integers(0, 1000),
+)
+@example(kind="free", k=1, d=1, cap=250, seed=0)  # passed offline before the first 243 were decided alone
+@example(kind="free", k=1, d=7, cap=300, seed=0)
+@example(kind="ternary", k=6, d=4, cap=300, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_full_validation_fails_exactly_when_the_stored_game_does(kind, k, d, cap, seed) -> None:
+    config = GameConfig(d=d, round_cap=cap, seed=seed)
+    offline = validate_transcript(run_game(PredictLearner(), ADVERSARIES[kind](k), config))
+    assert offline.failures in ((), (f"revealed set has dimension above {d}",))
+    try:
+        run_game(PredictLearner(), ADVERSARIES[kind](k), replace(config, validation="full"))
+    except DimensionViolation:
+        assert not offline.passed
+    else:
+        assert offline.passed
+
+
 def test_full_validation_passes_legal_adversary() -> None:
     config = GameConfig(d=2, round_cap=50, validation="full")
     t = run_game(PredictLearner(), TernaryAdversary(2), config)
@@ -220,8 +246,13 @@ def test_exceeds_dimension_skips_only_past_243_distinct_functions() -> None:
 
     assert exceeds_dimension(prefix_functions(243), 1) is True
     assert exceeds_dimension(prefix_functions(243) * 2, 1) is True
-    assert exceeds_dimension(prefix_functions(244), 1) is None
-    assert exceeds_dimension(prefix_functions(255), 7) is False  # size bound first
+    # the first 243 already break d = 1, whatever follows them
+    assert exceeds_dimension(prefix_functions(244), 1) is True
+    assert exceeds_dimension(prefix_functions(1000), 1) is True
+    # the first 243 of a chain stay within d = 7; the rest are undecided
+    assert exceeds_dimension(prefix_functions(243), 7) is False
+    assert exceeds_dimension(prefix_functions(300), 7) is None
+    assert exceeds_dimension(prefix_functions(255), 7) is False  # size bound first, on the whole set
     assert exceeds_dimension([], 0) is False
 
 
@@ -394,6 +425,34 @@ def test_load_transcript_rejects_a_round_cap_stop_short_of_the_cap(tmp_path, ter
         load_transcript(_write(tmp_path, records))
 
 
+def test_load_transcript_rejects_a_second_header(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    records.insert(4, records[0])  # the three rounds before it would be dropped
+    with pytest.raises(TranscriptError, match="line 5: a second header record"):
+        load_transcript(_write(tmp_path, records))
+
+
+def test_load_transcript_rejects_a_round_after_the_summary(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)
+    records.append(dict(records[-2], round=len(records) - 2))
+    with pytest.raises(TranscriptError, match=f"line {len(records)}: 'round' record after the summary"):
+        load_transcript(_write(tmp_path, records))
+
+
+def test_load_transcript_rejects_a_missing_summary(tmp_path, ternary_lines) -> None:
+    records = _records(ternary_lines)[:-1]
+    with pytest.raises(TranscriptError, match=f"line {len(records)}: the transcript ends without a summary record"):
+        load_transcript(_write(tmp_path, records))
+
+
+@pytest.mark.parametrize("record", [[1, 2], "round", 7, None])
+def test_load_transcript_rejects_a_record_that_is_not_an_object(tmp_path, ternary_lines, record) -> None:
+    records = _records(ternary_lines)
+    records[3] = record
+    with pytest.raises(TranscriptError, match=f"line 4: a record must be a JSON object, got {type(record).__name__}"):
+        load_transcript(_write(tmp_path, records))
+
+
 def test_load_transcript_accepts_a_round_cap_stop_at_the_cap(tmp_path) -> None:
     t = run_game(PredictLearner(), FreeAdversary(), GameConfig(d=None, round_cap=7))
     assert t.stopped_by == "round_cap"
@@ -449,14 +508,14 @@ def test_a_stored_relabeling_fails_validation_at_that_round(tmp_path) -> None:
         t.rounds.append(Round(i, x, 0, y, y != 0, Hypothesis(f"f{i}", support=support), 0, 0))
     save_transcript(t, tmp_path / "t.jsonl")
     report = validate_transcript(load_transcript(tmp_path / "t.jsonl"))
-    assert report.failures == ("round 3: function 'f3' inconsistent with history",)
+    assert report.failures == ("round 3: function 'f3' contradicts the revealed history",)
 
 
 def test_validate_transcript_fails_a_label_that_is_not_a_bit() -> None:
     t = run_game(PredictLearner(), TernaryAdversary(1), GameConfig(d=1, round_cap=10))
     t.rounds[1] = replace(t.rounds[1], y=2, mistake=True)
     report = validate_transcript(t)
-    assert report.failures == ("round 1: function 'f1' inconsistent with history",)
+    assert report.failures == ("round 1: function 'f1' contradicts the revealed history",)
 
 
 # ----------------------------------------------------------------------

@@ -289,7 +289,8 @@ def test_a_growing_engine_answers_as_a_fresh_engine(c: HypothesisClass) -> None:
     for i in range(1, len(members)):
         before = dict(grown._memo)
         grown.columns  # noqa: B018 - build the point columns, so that add must extend them
-        assert grown.add(members[i]) == (members[i] not in members[:i])
+        if members[i] not in members[:i]:  # add takes only a new member
+            grown.add(members[i])
         prefix = members[: i + 1]
         fresh = littlestone._DimensionEngine(prefix)
         assert (grown.hyps, grown.full, grown.columns) == (fresh.hyps, fresh.full, fresh.columns)

@@ -3,11 +3,11 @@ from __future__ import annotations
 import inspect
 from dataclasses import replace
 
-from oraclebench import adversary, game
+from oraclebench import adversary
 from oraclebench.adversary import TernaryAdversary
 from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
-from oraclebench.littlestone import ldim
+from oraclebench.littlestone import _DimensionEngine, ldim
 from oraclebench.verification import (
     _dimension_check,
     random_classes_of_dimension,
@@ -49,12 +49,14 @@ def test_verify_lower_4_runs_both_dimension_checks() -> None:
 
 def test_verify_lower_decides_the_ternary_set_once(monkeypatch) -> None:
     calls = []
+    at_least = _DimensionEngine.at_least
 
-    def counting_ldim(functions):
-        calls.append(len(functions))
-        return ldim(functions)
+    def counting_at_least(engine, s, d):
+        if s == engine.full:  # a search of the whole set, not one of its recursive steps
+            calls.append(len(engine.hyps))
+        return at_least(engine, s, d)
 
-    monkeypatch.setattr(game, "ldim", counting_ldim)
+    monkeypatch.setattr(_DimensionEngine, "at_least", counting_at_least)
     results = {r.name: r for r in verify_lower(4)}
     assert results["lower:4 ternary consistency"].ok
     assert results["lower:4 ternary dimension"].ok
