@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .errors import InconsistentOracleClass, NonRealizable
 from .hypotheses import (
@@ -22,7 +24,6 @@ from .hypotheses import (
     Point,
     point_bit,
 )
-from .littlestone import _DimensionEngine
 
 
 def ternary_digit(x: int, position: int) -> int:
@@ -139,36 +140,39 @@ class ClassGreedyAdversary:
     disagree and flips whenever the class allows it.
 
     The survivors are an index mask over the class's distinct members in
-    first-occurrence order, so the oracle answer, the lowest set bit, is the
-    first class member consistent with the history. A round is one AND with
-    the point's column, and the first splitting point in domain order is
-    rescanned only when the mask shrinks: O(1) big-int operations a round.
+    first-occurrence order, on the class's own engine, so the oracle answer,
+    the lowest set bit, is the first class member consistent with the
+    history. A round is one AND with the point's column, and the first
+    splitting point in domain order is rescanned only when the mask shrinks:
+    O(1) big-int operations a round. On an empty domain it plays no point.
     """
 
     def __init__(self, c: HypothesisClass):
         self.cls = c
         self.name = "class-greedy"
         self._rounds = 0
-        self._engine = _DimensionEngine(c.hypotheses)
+        self._engine = c.engine
         self._survivors = self._engine.full
         self._split = self._first_split(self._survivors)
 
     def _first_split(self, s: int) -> Point | None:
         return next((x for x in self.cls.domain if 0 != s & self._engine.column(x) != s), None)
 
-    def next_point(self) -> Point:
+    def next_point(self) -> Point | None:
         if self._split is None:
             # no disagreement left anywhere: keep the game alive round-robin
-            return self.cls.domain[self._rounds % len(self.cls.domain)]
+            domain = self.cls.domain
+            return domain[self._rounds % len(domain)] if domain else None
         return self._split
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
-        one = self._survivors & self._engine.column(x)
+        s = self._survivors
+        one = s & self._engine.column(x)
         for y in (1 - y_hat, y_hat):
-            kept = (self._survivors ^ one, one)[y] if y in (0, 1) else 0
+            kept = one if y else s ^ one
             if kept:
                 self._rounds += 1
-                if kept != self._survivors:
+                if kept != s:
                     self._survivors, self._split = kept, self._first_split(kept)
                 return y, self._engine.hyps[(kept & -kept).bit_length() - 1]
         raise NonRealizable(f"no surviving hypothesis takes label {1 - y_hat} or {y_hat} at point {x}")
@@ -180,21 +184,33 @@ class RandomClassAdversary:
 
     Its oracle answer is a uniform choice among the class members
     consistent with the history, in class order with duplicates included.
+    A label is read off the OR and the AND of their supports, and the list
+    is re-filtered only when the point splits it. On an empty domain it
+    plays no point.
     """
 
     def __init__(self, c: HypothesisClass, seed: int):
         self.cls = c
         self.name = f"random-class:{seed}"
-        self._consistent = list(c.hypotheses)
         self._rng = random.Random(seed)
+        self._keep(list(c.hypotheses))
 
-    def next_point(self) -> Point:
-        return self._rng.choice(self.cls.domain)
+    def _keep(self, consistent: list[Hypothesis]) -> None:
+        supports = [h.support for h in consistent]
+        self._consistent = consistent
+        self._some, self._every = reduce(or_, supports), reduce(and_, supports)
+
+    def next_point(self) -> Point | None:
+        return self._rng.choice(self.cls.domain) if self.cls.domain else None
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
-        legal = sorted({h(x) for h in self._consistent})
-        y = legal[0] if len(legal) == 1 else self._rng.choice(legal)
-        self._consistent = [h for h in self._consistent if h(x) == y]
+        if self._every >> x & 1:
+            y = 1
+        elif not self._some >> x & 1:
+            y = 0
+        else:
+            y = self._rng.choice((0, 1))
+            self._keep([h for h in self._consistent if h.support >> x & 1 == y])
         return y, self._rng.choice(self._consistent)
 
 

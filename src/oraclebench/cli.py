@@ -42,6 +42,8 @@ def _parse_adversary(spec: str):
         d = _spec_int(spec, arg, 1)
         return (FloodAdversary if kind == "flood" else TernaryAdversary)(d), d, None
     if kind == "class-greedy":
+        if not arg:
+            raise argparse.ArgumentTypeError(f"{spec!r}: no class file given")
         c = load_class_file(arg)
         return ClassGreedyAdversary(c), ldim(c), c
     raise argparse.ArgumentTypeError(
@@ -111,7 +113,7 @@ _SUITES = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     kind, _, arg = args.check.partition(":")
-    if kind not in _SUITES:
+    if kind not in _SUITES or (kind == "props" and args.check != "props"):
         raise argparse.ArgumentTypeError(f"unknown check {args.check!r}; expected advanced:<k>, prefix:<k>, "
                                          f"lower:<d>, upper:<d>, or props")
     results: list[CheckResult] = _SUITES[kind](arg, args)

@@ -194,18 +194,21 @@ class RoundChannel:
     """
 
     def __init__(self, adversary: Adversary, config: GameConfig, transcript: Transcript):
-        self._adversary = adversary
-        self._config = config
-        self._transcript = transcript
+        # bound once per game, out of the round loop
+        self._next_point = adversary.next_point
+        self._respond = adversary.respond
+        self._rounds = transcript.rounds
+        self._cap = config.round_cap
+        self._d = config.d
         self._referee = _Referee(config.d if config.validation == "full" else None)
         self._pending: Point | None = None
 
     def next_point(self) -> Point:
         if self._pending is not None:
             raise RuntimeError("next_point called twice without submit")
-        if len(self._transcript.rounds) >= self._config.round_cap:
+        if len(self._rounds) >= self._cap:
             raise GameStopped("round_cap")
-        x = self._adversary.next_point()
+        x = self._next_point()
         if x is None:
             raise GameStopped("adversary_done")
         self._pending = x
@@ -214,25 +217,25 @@ class RoundChannel:
     def submit(self, y_hat: Bit, *, vote_width: int = 0, active_count: int = 0) -> Bit:
         if self._pending is None:
             raise RuntimeError("submit called before next_point")
-        rounds = self._transcript.rounds
+        rounds = self._rounds
         index = len(rounds)
         if type(y_hat) is not int or y_hat not in (0, 1):
             raise IllegalPrediction(f"round {index}: prediction {y_hat!r} is not the int 0 or 1")
         x = self._pending
         self._pending = None
-        y, f = self._adversary.respond(x, y_hat)
+        y, f = self._respond(x, y_hat)
         if type(y) is not int or y not in (0, 1):
             raise IllegalAdversaryFunction(f"round {index}: label {y!r} is not the int 0 or 1")
         if self._referee.admit(index, x, y, f) and self._referee.exceeds():
-            raise DimensionViolation(f"round {index}: revealed set has dimension above {self._config.d}")
+            raise DimensionViolation(f"round {index}: revealed set has dimension above {self._d}")
         rounds.append(Round(index, x, y_hat, y, y != y_hat, f, vote_width, active_count))
         return y
 
     def oracle(self, sample: Sample) -> Hypothesis:
         """Consistent-oracle view of the adversary's current function."""
-        if not self._transcript.rounds:
+        if not self._rounds:
             raise RuntimeError("oracle queried before any round completed")
-        f = self._transcript.rounds[-1].f
+        f = self._rounds[-1].f
         if not is_consistent(f, sample):
             raise NonRealizable(
                 f"revealed function {f.name!r} does not realize the queried sample"
@@ -241,7 +244,7 @@ class RoundChannel:
 
     def annotate_update(self, appended: Iterable[str], deleted: Iterable[str]) -> None:
         """Attach the learner's list mutations to the round just played."""
-        rounds = self._transcript.rounds
+        rounds = self._rounds
         if rounds:
             rounds[-1].appended, rounds[-1].deleted = tuple(appended), tuple(deleted)
 

@@ -224,6 +224,14 @@ class HypothesisClass:
     def __iter__(self):
         return iter(self.hypotheses)
 
+    @cached_property
+    def engine(self):
+        """The class's one dimension engine, built on first use and shared by
+        every consumer of the class; nobody grows it."""
+        from .littlestone import _DimensionEngine  # littlestone imports this module
+
+        return _DimensionEngine(self.hypotheses)
+
     @classmethod
     def from_rows(cls, domain: Iterable[Point], rows: Iterable[tuple[str, str]]) -> "HypothesisClass":
         """Build a class from (name, '0101...') rows over a shared domain."""

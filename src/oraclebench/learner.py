@@ -14,6 +14,7 @@ in the dimension of the class behind the oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -316,20 +317,30 @@ def check_advanced(
     engine = _DimensionEngine(sorted(hyps, key=lambda h: h.support))
     need = [_required_dimension(size, total, gamma) for size in range(total + 1)]
     bits = [1 << i for i in range(total)]
-    if sample_count is None:
-        subsets = itertools.chain.from_iterable(
-            map(sum, itertools.combinations(bits, size)) for size in range(1, total + 1)
-        )
-    else:
+
+    def walk(subsets: Iterable[int], checked: int) -> AdvancedCheck:
+        """The first violating subset, counting on from ``checked``."""
+        for checked, subset in enumerate(subsets, checked + 1):
+            if not engine.at_least(subset, need[subset.bit_count()]):
+                members = tuple(h for h, bit in zip(engine.hyps, bits) if subset & bit)
+                return AdvancedCheck(False, gamma, checked, members)
+        return AdvancedCheck(True, gamma, checked, None)
+
+    if sample_count is not None:
         rng = random.Random(seed)
         subsets = [engine.full]
         for _ in range(sample_count):
             size = rng.randint(1, total)
             subsets.append(sum(bits[i] for i in rng.sample(range(total), size)))
-    for checked, subset in enumerate(subsets, 1):
-        if not engine.at_least(subset, need[subset.bit_count()]):
-            members = tuple(h for h, bit in zip(engine.hyps, bits) if subset & bit)
-            return AdvancedCheck(False, gamma, checked, members)
+        return walk(subsets, 0)
+    # one size level at a time, never held as a list; only a failing level
+    # is walked again, for its first counterexample and the count before it
+    checked = 0
+    for size in range(1, total + 1):
+        level = map(sum, itertools.combinations(bits, size))
+        if not all(map(engine.at_least, level, itertools.repeat(need[size]))):
+            return walk(map(sum, itertools.combinations(bits, size)), checked)
+        checked += math.comb(total, size)
     return AdvancedCheck(True, gamma, checked, None)
 
 

@@ -87,8 +87,11 @@ class _DimensionEngine:
     One engine serves one family of hypotheses: member i of its distinct
     members is bit i of a set, so the memo is keyed by (set, depth) ints.
     ``columns`` holds (point, column) for the first point of each column
-    that can split a set, in increasing point order. The family can grow
-    by ``add``. Raises EmptyClass when there are no hypotheses.
+    that can split a set, in increasing point order. A hypothesis class
+    owns one engine, ``HypothesisClass.engine``, which the dimension
+    queries, the verify suites, SOA and the class adversaries share and
+    nobody grows; only a revealed-set referee grows its own by ``add``.
+    Raises EmptyClass when there are no hypotheses.
     """
 
     def __init__(self, hyps: Iterable[Hypothesis]):
@@ -192,19 +195,26 @@ class _DimensionEngine:
         return None
 
 
+def _engine_of(hypotheses: Iterable[Hypothesis]) -> _DimensionEngine:
+    """A class's own engine; a fresh engine for any other iterable."""
+    if isinstance(hypotheses, HypothesisClass):
+        return hypotheses.engine
+    return _DimensionEngine(hypotheses)
+
+
 def ldim(hypotheses: Iterable[Hypothesis]) -> int:
     """Exact Littlestone dimension of a finite set of hypotheses.
 
     Duplicates are removed first; the dimension is a property of the set
     of distinct functions. Raises EmptyClass on an empty input.
     """
-    engine = _DimensionEngine(hypotheses)
+    engine = _engine_of(hypotheses)
     return engine.ldim(engine.full)
 
 
 def ldim_at_least(hypotheses: Iterable[Hypothesis], d: int) -> bool:
     """True iff the set of distinct hypotheses has dimension >= d."""
-    engine = _DimensionEngine(hypotheses)
+    engine = _engine_of(hypotheses)
     return engine.at_least(engine.full, d)
 
 
@@ -216,7 +226,7 @@ def find_shattered_tree(hypotheses: Iterable[Hypothesis], depth: int) -> Labeled
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    engine = _DimensionEngine(hypotheses)
+    engine = _engine_of(hypotheses)
     root = engine.build_tree(engine.full, depth)
     if root is None:
         return None
@@ -250,7 +260,7 @@ def minimax_adversary_value(hypotheses: Iterable[Hypothesis]) -> int:
     the engine's deepening search, to whose dimension the value is
     provably equal.
     """
-    engine = _DimensionEngine(hypotheses)
+    engine = _engine_of(hypotheses)
     n, points = len(engine.hyps), reduce(or_, (h.support for h in engine.hyps)).bit_count()
     if n > MINIMAX_MAX_HYPOTHESES or points > MINIMAX_MAX_POINTS:
         raise SizeLimitExceeded(
@@ -281,9 +291,9 @@ class SOALearner:
 
     It predicts the label whose side of the version space has the larger
     dimension (an empty side scores -1; ties go to 0), so it makes at most
-    ldim(class) mistakes against any legal adversary. One dimension engine
-    serves the whole game: the version space is an index mask of its
-    members, so every round's ldim queries share one memo.
+    ldim(class) mistakes against any legal adversary. It plays on the
+    class's own engine: the version space is an index mask of its members,
+    so every round of every game on the class shares one memo.
     """
 
     name = "soa"
@@ -292,15 +302,16 @@ class SOALearner:
         self.cls = c
 
     def run(self, rounds) -> None:
-        engine = _DimensionEngine(self.cls.hypotheses)
+        engine = self.cls.engine
+        next_point, submit, column, dim = rounds.next_point, rounds.submit, engine.column, engine.ldim
         s = engine.full
         while True:
-            x = rounds.next_point()
-            one = s & engine.column(x)
+            x = next_point()
+            one = s & column(x)
             zero = s ^ one
-            score0 = engine.ldim(zero) if zero else -1
-            score1 = engine.ldim(one) if one else -1
-            y = rounds.submit(0 if score0 >= score1 else 1, vote_width=0, active_count=s.bit_count())
+            score0 = dim(zero) if zero else -1
+            score1 = dim(one) if one else -1
+            y = submit(0 if score0 >= score1 else 1, vote_width=0, active_count=s.bit_count())
             s = one if y else zero
             if not s:
                 raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")

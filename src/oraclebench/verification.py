@@ -23,7 +23,7 @@ from .adversary import (
 )
 from .errors import InconsistentOracleClass, OracleBenchError
 from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
-from .hypotheses import Hypothesis, HypothesisClass, distinct
+from .hypotheses import Hypothesis, HypothesisClass
 from .learner import (
     CreateAdvancedLearner,
     PredictLearner,
@@ -90,7 +90,7 @@ def random_class(rng: random.Random, max_hypotheses: int = 10, max_points: int =
     n_hyps = rng.randint(1, max_hypotheses)
     domain = tuple(range(n_points))
     hyps = tuple(
-        Hypothesis(f"h{i}", domain, tuple(rng.randint(0, 1) for _ in domain))
+        Hypothesis(f"h{i}", support=sum(rng.randrange(2) << x for x in domain))
         for i in range(n_hyps)
     )
     return HypothesisClass(domain, hyps)
@@ -314,8 +314,10 @@ def verify_prefix(k: int) -> list[CheckResult]:
 
 
 def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
-    """Dimension-machinery suite over seeded random classes."""
-    classes = random_classes(class_count, seed)
+    """Dimension-machinery suite over seeded random classes, drawn one at a
+    time as ``random_classes`` draws them. Each class's checks run on its
+    own engine, and a restriction side is an index mask of that engine."""
+    rng = random.Random(seed)
     size_bound_ok = True
     restriction_ok = True
     certificate_ok = True
@@ -323,17 +325,19 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
     minimax_checked = 0
     soa_ok = True
     detail = ""
-    for i, c in enumerate(classes):
-        members = distinct(c)
+    for i in range(class_count):
+        c = random_class(rng)
+        engine = c.engine
+        full = engine.full
         dim = ldim(c)
-        limit = len(members).bit_length() - 1
+        limit = len(engine.hyps).bit_length() - 1
         if dim > limit:
             size_bound_ok = False
             detail = detail or f"class #{i}: ldim {dim} > log2 bound {limit}"
         for x in c.domain:
-            zero = tuple(h for h in members if h(x) == 0)
-            one = tuple(h for h in members if h(x) == 1)
-            if zero and one and dim < min(ldim(zero), ldim(one)) + 1:
+            one = full & engine.column(x)
+            zero = full ^ one
+            if zero and one and dim < min(engine.ldim(zero), engine.ldim(one)) + 1:
                 restriction_ok = False
                 detail = detail or f"class #{i}: restriction inequality fails at {x}"
         if dim >= 1:
@@ -344,7 +348,7 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
         if find_shattered_tree(c, dim + 1) is not None:
             certificate_ok = False
             detail = detail or f"class #{i}: certificate above the dimension"
-        if len(members) <= MINIMAX_MAX_HYPOTHESES and len(c.domain) <= MINIMAX_MAX_POINTS:
+        if len(engine.hyps) <= MINIMAX_MAX_HYPOTHESES and len(c.domain) <= MINIMAX_MAX_POINTS:
             minimax_checked += 1
             if minimax_adversary_value(c) != dim:
                 minimax_ok = False

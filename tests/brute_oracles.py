@@ -9,12 +9,15 @@ Only meant for small inputs.
 The class-greedy reference keeps its survivors as a tuple of hypotheses
 and re-filters them every round, the way the adversary was first written;
 the SOA reference does the same with its version space, and scores each
-side of a split by brute_ldim.
+side of a split by brute_ldim. The restriction sides and the advanced-set
+walk are likewise rebuilt as tuples and walked one subset at a time, the
+way ``verify_props`` and ``check_advanced`` first did.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Sequence
 
@@ -129,3 +132,26 @@ class PerRoundSOA:
             self.version_space = sides[y]
             if not self.version_space:
                 raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")
+
+
+def restriction_sides(hyps: Sequence[Hypothesis], x: Point) -> tuple[tuple[Hypothesis, ...], tuple[Hypothesis, ...]]:
+    """The distinct members that are 0 at ``x`` and those that are 1, in
+    first-occurrence order, rebuilt as tuples."""
+    members = distinct(hyps)
+    return tuple(h for h in members if h(x) == 0), tuple(h for h in members if h(x) == 1)
+
+
+def first_failing_subset(
+    functions: Sequence[Hypothesis], fails: Callable[[tuple[Hypothesis, ...]], bool]
+) -> tuple[int, tuple[Hypothesis, ...] | None]:
+    """Walk the non-empty subsets by size, each size in combinations order of
+    the functions sorted by support, and return (subsets walked, the first
+    subset ``fails`` accepts), or (all subsets, None) if it accepts none."""
+    ordered = sorted(functions, key=lambda h: h.support)
+    walked = 0
+    for size in range(1, len(ordered) + 1):
+        for subset in combinations(ordered, size):
+            walked += 1
+            if fails(subset):
+                return walked, subset
+    return walked, None

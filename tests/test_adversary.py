@@ -24,6 +24,7 @@ from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
 from oraclebench.verification import (
     _recovery_worst_case,
+    random_classes,
     random_classes_of_dimension,
     threshold_hypotheses,
     threshold_pair_classes,
@@ -243,6 +244,28 @@ def test_random_class_transcript_matches_recorded_output(tmp_path) -> None:
     )
     want = "b8c436597b1c130c72134c8f8257fb25234f740eb407ca61dfc9f30cd0c6e7a4"
     assert content_digest(t) == content_digest(load_transcript(path)) == want
+
+
+def test_seeded_random_class_games_match_recorded_output() -> None:
+    # recorded when the adversary read every label through h(x) and
+    # re-filtered its consistent list every round
+    digests = []
+    for i, c in enumerate(random_classes(20, seed=4)):
+        t = run_game(SOALearner(c), RandomClassAdversary(c, i), GameConfig(d=ldim(c), round_cap=25))
+        digests.append(content_digest(t))
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == (
+        "3ca3157886b409b008e867b52152be50fb724bb2a4045451a1dc25d7a59934dd"
+    )
+
+
+@pytest.mark.parametrize("adversary", [ClassGreedyAdversary, lambda c: RandomClassAdversary(c, 3)],
+                         ids=["class-greedy", "random-class"])
+def test_a_class_adversary_plays_no_point_on_an_empty_domain(adversary) -> None:
+    c = HypothesisClass((), (Hypothesis("h", support=0),))
+    assert adversary(c).next_point() is None
+    for learner in (PredictLearner(), SOALearner(c)):
+        t = run_game(learner, adversary(c), GameConfig(d=0, round_cap=10))
+        assert (t.stopped_by, len(t.rounds), t.mistake_count) == ("adversary_done", 0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,21 @@ def test_simulate_unknown_learner(capsys) -> None:
     assert "unknown learner" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("learner", ["predict", "soa"])
+def test_simulate_on_an_empty_domain_class_plays_no_round(capsys, tmp_path, learner) -> None:
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"domain": [], "hypotheses": [{"name": "h", "values": ""}]}))
+    assert main(["ldim", str(path)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["simulate", "--learner", learner, "--adversary", f"class-greedy:{path}"]) == 0
+    assert capsys.readouterr().out == "mistakes=0 rounds=0 stopped_by=adversary_done validation=ok\n"
+
+
+def test_a_class_greedy_spec_without_a_file_is_an_error(capsys) -> None:
+    assert main(["simulate", "--learner", "predict", "--adversary", "class-greedy:"]) == 2
+    assert capsys.readouterr().err == "error: 'class-greedy:': no class file given\n"
+
+
 def test_ldim_command(capsys, all_four_file) -> None:
     assert main(["ldim", str(all_four_file)]) == 0
     assert capsys.readouterr().out.strip() == "2"
@@ -199,6 +214,14 @@ def test_verify_advanced_guard(capsys) -> None:
 
 def test_verify_unknown_check(capsys) -> None:
     assert main(["verify", "nonsense:1"]) == 2
+
+
+@pytest.mark.parametrize("check", ["props:3", "props:"])
+def test_verify_props_takes_no_argument(capsys, check) -> None:
+    assert main(["verify", check]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown check {check!r}; expected ")
 
 
 def test_bench_table(capsys, tmp_path) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brute_oracles import first_failing_subset
 from conftest import hyp
 from oraclebench.errors import (
     OracleFailure,
@@ -14,6 +15,7 @@ from oraclebench.errors import (
     ScheduleViolation,
     SizeLimitExceeded,
 )
+from oraclebench import littlestone
 from oraclebench.adversary import FreeAdversary
 from oraclebench.game import GameConfig, run_game
 from oraclebench.hypotheses import Hypothesis, Sample
@@ -350,3 +352,38 @@ def test_check_advanced_sampled_mode_is_seeded() -> None:
     b = check_advanced(fns, Fraction(1), sample_count=50, seed=3)
     assert a == b
     assert a.subsets_checked == 51
+
+
+def _plant(monkeypatch, violating: set[frozenset[str]]) -> list[int]:
+    """Make the engine's decision fail on exactly the named subsets, and
+    return the list of the sets it is asked about."""
+    at_least = littlestone._DimensionEngine.at_least
+    asked: list[int] = []
+
+    def planted(engine, s, d):
+        asked.append(s)
+        names = frozenset(h.name for i, h in enumerate(engine.hyps) if s >> i & 1)
+        return names not in violating and at_least(engine, s, d)
+
+    monkeypatch.setattr(littlestone._DimensionEngine, "at_least", planted)
+    return asked
+
+
+@pytest.mark.parametrize("violating", [
+    [],
+    ["h3"],
+    ["h0 h7 h9 h12 h15", "h1 h2 h3 h4 h5"],
+    ["h2 h5 h6 h7 h8 h9 h10 h11 h12", "h3 h4 h5 h6 h7 h8 h9 h10 h11 h12 h13"],
+    ["h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 h10 h11 h12 h13 h14 h15"],
+])
+def test_exact_check_advanced_finds_the_first_planted_violation(monkeypatch, violating) -> None:
+    violating = {frozenset(names.split()) for names in violating}
+    functions = _distinct_functions(16)
+    asked = _plant(monkeypatch, violating)
+    check = check_advanced(functions, 1)
+    walked, first = first_failing_subset(functions, lambda a: frozenset(h.name for h in a) in violating)
+    assert check.subsets_checked == walked
+    assert check.counterexample == first
+    assert check.ok == (first is None)
+    # every subset up to the counterexample went through the engine's decision
+    assert len(set(asked)) == walked

@@ -337,3 +337,32 @@ def test_ternary4_revealed_set_has_dimension_exactly_4() -> None:
     assert format_tree(tree) == (
         "(27 (9 (3 (1 * *) (4 * *)) (12 (10 * *) (13 * *))) (36 (30 (28 * *) (31 * *)) (39 (37 * *) (40 * *))))"
     )
+
+
+def test_a_class_and_its_consumers_share_one_engine(monkeypatch) -> None:
+    classes = threshold_pair_classes(8)[:5] + random_classes(20, seed=9)
+    members = [len(c.engine.hyps) for c in classes]
+    # every engine a class needs is built above; from here on a consumer
+    # that built its own would fail
+
+    def no_new_engine(engine, hyps):
+        raise AssertionError("a second engine")
+
+    monkeypatch.setattr(littlestone._DimensionEngine, "__init__", no_new_engine)
+    for c, n in zip(classes, members):
+        engine = c.engine
+        dim = ldim(c)
+        assert ldim_at_least(c, dim) and not ldim_at_least(c, dim + 1)
+        assert find_shattered_tree(c, dim + 1) is None
+        if dim:
+            assert is_shattered(find_shattered_tree(c, dim), c)
+        if n <= littlestone.MINIMAX_MAX_HYPOTHESES and len(c.domain) <= littlestone.MINIMAX_MAX_POINTS:
+            assert minimax_adversary_value(c) == dim
+        for adversary in (ClassGreedyAdversary(c), RandomClassAdversary(c, 3)):
+            t = run_game(SOALearner(c), adversary, GameConfig(d=dim, round_cap=25))
+            assert t.mistake_count <= dim
+        assert ClassGreedyAdversary(c)._engine is engine
+        assert c.engine is engine
+        assert len(engine.hyps) == n  # played on, never grown
+    with pytest.raises(AssertionError, match="a second engine"):
+        ldim(tuple(classes[0]))  # any other iterable still gets a fresh engine

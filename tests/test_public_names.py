@@ -42,7 +42,7 @@ def test_every_exported_name_has_a_caller_outside_its_module() -> None:
     assert uncalled == []
 
 
-# class-greedy, check_advanced and the game's full validation share the ldim engine,
+# a class's own engine, check_advanced and the game's referee share the ldim engine,
 # which is not public API.
 SHARED_PRIVATE = {"_DimensionEngine"}
 

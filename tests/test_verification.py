@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
+import json
 from dataclasses import replace
 
+import pytest
+
+from brute_oracles import restriction_sides
 from oraclebench import adversary
 from oraclebench.adversary import TernaryAdversary
 from oraclebench.game import GameConfig, run_game
@@ -10,6 +15,7 @@ from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import _DimensionEngine, ldim
 from oraclebench.verification import (
     _dimension_check,
+    random_classes,
     random_classes_of_dimension,
     threshold_pair_classes,
     verify_advanced,
@@ -142,3 +148,44 @@ def test_verify_prefix_passes_and_guards() -> None:
 
 def test_verify_props_passes_at_reduced_scale() -> None:
     assert _all_ok(verify_props(class_count=40))
+
+
+@pytest.mark.parametrize("suite, want", [(lambda: verify_props(seed=0), 200), (lambda: verify_upper(1, seed=0), 207)],
+                         ids=["props", "upper:1"])
+def test_a_suite_builds_one_engine_per_class(monkeypatch, suite, want) -> None:
+    # props: 200 random classes; upper:1: 36 threshold pairs, 100 kept
+    # random classes and the 71 drawn and dropped for a dimension other than 1
+    built = []
+    init = _DimensionEngine.__init__
+
+    def counting_init(engine, hyps):
+        built.append(engine)
+        init(engine, hyps)
+
+    monkeypatch.setattr(_DimensionEngine, "__init__", counting_init)
+    assert _all_ok(suite())
+    assert len(built) == want
+
+
+@pytest.mark.parametrize("seed, want", [
+    (0, "7af26edbccc3b2bb1c195d9e3ff53ebd1a4ac29fba16d7bcdfa1cc387e44768e"),
+    (1, "8094befaab09b51ae4b57b55fa8fb40874095277ec9930915186000c2f25d21c"),
+    (2, "f3eb0e8c540b532263a430efb2469f9259f943c534521c4e1eea32a6683c49a7"),
+])
+def test_seeded_random_classes_match_recorded_output(seed: int, want: str) -> None:
+    # recorded when each member was built from a table of rng.randint(0, 1) draws
+    rows = [[c.domain, [[h.name, h.support] for h in c]] for c in random_classes(200, seed)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == want
+
+
+def test_mask_restriction_sides_match_rebuilt_tuples() -> None:
+    for i, c in enumerate(random_classes(200, seed=5)):
+        engine = c.engine
+        for x in c.domain:
+            one = engine.full & engine.column(x)
+            sides = restriction_sides(c, x)
+            assert sides == tuple(tuple(h for j, h in enumerate(engine.hyps) if side >> j & 1)
+                                  for side in (engine.full ^ one, one)), (i, x)
+            assert [engine.ldim(side) if side else None for side in (engine.full ^ one, one)] == [
+                ldim(side) if side else None for side in sides
+            ], (i, x)
