@@ -150,9 +150,11 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    lo, _, hi = args.dims.partition("-")
+    lo, dash, hi = args.dims.partition("-")
     spec = f"--dims {args.dims}"
-    dims = range(_spec_int(spec, lo, 1), _spec_int(spec, hi or lo, 1) + 1)
+    dims = range(_spec_int(spec, lo, 1), _spec_int(spec, hi if dash else lo, 1) + 1)
+    if not dims:
+        raise argparse.ArgumentTypeError(f"{spec!r}: the range runs backwards; write the smaller end first")
     rows = ["d\tlearner\tadversary\tmistakes\tbound\trounds\truntime_s"]
     failed = False
     for d in dims:

@@ -83,8 +83,6 @@ class Round:
     y: Bit
     mistake: bool
     f: Hypothesis
-    vote_width: int
-    active_count: int
     appended: tuple[str, ...] = ()
     deleted: tuple[str, ...] = ()
 
@@ -188,9 +186,9 @@ def exceeds_dimension(functions: Iterable[Hypothesis], d: int) -> bool | None:
 class RoundChannel:
     """The learner-facing side of the engine.
 
-    The learner pulls the next point, submits its prediction (with trace
-    metadata), and gets the revealed label back. ``oracle`` exposes the
-    last round's revealed function as a consistent-oracle answer.
+    The learner pulls the next point, submits its prediction and gets the
+    revealed label back; ``oracle`` answers with the last round's revealed
+    function, and ``annotate_update`` records a mistake's list mutations.
     """
 
     def __init__(self, adversary: Adversary, config: GameConfig, transcript: Transcript):
@@ -214,7 +212,7 @@ class RoundChannel:
         self._pending = x
         return x
 
-    def submit(self, y_hat: Bit, *, vote_width: int = 0, active_count: int = 0) -> Bit:
+    def submit(self, y_hat: Bit) -> Bit:
         if self._pending is None:
             raise RuntimeError("submit called before next_point")
         rounds = self._rounds
@@ -228,7 +226,7 @@ class RoundChannel:
             raise IllegalAdversaryFunction(f"round {index}: label {y!r} is not the int 0 or 1")
         if self._referee.admit(index, x, y, f) and self._referee.exceeds():
             raise DimensionViolation(f"round {index}: revealed set has dimension above {self._d}")
-        rounds.append(Round(index, x, y_hat, y, y != y_hat, f, vote_width, active_count))
+        rounds.append(Round(index, x, y_hat, y, y != y_hat, f))
         return y
 
     def oracle(self, sample: Sample) -> Hypothesis:
@@ -317,7 +315,7 @@ def validate_transcript(t: Transcript) -> ValidationReport:
     return ValidationReport(passed=not failures, checks=checks, failures=tuple(failures), notes=tuple(notes))
 
 
-TRANSCRIPT_FORMAT = 3
+TRANSCRIPT_FORMAT = 4
 # The stopped_by values run_game records.
 STOP_REASONS = ("round_cap", "adversary_done", "learner_halted")
 _HEX_DIGITS = frozenset("0123456789abcdef")
@@ -325,8 +323,7 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 # load as (a bool is not an int here). The round fields follow Round's order;
 # Round.f is stored as "f_id", its name, and "ones" (see save_transcript).
 _HEADER_TYPES = {"learner": str, "adversary": str, "round_cap": int, "seed": int}
-_ROUND_TYPES = {"round": int, "x": int, "y_hat": int, "y": int, "mistake": bool, "f_id": str,
-                "vote_width": int, "active_count": int}
+_ROUND_TYPES = {"round": int, "x": int, "y_hat": int, "y": int, "mistake": bool, "f_id": str}
 
 
 def _line(record: dict) -> str:
@@ -356,7 +353,6 @@ def save_transcript(t: Transcript, path: str | Path) -> None:
             ones |= point_bit(r.x)
         lines.append(_line({"type": "round", "round": r.index, "x": r.x, "y_hat": r.y_hat, "y": r.y,
                             "mistake": r.mistake, "f_id": r.f.name, "ones": format(r.f.support ^ ones, "x"),
-                            "vote_width": r.vote_width, "active_count": r.active_count,
                             "appended": list(r.appended), "deleted": list(r.deleted)}))
     lines.append(_line({"type": "summary", "rounds": len(t.rounds), "mistakes": t.mistake_count,
                         "stopped_by": t.stopped_by}))
@@ -401,7 +397,7 @@ def _read_record(rec: object, t: Transcript | None, ones: int) -> tuple[Transcri
     if t is None:
         raise TranscriptError(f"{kind!r} record before the header")
     if kind == "round":
-        index, x, y_hat, y, mistake, name, vote_width, active_count = _typed(rec, _ROUND_TYPES)
+        index, x, y_hat, y, mistake, name = _typed(rec, _ROUND_TYPES)
         for key in ("y_hat", "y"):
             if rec[key] not in (0, 1):
                 raise TranscriptError(f"{key!r} is not the int 0 or 1: {rec[key]!r}")
@@ -412,8 +408,7 @@ def _read_record(rec: object, t: Transcript | None, ones: int) -> tuple[Transcri
         if y:
             ones |= bit
         f = Hypothesis(name, support=int(delta, 16) ^ ones)
-        t.rounds.append(Round(index, x, y_hat, y, mistake, f, vote_width, active_count,
-                              _names(rec, "appended"), _names(rec, "deleted")))
+        t.rounds.append(Round(index, x, y_hat, y, mistake, f, _names(rec, "appended"), _names(rec, "deleted")))
     elif kind == "summary":
         if (rec["rounds"], rec["mistakes"]) != (len(t.rounds), t.mistake_count):
             raise TranscriptError(

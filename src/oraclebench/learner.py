@@ -40,12 +40,12 @@ from .littlestone import _DimensionEngine
 
 
 class RoundInterface(Protocol):
-    """What a learner needs from a game: points in, predictions out, and
-    the list mutations each mistake caused."""
+    """What a learner needs from a game: points in, predictions out, labels
+    back, and a record of the list mutations each mistake caused."""
 
     def next_point(self) -> Point: ...
 
-    def submit(self, y_hat: Bit, *, vote_width: int = 0, active_count: int = 0) -> Bit: ...
+    def submit(self, y_hat: Bit) -> Bit: ...
 
     def annotate_update(self, appended: Iterable[str], deleted: Iterable[str]) -> None: ...
 
@@ -135,11 +135,9 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
             voters = state.active.last(width)
             ones = sum(h(x) for h in voters)
             y_hat = 1 if 2 * ones >= width else 0  # exact tie predicts 1
-            used = width
         else:
             y_hat = 0
-            used = 0
-        y = rounds.submit(y_hat, vote_width=used, active_count=count)
+        y = rounds.submit(y_hat)
         if y == y_hat:
             continue
         state.mistakes = state.mistakes.extended(x, y)

@@ -311,7 +311,7 @@ class SOALearner:
             zero = s ^ one
             score0 = dim(zero) if zero else -1
             score1 = dim(one) if one else -1
-            y = submit(0 if score0 >= score1 else 1, vote_width=0, active_count=s.bit_count())
+            y = submit(0 if score0 >= score1 else 1)
             s = one if y else zero
             if not s:
                 raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")

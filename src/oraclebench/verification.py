@@ -200,8 +200,11 @@ def verify_upper(d: int, seed: int = 0, class_count: int = 100) -> list[CheckRes
 
     For d = 1 the cap of 300 rounds exceeds the budget of 271, so the
     bound is exercised in full; for larger d the budget dwarfs any
-    playable game and the cap truncates well below it.
+    playable game and the cap truncates well below it. Classes are drawn
+    on at most 8 points, so d above 7 is refused by a guard.
     """
+    if d > 7:
+        return [_check(f"upper:{d}", False, "guard: upper bounds checked up to d = 7")]
     if d == 1:
         family = threshold_pair_classes(8) + random_classes_of_dimension(1, class_count, seed)
     else:

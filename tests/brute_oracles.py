@@ -128,7 +128,7 @@ class PerRoundSOA:
             sides = [tuple(h for h in self.version_space if h(x) == y) for y in (0, 1)]
             score0, score1 = (brute_ldim(side, self.cls.domain) if side else -1 for side in sides)
             y_hat = 0 if score0 >= score1 else 1
-            y = rounds.submit(y_hat, vote_width=0, active_count=len(self.version_space))
+            y = rounds.submit(y_hat)
             self.version_space = sides[y]
             if not self.version_space:
                 raise IllegalLabel(f"no remaining hypothesis has value {y} at {x}")

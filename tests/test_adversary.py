@@ -63,11 +63,10 @@ def test_ternary_function_matches_the_digit_rule(d: int) -> None:
         assert [f(x) for x in points] == [brute(x) for x in points], r
 
 
-def content_digest(t) -> str:
+def game_digest(t) -> str:
     """SHA-256 of every round's fields and each revealed function's name and
     support: the game itself, whatever the file format that stored it."""
-    rows = [[r.index, r.x, r.y_hat, r.y, r.mistake, r.vote_width, r.active_count, list(r.appended), list(r.deleted)]
-            for r in t.rounds]
+    rows = [[r.index, r.x, r.y_hat, r.y, r.mistake, list(r.appended), list(r.deleted)] for r in t.rounds]
     rows += [[f.name, format(f.support, "x")] for f in t.functions]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
@@ -76,10 +75,10 @@ def test_ternary6_transcript_matches_recorded_output(tmp_path) -> None:
     t = run_game(PredictLearner(), TernaryAdversary(6), GameConfig(d=6, round_cap=3**6 + 10))
     save_transcript(t, tmp_path / "t.jsonl")
     digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
-    assert digest == "d3165e19f07041f39b320812410f2b49247f87eeff0b7f2510280c323cf90357"
-    # the same game as the format-2 file pinned before, whose content digest this is
-    want = "b80c22c16bc0d570f81f7b5f45af474d1c432a8f1eb45cded1d12070dc9979c8"
-    assert content_digest(t) == content_digest(load_transcript(tmp_path / "t.jsonl")) == want
+    assert digest == "0b7f696f98b2ff4e1a62b3cf21a3e44759bf5f47687e0ff122c78d5aae3cbe2d"
+    # the game digest of the format-3 file this pin replaced: the same game
+    want = "c2e3a689e156a514753e46826210a101f48b9a225208efb9cc62ce6a7b6646f8"
+    assert game_digest(t) == game_digest(load_transcript(tmp_path / "t.jsonl")) == want
 
 
 def test_ternary_function_validates_arguments() -> None:
@@ -240,21 +239,21 @@ def test_random_class_transcript_matches_recorded_output(tmp_path) -> None:
     path = tmp_path / "t.jsonl"
     save_transcript(t, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "399fff14e147c8babb79fec1fd8f4570cb6b249ad32a0ccfe68fa629367ca6a2"
+        "7e24549c61304d4fd716a0168f1c07cc2d8001e7d47ae5d4bc42fd8f4dc8a52b"
     )
-    want = "b8c436597b1c130c72134c8f8257fb25234f740eb407ca61dfc9f30cd0c6e7a4"
-    assert content_digest(t) == content_digest(load_transcript(path)) == want
+    want = "f72a893caa0de95dd3843a0bc38a7d5c89d5eb1b9a73b5a5493e59d49306f3ce"
+    assert game_digest(t) == game_digest(load_transcript(path)) == want
 
 
 def test_seeded_random_class_games_match_recorded_output() -> None:
-    # recorded when the adversary read every label through h(x) and
-    # re-filtered its consistent list every round
+    # games recorded when the adversary read every label through h(x) and
+    # re-filtered its consistent list every round; digests taken in format 3
     digests = []
     for i, c in enumerate(random_classes(20, seed=4)):
         t = run_game(SOALearner(c), RandomClassAdversary(c, i), GameConfig(d=ldim(c), round_cap=25))
-        digests.append(content_digest(t))
+        digests.append(game_digest(t))
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == (
-        "3ca3157886b409b008e867b52152be50fb724bb2a4045451a1dc25d7a59934dd"
+        "f21644a06a543d9f23c812f260dc8a196dae8793efefffd153aade8ce207a006"
     )
 
 

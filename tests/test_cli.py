@@ -249,6 +249,13 @@ def test_bench_class_greedy_rows(capsys) -> None:
     ]
 
 
+def test_bench_rejects_a_reversed_range(capsys) -> None:
+    assert main(["bench", "--dims", "3-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: '--dims 3-1': the range runs backwards; write the smaller end first\n"
+
+
 def test_bench_records_cell_failures_and_continues(capsys) -> None:
     code = main(["bench", "--dims", "2-2", "--learners", "predict",
                  "--adversaries", "class-greedy,ternary"])
@@ -275,6 +282,7 @@ MALFORMED_SPECS = [
     (["verify", "lower:x"], "'lower:x': 'x'"),
     (["verify", "lower:0"], "'lower:0': '0'"),
     (["bench", "--dims", "a-b"], "'--dims a-b': 'a'"),
+    (["bench", "--dims", "2-"], "'--dims 2-': ''"),
     (["simulate", "--learner", "predict", "--adversary", "free", "--cap", "0"], "'--cap 0': '0'"),
     (["simulate", "--learner", "predict", "--adversary", "free", "--d", "-1"], "'--d -1': '-1'"),
 ]

@@ -303,7 +303,7 @@ def test_channel_enforces_round_ordering() -> None:
 
 
 # ----------------------------------------------------------------------
-# format-3 transcripts: one record per round, its function stored as a hex
+# format-4 transcripts: one record per round, its function stored as a hex
 # support mask XOR the history's 1-points
 
 
@@ -374,7 +374,7 @@ def test_load_transcript_names_a_missing_key(tmp_path, ternary_lines) -> None:
 
 def test_load_transcript_rejects_an_unknown_format(tmp_path, ternary_lines) -> None:
     records = [json.loads(line) for line in ternary_lines]
-    for fmt in (1, 2, None):
+    for fmt in (1, 2, 3, None):
         records[0]["format"] = fmt
         with pytest.raises(TranscriptError, match=f"line 1: unknown transcript format {fmt}"):
             load_transcript(_write(tmp_path, records))
@@ -505,7 +505,7 @@ def test_a_live_adversary_that_relabels_a_point_is_rejected_at_that_round() -> N
 def test_a_stored_relabeling_fails_validation_at_that_round(tmp_path) -> None:
     t = Transcript(GameConfig(d=None, round_cap=10), "predict", "relabeling", stopped_by="adversary_done")
     for i, (x, y, support) in enumerate(RELABEL_SCRIPT):
-        t.rounds.append(Round(i, x, 0, y, y != 0, Hypothesis(f"f{i}", support=support), 0, 0))
+        t.rounds.append(Round(i, x, 0, y, y != 0, Hypothesis(f"f{i}", support=support)))
     save_transcript(t, tmp_path / "t.jsonl")
     report = validate_transcript(load_transcript(tmp_path / "t.jsonl"))
     assert report.failures == ("round 3: function 'f3' contradicts the revealed history",)
@@ -536,13 +536,11 @@ def test_annotate_update_lands_on_the_last_round_only() -> None:
 
 def test_round_is_a_slotted_record_that_replace_copies() -> None:
     f4 = Hypothesis("f4", support=0b10000000)
-    r = Round(4, 7, 0, 1, True, f4, 2, 5)
+    r = Round(4, 7, 0, 1, True, f4, ("f4",), ("f2",))
     assert not hasattr(r, "__dict__")
-    assert [f.name for f in fields(Round)] == [
-        "index", "x", "y_hat", "y", "mistake", "f", "vote_width", "active_count", "appended", "deleted",
-    ]
+    assert [f.name for f in fields(Round)] == ["index", "x", "y_hat", "y", "mistake", "f", "appended", "deleted"]
     flipped = replace(r, y=0, mistake=False)
-    assert flipped == Round(4, 7, 0, 0, False, f4, 2, 5) and flipped.f is f4
+    assert flipped == Round(4, 7, 0, 0, False, f4, ("f4",), ("f2",)) and flipped.f is f4
     assert (r.y, r.mistake) == (1, True)
 
 
@@ -618,8 +616,6 @@ ROUND_FIELD_PROBES = [
     ("y", 2, "'y' is not the int 0 or 1: 2"),
     ("x", "3", "'x' must be of type int, got '3'"),
     ("round", 3.0, "'round' must be of type int, got 3.0"),
-    ("vote_width", None, "'vote_width' must be of type int, got None"),
-    ("active_count", False, "'active_count' must be of type int, got False"),
     ("mistake", 1, "'mistake' must be of type bool, got 1"),
     ("f_id", 3, "'f_id' must be of type str, got 3"),
     ("appended", "abc", "'appended' must be a list of strings, got 'abc'"),
@@ -682,7 +678,7 @@ def test_load_transcript_type_checks_every_header_field(tmp_path, ternary_lines,
 
 
 # ----------------------------------------------------------------------
-# format-3 sizes and the exactness of the stored supports
+# format-4 sizes and the exactness of the stored supports
 
 
 def test_a_create_advanced_2_transcript_fits_in_a_megabyte(tmp_path) -> None:
@@ -690,7 +686,7 @@ def test_a_create_advanced_2_transcript_fits_in_a_megabyte(tmp_path) -> None:
     assert (t.mistake_count, t.stopped_by) == (4368, "learner_halted")
     path = tmp_path / "t.jsonl"
     save_transcript(t, path)
-    assert path.stat().st_size <= 1_000_000
+    assert path.stat().st_size <= 600_000
     # a free function is the history's 1-points, so it stores "0"
     assert {json.loads(line).get("ones") for line in path.read_text().splitlines()} == {None, "0"}
 
@@ -708,7 +704,7 @@ def stored_games(draw) -> list[tuple[int, int, str, int]]:
 def test_save_then_load_returns_the_exact_names_and_supports(tmp_path_factory, game) -> None:
     t = Transcript(GameConfig(d=None, round_cap=20), "predict", "scripted", stopped_by="adversary_done")
     for i, (x, y, name, support) in enumerate(game):
-        t.rounds.append(Round(i, x, 1 - y, y, True, Hypothesis(name, support=support), 0, 0))
+        t.rounds.append(Round(i, x, 1 - y, y, True, Hypothesis(name, support=support)))
     path = tmp_path_factory.mktemp("stored") / "t.jsonl"
     save_transcript(t, path)
     loaded = load_transcript(path)

@@ -48,7 +48,7 @@ class ScriptedRounds:
         self._x = self.script[len(self.submitted)][0]
         return self._x
 
-    def submit(self, y_hat, *, vote_width=0, active_count=0) -> int:
+    def submit(self, y_hat) -> int:
         y = self.script[len(self.submitted)][1]
         self.submitted.append((self._x, y_hat, y))
         return y
@@ -68,7 +68,7 @@ class FlipRounds:
     def next_point(self) -> int:
         return self._x
 
-    def submit(self, y_hat, *, vote_width=0, active_count=0) -> int:
+    def submit(self, y_hat) -> int:
         y = 1 - y_hat
         self.history.append((self._x, y))
         self._x += 1

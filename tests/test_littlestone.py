@@ -199,11 +199,12 @@ def test_soa_predict_at_a_negative_point_is_a_typed_error() -> None:
 
 
 def test_soa_update() -> None:
-    h10, h11 = ALL_FOUR.hypotheses[2:]
-    t = soa_game(ALL_FOUR.hypotheses, [(0, h10), (1, h11)])
-    # the version space is restricted to the members with value 1 at 0
-    assert [r.active_count for r in t.rounds] == [4, 2]
-    assert t.rounds[1].y_hat == 0  # h10 and h11 tie at point 1
+    # over the whole class the 1-side at point 1 is the larger ({a, b}, of
+    # dimension 1, against {c}); once point 0 is labeled 1 only c is left,
+    # so a learner that restricts its version space predicts c's 0 there
+    v = (hyp("a", "010"), hyp("b", "011"), hyp("c", "100"))
+    t = soa_game(v, [(0, v[2]), (1, v[2])])
+    assert [(r.y_hat, r.y) for r in t.rounds] == [(0, 1), (0, 0)]
 
 
 @pytest.mark.parametrize("adversary", [ClassGreedyAdversary, lambda c: RandomClassAdversary(c, 5)])

@@ -14,6 +14,7 @@ from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import _DimensionEngine, ldim
 from oraclebench.verification import (
+    CheckResult,
     _dimension_check,
     random_classes,
     random_classes_of_dimension,
@@ -128,6 +129,11 @@ def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
 
 def test_verify_upper_passes_at_reduced_scale() -> None:
     assert _all_ok(verify_upper(1, class_count=5))
+
+
+def test_verify_upper_guards_d_above_7() -> None:
+    # classes are drawn on at most 8 points: dimension 8 needs all 256 functions
+    assert verify_upper(8) == [CheckResult("upper:8", False, "guard: upper bounds checked up to d = 7")]
 
 
 def test_verify_advanced_passes() -> None:
