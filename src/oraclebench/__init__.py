@@ -9,12 +9,12 @@ the known lower bounds, and a protocol engine that validates every move.
 
 from .adversary import (
     ClassGreedyAdversary,
+    DigitRecovery,
     FloodAdversary,
     FreeAdversary,
-    InformativeState,
     RandomClassAdversary,
+    RecoveryState,
     TernaryAdversary,
-    informative_step,
     ternary_function,
 )
 from .errors import (

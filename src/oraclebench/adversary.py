@@ -12,11 +12,11 @@ forcing a mistake every round.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
+from typing import NamedTuple
 
-from .errors import InconsistentOracleClass, NonRealizable
+from .errors import InconsistentOracleClass, NonRealizable, PointError
 from .hypotheses import (
     Bit,
     Hypothesis,
@@ -214,122 +214,116 @@ class RandomClassAdversary:
         return y, self._rng.choice(self._consistent)
 
 
-@dataclass(frozen=True)
-class InformativeState:
-    """State of the digit-recovery learner for a ternary class.
+class RecoveryState(NamedTuple):
+    """Progress of the digit-recovery learner on one hidden function.
 
     ``witness`` is None before the first mistake; after it, it is a point
     whose expansion matches ``known_digits``, the most significant base-3
     digits of the hidden index recovered so far, and whose revealed label
     differs from the hidden function's value there. A witness certifies
-    len(known_digits) + 1 leading digits.
+    len(known_digits) + 1 leading digits; at d of them, ``recovered`` is
+    the hidden function.
     """
 
-    d: int
-    labels: tuple[Bit, ...]
     known_digits: tuple[int, ...] = ()
     witness: Point | None = None
-    recovered_index: int | None = None
     recovered: Hypothesis | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != 3**self.d:
-            raise ValueError(
-                f"need all {3 ** self.d} class labels, got {len(self.labels)}"
-            )
+    @property
+    def progress(self) -> int:
+        """Leading digits certified so far; every change of state raises it."""
+        return len(self.known_digits) + (self.witness is not None)
 
 
-def _advance(state: InformativeState, witness: Point, digit: int | None) -> InformativeState:
-    """The state once ``witness`` certifies one more leading digit, which is
-    ``digit`` (None on the first mistake, which certifies a witness and no
-    known digit); at depth d the witness pins down the hidden index."""
-    digits = state.known_digits + (() if digit is None else (digit,))
-    if len(digits) + 1 < state.d:
-        return _successor(state, digits, witness)
-    last = ternary_digit(witness, 0)
-    if last == 0:
-        raise InconsistentOracleClass(
-            "witness ends in digit 0, impossible for any class member"
-        )
-    r = 0 if last == 1 else 1 - state.labels[witness]
-    for position, known in zip(range(state.d - 1, 0, -1), digits):
-        r += known * 3**position
-    f = ternary_function(r, state.d, state.labels[: r + 1])
-    return _successor(state, digits, witness, r, f)
+class DigitRecovery:
+    """The digit-recovery learner for the ternary class of dimension ``d``
+    whose revealed labels on 0..3^d-1 are ``labels``.
 
-
-def _successor(
-    state: InformativeState,
-    known_digits: tuple[int, ...],
-    witness: Point,
-    recovered_index: int | None = None,
-    recovered: Hypothesis | None = None,
-) -> InformativeState:
-    """``state`` with new progress fields. Its labels carry over unchanged,
-    so the successor is built field by field, without re-running the
-    label-count check of ``__post_init__`` as ``dataclasses.replace`` would."""
-    out = object.__new__(InformativeState)
-    set_field = object.__setattr__  # the dataclass is frozen
-    set_field(out, "d", state.d)
-    set_field(out, "labels", state.labels)
-    set_field(out, "known_digits", known_digits)
-    set_field(out, "witness", witness)
-    set_field(out, "recovered_index", recovered_index)
-    set_field(out, "recovered", recovered)
-    return out
-
-
-def _analyze(
-    state: InformativeState, z: Point
-) -> tuple[Bit, InformativeState, tuple[Point, int | None] | None]:
-    """Work out the prediction for ``z`` without its true value.
-
-    Returns (prediction, state after promotions that need no feedback,
-    the (witness, digit) that ``_advance`` applies if the prediction turns
-    out wrong). A genuine mistake guarantees that transition's
-    preconditions, whereas a hypothetical one need not. It is None on
-    paths where the class makes a mistake impossible.
+    It finds the hidden function's index digit by digit, most significant
+    first, and makes at most d mistakes. The learner holds the class; its
+    progress on one hidden function is a :class:`RecoveryState`.
     """
-    d = state.d
-    while True:
-        if state.recovered is not None:
-            return state.recovered(z), state, None
-        if z >= 3**d:
-            return 0, state, None
-        y_z = state.labels[z]
-        if state.witness is None:
-            return y_z, state, (z, None)
-        level = len(state.known_digits) + 1
-        # compare z against the certified prefix, most significant first
-        for position, r_i in zip(range(d - 1, d - level, -1), state.known_digits):
-            z_i = ternary_digit(z, position)
-            if z_i != r_i:
-                return (y_z if z_i < r_i else r_i), state, None
-        a = ternary_digit(state.witness, d - level)
-        b = ternary_digit(z, d - level)
-        if a == 0:
-            # the witness already certifies the next digit to be 0
-            state = _advance(state, state.witness, 0)
-            continue
-        y_w = state.labels[state.witness]
-        if b == 0:
-            return y_z, state, (z, 0)
-        if a <= b:
-            return 1 - y_w, state, (state.witness, a)
-        # a == 2, b == 1
-        if y_w == 0:
-            return y_z, state, (z, 1)
-        return 0, state, (state.witness, 2)
 
+    def __init__(self, d: int, labels: tuple[Bit, ...]):
+        labels = tuple(labels)
+        if len(labels) != 3**d:
+            raise ValueError(f"need all {3 ** d} class labels, got {len(labels)}")
+        bad = next((x for x, y in enumerate(labels) if y not in (0, 1)), None)
+        if bad is not None:
+            raise ValueError(f"class label {labels[bad]!r} at point {bad} is not 0 or 1")
+        self.d = d
+        self.labels = labels
 
-def informative_step(state: InformativeState, z: Point, y: Bit) -> tuple[Bit, InformativeState]:
-    """The learner's prediction at ``z``, fixed before ``y`` is read, and
-    its state once ``y``, the true value at ``z``, is revealed."""
-    prediction, state, on_mistake = _analyze(state, z)
-    if y == prediction:
-        return prediction, state
-    if on_mistake is None:
-        raise InconsistentOracleClass(
-            f"observed value {y} at {z} contradicts every class member"
-        )
-    return prediction, _advance(state, *on_mistake)
+    def step(self, state: RecoveryState, z: Point, y: Bit) -> tuple[Bit, RecoveryState]:
+        """The learner's prediction at ``z``, fixed before ``y`` is read, and
+        its state once ``y``, the true value at ``z``, is revealed."""
+        if z < 0:
+            raise PointError(f"negative point {z}")
+        prediction, state, on_mistake = self._analyze(state, z)
+        if y == prediction:
+            return prediction, state
+        if on_mistake is None:
+            raise InconsistentOracleClass(
+                f"observed value {y} at {z} contradicts every class member"
+            )
+        return prediction, self._advance(state, *on_mistake)
+
+    def _advance(self, state: RecoveryState, witness: Point, digit: int | None) -> RecoveryState:
+        """The state once ``witness`` certifies one more leading digit, which is
+        ``digit`` (None on the first mistake, which certifies a witness and no
+        known digit); at depth d the witness pins down the hidden index."""
+        d = self.d
+        digits = state.known_digits + (() if digit is None else (digit,))
+        if len(digits) + 1 < d:
+            return RecoveryState(digits, witness)
+        last = ternary_digit(witness, 0)
+        if last == 0:
+            raise InconsistentOracleClass(
+                "witness ends in digit 0, impossible for any class member"
+            )
+        r = 0 if last == 1 else 1 - self.labels[witness]
+        for position, known in zip(range(d - 1, 0, -1), digits):
+            r += known * 3**position
+        return RecoveryState(digits, witness, ternary_function(r, d, self.labels[: r + 1]))
+
+    def _analyze(
+        self, state: RecoveryState, z: Point
+    ) -> tuple[Bit, RecoveryState, tuple[Point, int | None] | None]:
+        """Work out the prediction for ``z`` without its true value.
+
+        Returns (prediction, state after promotions that need no feedback,
+        the (witness, digit) that ``_advance`` applies if the prediction turns
+        out wrong). A genuine mistake guarantees that transition's
+        preconditions, whereas a hypothetical one need not. It is None on
+        paths where the class makes a mistake impossible.
+        """
+        d, labels = self.d, self.labels
+        while True:
+            if state.recovered is not None:
+                return state.recovered(z), state, None
+            if z >= len(labels):
+                return 0, state, None
+            y_z = labels[z]
+            if state.witness is None:
+                return y_z, state, (z, None)
+            level = len(state.known_digits) + 1
+            # compare z against the certified prefix, most significant first
+            for position, r_i in zip(range(d - 1, d - level, -1), state.known_digits):
+                z_i = ternary_digit(z, position)
+                if z_i != r_i:
+                    return (y_z if z_i < r_i else r_i), state, None
+            a = ternary_digit(state.witness, d - level)
+            b = ternary_digit(z, d - level)
+            if a == 0:
+                # the witness already certifies the next digit to be 0
+                state = self._advance(state, state.witness, 0)
+                continue
+            y_w = labels[state.witness]
+            if b == 0:
+                return y_z, state, (z, 0)
+            if a <= b:
+                return 1 - y_w, state, (state.witness, a)
+            # a == 2, b == 1
+            if y_w == 0:
+                return y_z, state, (z, 1)
+            return 0, state, (state.witness, 2)

@@ -14,14 +14,14 @@ from dataclasses import dataclass, replace
 
 from .adversary import (
     ClassGreedyAdversary,
+    DigitRecovery,
     FloodAdversary,
     FreeAdversary,
-    InformativeState,
     RandomClassAdversary,
+    RecoveryState,
     TernaryAdversary,
-    informative_step,
 )
-from .errors import InconsistentOracleClass, OracleBenchError
+from .errors import InconsistentOracleClass, OracleBenchError, SizeLimitExceeded
 from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
 from .hypotheses import Hypothesis, HypothesisClass
 from .learner import (
@@ -102,7 +102,13 @@ def random_classes(count: int, seed: int, max_hypotheses: int = 10, max_points: 
 
 
 def random_classes_of_dimension(d: int, count: int, seed: int) -> list[HypothesisClass]:
-    """Seeded random classes filtered to dimension exactly d."""
+    """Seeded random classes filtered to dimension exactly d. They are drawn
+    on at most 8 points, where dimension 8 needs all 256 functions, so d
+    above 7 is refused at once rather than searched for."""
+    if d > 7:
+        raise SizeLimitExceeded(
+            f"random classes are drawn on at most 8 points: dimension {d} is past the limit of 7"
+        )
     rng = random.Random(seed)
     out: list[HypothesisClass] = []
     while len(out) < count:
@@ -116,38 +122,35 @@ def random_classes_of_dimension(d: int, count: int, seed: int) -> list[Hypothesi
 # suites
 
 
-def _recovery_worst_case(start: InformativeState, f: Hypothesis) -> int:
-    """The most mistakes the digit-recovery learner makes on ``f`` over every
-    query sequence, repeats included (point 3^d stands for all past 3^d - 1):
-    a longest path over its states. A step that changes the state must set
-    the witness or append a digit, so a state's scan can stop once its best
-    reaches the progress left. Raises OracleBenchError on a learner fault."""
-    memo: dict[tuple, int] = {}
+def _recovery_worst_case(learner: DigitRecovery, f: Hypothesis) -> int:
+    """The most mistakes ``learner`` makes on ``f`` over every query sequence,
+    repeats included (point 3^d stands for all past 3^d - 1): a longest path
+    over its states. A step that changes the state must raise its progress,
+    so a state's scan can stop once its best reaches the progress left.
+    Raises OracleBenchError on a learner fault."""
+    memo: dict[RecoveryState, int] = {}
+    points = range(3**learner.d + 1)
 
-    def progress(s: InformativeState) -> int:
-        return len(s.known_digits) + (s.witness is not None)
-
-    def longest(s: InformativeState) -> int:
+    def longest(s: RecoveryState) -> int:
         if s.recovered is not None:
             if s.recovered != f:
                 raise InconsistentOracleClass(f"recovered {s.recovered.name}, hidden {f.name}")
             return 0
-        key = (s.known_digits, s.witness, s.recovered_index)
-        if key not in memo:
-            best = 0
-            for z in range(3**s.d + 1):
-                y_hat, nxt = informative_step(s, z, y := f(z))
+        if s not in memo:
+            best, left = 0, learner.d - s.progress
+            for z in points:
+                y_hat, nxt = learner.step(s, z, y := f(z))
                 if y_hat == y and nxt == s:
                     continue
-                if progress(nxt) <= progress(s):
-                    raise OracleBenchError(f"the step at {z} from {key} makes no progress")
+                if nxt.progress <= s.progress:
+                    raise OracleBenchError(f"the step at {z} from {s} makes no progress")
                 best = max(best, (y_hat != y) + longest(nxt))
-                if best >= s.d - progress(s):
+                if best >= left:
                     break
-            memo[key] = best
-        return memo[key]
+            memo[s] = best
+        return memo[s]
 
-    return longest(start)
+    return longest(RecoveryState())
 
 
 def _dimension_check(name: str, functions: list[Hypothesis], d: int) -> CheckResult:
@@ -171,11 +174,11 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
     # history consistency only: the dimension check below decides the set once
     report = validate_transcript(replace(t, config=replace(t.config, d=None)))
     # the class is the revealed set: labels and each f_r come from the game
-    start = InformativeState(d=d, labels=tuple(r.y for r in t.rounds))
+    learner = DigitRecovery(d, tuple(r.y for r in t.rounds))
     worst, faults = 0, []
     for f_r in t.functions:
         try:
-            worst = max(worst, _recovery_worst_case(start, f_r))
+            worst = max(worst, _recovery_worst_case(learner, f_r))
         except OracleBenchError as exc:
             faults.append(f"{f_r.name}: {exc}")
     n = 2 ** (d + 1) - 1

@@ -11,7 +11,9 @@ and re-filters them every round, the way the adversary was first written;
 the SOA reference does the same with its version space, and scores each
 side of a split by brute_ldim. The restriction sides and the advanced-set
 walk are likewise rebuilt as tuples and walked one subset at a time, the
-way ``verify_props`` and ``check_advanced`` first did.
+way ``verify_props`` and ``check_advanced`` first did. The digit-recovery
+learner's worst case is a plain recursion over its state changes, with no
+memo and no cut-off.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Sequence
 
+from oraclebench.adversary import DigitRecovery, RecoveryState
 from oraclebench.errors import IllegalLabel, NonRealizable
 from oraclebench.hypotheses import Bit, Hypothesis, HypothesisClass, LabeledPair, Point, distinct
 
@@ -155,3 +158,24 @@ def first_failing_subset(
             if fails(subset):
                 return walked, subset
     return walked, None
+
+
+def brute_recovery_worst_case(
+    learner: DigitRecovery, f: Hypothesis, state: RecoveryState = RecoveryState(), depth: int = 0
+) -> int:
+    """The most mistakes ``learner`` makes on ``f`` from ``state`` over every
+    query sequence, repeats included (point 3^d stands for all past it):
+    the best over every step that changes the state. A mistake that leaves
+    the state as it is repeats forever, and a path of more than d changes
+    runs past the learner's d digits; both raise."""
+    if depth > learner.d:
+        raise RecursionError(f"more than {learner.d} state changes on one path")
+    best = 0
+    for z in range(3**learner.d + 1):
+        y = f(z)
+        y_hat, nxt = learner.step(state, z, y)
+        if nxt != state:
+            best = max(best, (y_hat != y) + brute_recovery_worst_case(learner, f, nxt, depth + 1))
+        elif y_hat != y:
+            raise RecursionError(f"a repeated mistake at {z} from {state}")
+    return best

@@ -13,12 +13,12 @@ import pytest
 from conftest import hyp
 from oraclebench.adversary import (
     ClassGreedyAdversary,
+    DigitRecovery,
     FloodAdversary,
     FreeAdversary,
-    InformativeState,
     RandomClassAdversary,
+    RecoveryState,
     TernaryAdversary,
-    informative_step,
     ternary_function,
 )
 from oraclebench.errors import IllegalAdversaryFunction
@@ -93,20 +93,20 @@ def test_criterion_2_ternary_construction_is_legal(ternary_games) -> None:
         _, labels = ternary_games[d]
         n = 3**d
         worst[d] = exact[d] = 0
-        start = InformativeState(d=d, labels=labels)
+        learner = DigitRecovery(d, labels)
         for r in range(n):
             f_r = ternary_function(r, d, labels[: r + 1])
-            exact_r = _recovery_worst_case(start, f_r)
+            exact_r = _recovery_worst_case(learner, f_r)
             exact[d] = max(exact[d], exact_r)
             rng = random.Random(1000 * d + r)
             for _ in range(100):
                 order = list(range(n)) + [n, n + rng.randint(1, 40)]
                 rng.shuffle(order)
-                state = start
+                state = RecoveryState()
                 mistakes = 0
                 for z in order:
                     y = f_r(z)
-                    y_hat, state = informative_step(state, z, y)
+                    y_hat, state = learner.step(state, z, y)
                     mistakes += y != y_hat
                 assert mistakes <= exact_r
                 worst[d] = max(worst[d], mistakes)

@@ -9,15 +9,15 @@ import pytest
 from brute_oracles import SurvivorFilterAdversary, brute_ldim, brute_ternary_function
 from oraclebench.adversary import (
     ClassGreedyAdversary,
+    DigitRecovery,
     FloodAdversary,
     FreeAdversary,
-    InformativeState,
     RandomClassAdversary,
+    RecoveryState,
     TernaryAdversary,
-    informative_step,
     ternary_function,
 )
-from oraclebench.errors import InconsistentOracleClass
+from oraclebench.errors import InconsistentOracleClass, PointError
 from oraclebench.game import GameConfig, load_transcript, run_game, save_transcript
 from oraclebench.hypotheses import Hypothesis, HypothesisClass, Sample, is_consistent
 from oraclebench.learner import PredictLearner
@@ -271,13 +271,14 @@ def test_a_class_adversary_plays_no_point_on_an_empty_domain(adversary) -> None:
 # the digit-recovery learner
 
 
-def _play(d: int, labels: tuple[int, ...], r: int, order) -> tuple[int, InformativeState]:
+def _play(d: int, labels: tuple[int, ...], r: int, order) -> tuple[int, RecoveryState]:
     f_r = ternary_function(r, d, labels[: r + 1])
-    state = InformativeState(d=d, labels=labels)
+    learner = DigitRecovery(d, labels)
+    state = RecoveryState()
     mistakes = 0
     for z in order:
         y = f_r(z)
-        y_hat, state = informative_step(state, z, y)
+        y_hat, state = learner.step(state, z, y)
         mistakes += y != y_hat
     return mistakes, state
 
@@ -287,8 +288,8 @@ def test_informative_learner_identifies_r_in_order() -> None:
     for r in range(9):
         mistakes, state = _play(2, labels, r, range(9))
         assert mistakes <= 2
-        if state.recovered_index is not None:
-            assert state.recovered_index == r
+        if state.recovered is not None:
+            assert state.recovered.name == f"f{r}"
 
 
 def test_informative_learner_recovery_digit_cases() -> None:
@@ -296,12 +297,12 @@ def test_informative_learner_recovery_digit_cases() -> None:
     # ending in 2 pins it to the complement of the revealed label there
     labels = (1, 1, 1)
     mistakes, state = _play(1, labels, 0, [1, 0, 2])
-    assert state.recovered_index == 0 and mistakes == 1
+    assert state.recovered.name == "f0" and mistakes == 1
     # here f_1 is 1 at point 2 while the revealed label there is 0, so the
     # first mistake lands on a witness ending in digit 2
     labels = (1, 0, 0)
     mistakes, state = _play(1, labels, 1, [2, 0, 1])
-    assert state.recovered_index == 1 and mistakes == 1
+    assert state.recovered.name == "f1" and mistakes == 1
 
 
 def test_informative_learner_handles_out_of_range_points() -> None:
@@ -315,9 +316,9 @@ def test_informative_learner_mistake_bound_sweep(d: int) -> None:
     rng = random.Random(d)
     labels = tuple(rng.randint(0, 1) for _ in range(3**d))
     n = 3**d
-    start = InformativeState(d=d, labels=labels)
+    learner = DigitRecovery(d, labels)
     for r in range(n):
-        exact = _recovery_worst_case(start, ternary_function(r, d, labels[: r + 1]))
+        exact = _recovery_worst_case(learner, ternary_function(r, d, labels[: r + 1]))
         assert exact <= d
         for trial in range(15):
             order = list(range(n)) + [n + rng.randint(0, 30)]
@@ -328,23 +329,37 @@ def test_informative_learner_mistake_bound_sweep(d: int) -> None:
 
 def test_informative_learner_exact_after_recovery() -> None:
     labels = (1, 0, 0, 1, 1, 0, 0, 1, 0)
+    learner = DigitRecovery(2, labels)
     for r in range(9):
         mistakes, state = _play(2, labels, r, list(range(9)) * 2)
-        if state.recovered_index is not None:
+        if state.recovered is not None:
             f_r = ternary_function(r, 2, labels[: r + 1])
             assert state.recovered == f_r and state.recovered.name == f"f{r}"
-            assert all(informative_step(state, z, f_r(z)) == (f_r(z), state) for z in range(12))
+            assert all(learner.step(state, z, f_r(z)) == (f_r(z), state) for z in range(12))
 
 
 def test_informative_learner_rejects_labels_outside_the_class() -> None:
-    labels = (1, 1, 1)
-    state = InformativeState(d=1, labels=labels)
+    learner = DigitRecovery(1, (1, 1, 1))
+    state = RecoveryState()
     # every class member is 0 past 3^d, so observing a 1 there is malformed
-    assert informative_step(state, 7, 0) == (0, state)
+    assert learner.step(state, 7, 0) == (0, state)
     with pytest.raises(InconsistentOracleClass):
-        informative_step(state, 7, 1)
+        learner.step(state, 7, 1)
+
+
+def test_informative_learner_rejects_a_negative_point() -> None:
+    # labels[-1] would read point 2's label and "recover" f0 from witness -1
+    learner = DigitRecovery(1, (0, 1, 1))
+    with pytest.raises(PointError, match="negative point -1"):
+        learner.step(RecoveryState(), -1, 0)
 
 
 def test_informative_state_validates_label_count() -> None:
-    with pytest.raises(ValueError):
-        InformativeState(d=2, labels=(1, 0))
+    with pytest.raises(ValueError, match="need all 9 class labels, got 2"):
+        DigitRecovery(2, (1, 0))
+
+
+def test_informative_learner_rejects_class_labels_that_are_not_bits() -> None:
+    # a label of 2 would be predicted as is at point 1
+    with pytest.raises(ValueError, match="class label 2 at point 1 is not 0 or 1"):
+        DigitRecovery(1, (0, 2, 7))

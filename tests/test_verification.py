@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import itertools
 import json
-from dataclasses import replace
+import random
+import textwrap
 
 import pytest
 
-from brute_oracles import restriction_sides
+from brute_oracles import brute_recovery_worst_case, restriction_sides
 from oraclebench import adversary
-from oraclebench.adversary import TernaryAdversary
+from oraclebench.adversary import DigitRecovery, TernaryAdversary, ternary_function
+from oraclebench.errors import SizeLimitExceeded
 from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import _DimensionEngine, ldim
 from oraclebench.verification import (
     CheckResult,
     _dimension_check,
+    _recovery_worst_case,
     random_classes,
     random_classes_of_dimension,
     threshold_pair_classes,
@@ -40,6 +44,12 @@ def test_threshold_pairs_have_dimension_one() -> None:
 def test_random_classes_of_dimension_hits_the_target() -> None:
     for c in random_classes_of_dimension(2, 5, seed=1):
         assert ldim(c) == 2
+
+
+def test_random_classes_of_dimension_refuses_d_above_7_at_once() -> None:
+    # on at most 8 points, dimension 8 needs all 256 functions: the draw would never end
+    with pytest.raises(SizeLimitExceeded, match="at most 8 points: dimension 8 is past the limit of 7"):
+        random_classes_of_dimension(8, 1, seed=0)
 
 
 def test_verify_lower_passes() -> None:
@@ -83,12 +93,27 @@ def test_verify_lower_decides_the_informative_learner_exactly() -> None:
         assert check.detail == f"exact worst case {d} mistakes over every query sequence, bound {d}"
 
 
+def _recovery_cases(d: int, labels: tuple[int, ...]):
+    learner = DigitRecovery(d, labels)
+    return [(learner, ternary_function(r, d, labels[: r + 1])) for r in range(3**d)]
+
+
+def test_the_exact_recovery_search_matches_a_brute_recursion() -> None:
+    cases = [case for labels in itertools.product((0, 1), repeat=3) for case in _recovery_cases(1, labels)]
+    rng = random.Random(0)
+    for _ in range(20):
+        cases += _recovery_cases(2, tuple(rng.randint(0, 1) for _ in range(9)))
+    assert len(cases) == 8 * 3 + 20 * 9
+    for learner, f in cases:
+        assert _recovery_worst_case(learner, f) == brute_recovery_worst_case(learner, f), (learner.labels, f)
+
+
 def test_a_planted_digit_comparison_fault_fails_the_check(monkeypatch) -> None:
-    source = inspect.getsource(adversary._analyze)
+    source = textwrap.dedent(inspect.getsource(DigitRecovery._analyze))
     assert source.count("z_i < r_i") == 1
     namespace = dict(vars(adversary))
     exec(source.replace("z_i < r_i", "z_i > r_i"), namespace)
-    monkeypatch.setattr(adversary, "_analyze", namespace["_analyze"])
+    monkeypatch.setattr(DigitRecovery, "_analyze", namespace["_analyze"])
     check = _informative_check(3)
     assert not check.ok
     assert check.detail.startswith("learner fault on 23 of 27 functions, first f0: ")
@@ -98,14 +123,14 @@ def test_a_step_without_progress_fails_the_check(monkeypatch) -> None:
     # a mistake that moves the witness to a new point but certifies no
     # digit: the state changes without progress, which the cut-off must not
     # hide as a capped count
-    advance = adversary._advance
+    advance = DigitRecovery._advance
 
-    def stalled(state, witness, digit):
+    def stalled(self, state, witness, digit):
         if state.witness in (None, witness):
-            return advance(state, witness, digit)
-        return replace(state, witness=witness)
+            return advance(self, state, witness, digit)
+        return state._replace(witness=witness)
 
-    monkeypatch.setattr(adversary, "_advance", stalled)
+    monkeypatch.setattr(DigitRecovery, "_advance", stalled)
     check = _informative_check(2)
     assert not check.ok
     assert "makes no progress" in check.detail
