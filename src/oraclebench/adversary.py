@@ -144,13 +144,21 @@ class ClassGreedyAdversary:
     the lowest set bit, is the first class member consistent with the
     history. A round is one AND with the point's column, and the first
     splitting point in domain order is rescanned only when the mask shrinks:
-    O(1) big-int operations a round. On an empty domain it plays no point.
+    O(1) big-int operations a round. As it flips whenever the class allows,
+    the survivors shrink only on a mistake; once no point splits them, the
+    labels are forced and it plays the domain round-robin. It ends the game
+    (``adversary_done``) after one whole pass with no mistake: a learner
+    whose state changes only on a mistake (``PredictLearner``,
+    ``CreateAdvancedLearner``) or whose version space is the survivors
+    (``SOALearner``) then keeps its state, so the pass repeats forever and
+    no further mistake can come. On an empty domain it plays no point.
     """
 
     def __init__(self, c: HypothesisClass):
         self.cls = c
         self.name = "class-greedy"
         self._rounds = 0
+        self._quiet = 0  # settled rounds with no mistake, in a row
         self._engine = c.engine
         self._survivors = self._engine.full
         self._split = self._first_split(self._survivors)
@@ -160,9 +168,8 @@ class ClassGreedyAdversary:
 
     def next_point(self) -> Point | None:
         if self._split is None:
-            # no disagreement left anywhere: keep the game alive round-robin
             domain = self.cls.domain
-            return domain[self._rounds % len(domain)] if domain else None
+            return domain[self._rounds % len(domain)] if self._quiet < len(domain) else None
         return self._split
 
     def respond(self, x: Point, y_hat: Bit) -> tuple[Bit, Hypothesis]:
@@ -172,6 +179,7 @@ class ClassGreedyAdversary:
             kept = one if y else s ^ one
             if kept:
                 self._rounds += 1
+                self._quiet = self._quiet + 1 if self._split is None and y == y_hat else 0
                 if kept != s:
                     self._survivors, self._split = kept, self._first_split(kept)
                 return y, self._engine.hyps[(kept & -kept).bit_length() - 1]

@@ -201,10 +201,12 @@ def verify_upper(d: int, seed: int = 0, class_count: int = 100) -> list[CheckRes
     oracle learner stays below its budget and the version-space learner
     stays within the dimension.
 
-    For d = 1 the cap of 300 rounds exceeds the budget of 271, so the
-    bound is exercised in full; for larger d the budget dwarfs any
-    playable game and the cap truncates well below it. Classes are drawn
-    on at most 8 points, so d above 7 is refused by a guard.
+    A game ends at the cap, or once the class-greedy adversary has settled
+    and a whole pass of the domain went by with no mistake: neither learner
+    can err again. The d = 1 cap of 300 rounds still exceeds the budget of
+    271, so a learner that kept erring would be caught past it; for larger d
+    the budget dwarfs any playable game and the cap truncates well below
+    it. Classes are drawn on at most 8 points, so d above 7 is refused.
     """
     if d > 7:
         return [_check(f"upper:{d}", False, "guard: upper bounds checked up to d = 7")]

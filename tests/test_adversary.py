@@ -191,20 +191,74 @@ def _classes_with_repeats(count: int, seed: int) -> list[HypothesisClass]:
     return out
 
 
-@pytest.mark.parametrize("learner", [lambda c: PredictLearner(), SOALearner], ids=["predict", "soa"])
-def test_class_greedy_plays_the_survivor_filter_reference(learner) -> None:
+def test_class_greedy_ends_a_one_function_game_after_one_correct_pass() -> None:
+    c = HypothesisClass.from_rows([3, 1, 4, 0, 2], [("h", "01101")])
+    t = run_game(SOALearner(c), ClassGreedyAdversary(c), GameConfig(d=0, round_cap=100))
+    assert [r.x for r in t.rounds] == [3, 1, 4, 0, 2]
+    assert (t.stopped_by, t.mistake_count) == ("adversary_done", 0)
+
+
+def test_a_settled_phase_mistake_restarts_the_pass() -> None:
+    # settled from the start; predict says 0 until its first mistake, at point 2,
+    # which comes after a quiet run of len(domain) - 1 rounds
+    c = HypothesisClass.from_rows([0, 1, 2], [("h", "001")])
+    t = run_game(PredictLearner(), ClassGreedyAdversary(c), GameConfig(d=1, round_cap=100))
+    assert [(r.x, r.mistake) for r in t.rounds] == [
+        (0, False), (1, False), (2, True), (0, False), (1, False), (2, False),
+    ]
+    assert t.stopped_by == "adversary_done"
+
+
+class SecondMistakeLearner:
+    """Predicts 0 at a point until it has erred there twice, then 1 (a
+    point's label never changes once revealed). Its state changes only on a
+    mistake, and in a settled game its two mistakes at a 1-point fall in two
+    passes of the domain; predict makes at most one settled-phase mistake,
+    and SOA none."""
+
+    name = "second-mistake"
+
+    def run(self, rounds) -> None:
+        misses: dict[int, int] = {}
+        while True:
+            x = rounds.next_point()
+            y_hat = int(misses.get(x, 0) >= 2)
+            if rounds.submit(y_hat) != y_hat:
+                misses[x] = misses.get(x, 0) + 1
+
+
+_SEEDED_CLASSES = [c for s in range(5) for c in random_classes(300, s)]
+
+
+@pytest.mark.parametrize(
+    "learner, more_classes",
+    [
+        (lambda c: PredictLearner(), _SEEDED_CLASSES),
+        (SOALearner, []),
+        (lambda c: SecondMistakeLearner(), _SEEDED_CLASSES),
+    ],
+    ids=["predict", "soa", "second-mistake"],
+)
+def test_class_greedy_plays_the_survivor_filter_reference(learner, more_classes) -> None:
+    # the reference keeps a settled game alive round-robin to the cap; the
+    # class-greedy game is a prefix of it that ends only when the rest of
+    # the reference game holds no mistake
     classes = (
         threshold_pair_classes(8)
         + random_classes_of_dimension(1, 100, seed=11)
         + _classes_with_repeats(100, seed=12)
+        + more_classes
     )
     config = GameConfig(d=None, round_cap=60)
     for i, c in enumerate(classes):
         want = run_game(learner(c), SurvivorFilterAdversary(c), config)
         got = run_game(learner(c), ClassGreedyAdversary(c), config)
-        assert got.rounds == want.rounds, i
-        assert [(f.name, f.support) for f in got.functions] == [(f.name, f.support) for f in want.functions], i
-        assert got.stopped_by == want.stopped_by, i
+        n = len(got.rounds)
+        assert got.rounds == want.rounds[:n], i
+        assert [(f.name, f.support) for f in got.functions] == [(f.name, f.support) for f in want.functions[:n]], i
+        assert got.mistake_count == want.mistake_count, i
+        assert not any(r.mistake for r in want.rounds[n:]), i
+        assert got.stopped_by == want.stopped_by or (got.stopped_by == "adversary_done" and n < len(want.rounds)), i
 
 
 def test_random_class_adversary_is_legal_and_seeded() -> None:

@@ -244,8 +244,8 @@ def test_bench_class_greedy_rows(capsys) -> None:
     assert code == 0
     # d, learner, adversary, mistakes, bound, rounds; the runtime varies
     assert [r.split("\t")[:6] for r in rows[1:]] == [
-        ["1", "predict", "class-greedy", "1", "271", "10800"],
-        ["1", "soa", "class-greedy", "1", "1", "1080"],
+        ["1", "predict", "class-greedy", "1", "271", "324"],
+        ["1", "soa", "class-greedy", "1", "1", "324"],
     ]
 
 
