@@ -324,10 +324,8 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 # Round.f is stored as "f_id", its name, and "ones" (see save_transcript).
 _HEADER_TYPES = {"learner": str, "adversary": str, "round_cap": int, "seed": int}
 _ROUND_TYPES = {"round": int, "x": int, "y_hat": int, "y": int, "mistake": bool, "f_id": str}
-
-
-def _line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# One encoder for every line: json.dumps with options builds a new one per call.
+_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def save_transcript(t: Transcript, path: str | Path) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable
@@ -89,12 +89,14 @@ class Hypothesis:
     """A name and a support mask; the function is 1 exactly on the mask's bits.
 
     Build it from a table, ``Hypothesis(name, domain, values)`` (points off
-    the domain are 0), or from a mask, ``Hypothesis(name, support=m)``.
-    ``domain`` and ``values`` are read-only views of the mask: its 1-points
-    in increasing order, and a 1 for each. Built on first read, they are
-    shared by every live hypothesis with the same mask.
+    the domain are 0), or from a mask, ``Hypothesis(name, support=m)``. It
+    holds a name, a mask and one view slot, and no instance dict. ``domain``
+    (the mask's 1-points in increasing order) and ``values`` (a 1 for each)
+    are built by the first reader of a live mask and shared by equal masks.
+    Only the tests and perfbench read them; a copy or a pickle carries none.
     """
 
+    __slots__ = ("name", "support", "_views", "__weakref__")  # Python 3.10 has no weakref_slot=
     name: str
     support: int
 
@@ -117,15 +119,23 @@ class Hypothesis:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "support", support)
 
-    @cached_property
+    @property
     def domain(self) -> tuple[Point, ...]:
-        twin = _VIEWED.setdefault(self.support, self)
-        return mask_points(self.support) if twin is self else twin.domain
+        return self._pair()[0]
 
-    @cached_property
+    @property
     def values(self) -> tuple[Bit, ...]:
-        twin = _VIEWED.setdefault(self.support, self)
-        return (1,) * len(self.domain) if twin is self else twin.values
+        return self._pair()[1]
+
+    def _pair(self) -> tuple[tuple[Point, ...], tuple[Bit, ...]]:
+        if not hasattr(self, "_views"):  # the first reader of a live mask builds, the rest copy
+            twin = _VIEWED.setdefault(self.support, self)
+            points = mask_points(self.support) if twin is self else None
+            object.__setattr__(self, "_views", twin._pair() if points is None else (points, (1,) * len(points)))
+        return self._views
+
+    def __reduce__(self) -> tuple:
+        return partial(Hypothesis, support=self.support), (self.name,)
 
     def __call__(self, x: Point) -> Bit:
         try:

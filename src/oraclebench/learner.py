@@ -17,8 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Iterator, NoReturn, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Protocol, Sequence
 
 from .errors import (
     InsufficientAgreement,
@@ -37,6 +36,8 @@ from .hypotheses import (
     is_consistent,
 )
 from .littlestone import _DimensionEngine
+if TYPE_CHECKING:  # check_advanced imports it, as nothing else needs fractions or decimal
+    from fractions import Fraction
 
 
 class RoundInterface(Protocol):
@@ -299,6 +300,7 @@ def check_advanced(
     subset as a counterexample. The input must already be free of
     extensional duplicates.
     """
+    from fractions import Fraction
     hyps = tuple(functions)
     if not hyps:
         raise ValueError("advanced-set check needs a non-empty set")

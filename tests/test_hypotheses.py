@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +55,19 @@ def test_repr_shows_the_name_and_the_hex_support_without_building_views() -> Non
     h = Hypothesis("f3", support=0x1A)
     assert repr(h) == "Hypothesis('f3', support=0x1a)"
     assert repr(Hypothesis("zero", support=0)) == "Hypothesis('zero', support=0x0)"
-    assert "domain" not in vars(h)
+    assert not hasattr(h, "_views")
+
+
+def test_a_hypothesis_is_slotted_and_copies_carry_no_views() -> None:
+    h = Hypothesis("f", support=0b1011)
+    assert not hasattr(h, "__dict__")
+    assert h.domain == (0, 1, 3) and hasattr(h, "_views")
+    for c in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert type(c) is Hypothesis and c is not h
+        assert (c.name, c.support) == ("f", 0b1011)
+        assert not hasattr(c, "_views")
+        # its first read copies the live twin's views
+        assert c.domain is h.domain and c.values is h.values
 
 
 def test_extensional_equality_ignores_names_and_zero_padding() -> None:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -344,6 +348,16 @@ def test_check_advanced_counterexample_matches_recorded_output() -> None:
     assert [h.name for h in check.counterexample] == (
         "p0 e3 e4 e5 e6 e9 e10 e11 e12 e14 e15 e16 e17 e18".split()
     )
+
+
+def test_importing_the_package_loads_neither_fractions_nor_decimal() -> None:
+    # only check_advanced needs Fraction, and it imports it when called
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, oraclebench; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_check_advanced_sampled_mode_is_seeded() -> None:
