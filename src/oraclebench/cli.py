@@ -116,7 +116,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if kind not in _SUITES or (kind == "props" and args.check != "props"):
         raise argparse.ArgumentTypeError(f"unknown check {args.check!r}; expected advanced:<k>, prefix:<k>, "
                                          f"lower:<d>, upper:<d>, or props")
-    results: list[CheckResult] = _SUITES[kind](arg, args)
+    try:
+        results: list[CheckResult] = _SUITES[kind](arg, args)
+    except (OracleBenchError, argparse.ArgumentTypeError):
+        raise
+    except Exception as exc:  # a fault in the code under check fails its suite
+        print(f"FAIL {args.check}: {type(exc).__name__}: {exc}")
+        return 1
     for r in results:
         status = "FAIL" if not r.ok else "SKIP" if r.skipped else "PASS"
         print(f"{status} {r.name}: {r.detail}")
@@ -134,7 +140,8 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
         if d != 1:
             raise OracleBenchError("class-greedy rows are enumerated for d = 1 only")
         classes = threshold_pair_classes(8)
-        bound = mistake_bound(d) if learner_spec == "predict" else d
+        # create_advanced(k) plays a prefix of predict's schedule, so it has predict's bound
+        bound = d if learner_spec == "soa" else mistake_bound(d)
         worst = rounds = 0
         for c in classes:
             learner = _parse_learner(learner_spec, c)
@@ -144,6 +151,8 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
         return worst, bound, rounds
     else:
         raise OracleBenchError(f"unknown bench adversary {adversary_spec!r}")
+    if learner_spec == "soa":
+        raise OracleBenchError(f"the soa learner needs a class, and {adversary_spec} rows give none")
     learner = _parse_learner(learner_spec, None)
     t = run_game(learner, adversary, GameConfig(d=d, round_cap=cap))
     return t.mistake_count, bound, len(t.rounds)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable
@@ -30,7 +30,7 @@ LabeledPair = tuple[Point, Bit]
 MASK_WIDTH = 1 << 20
 
 _BITS = frozenset((0, 1))
-# bin() digits to byte values 0/1, so itertools.compress can select by them
+# the "0"/"1" digits of bin() or of a class row to bytes 0/1, for itertools.compress
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # The points 0, 1, 2, ... as one shared tuple, so a view costs a pointer per
 # point rather than a fresh int each. It grows by doubling, capped at
@@ -88,8 +88,8 @@ def mask_points(mask: int) -> tuple[Point, ...]:
 class Hypothesis:
     """A name and a support mask; the function is 1 exactly on the mask's bits.
 
-    Build it from a table, ``Hypothesis(name, domain, values)`` (points off
-    the domain are 0), or from a mask, ``Hypothesis(name, support=m)``. It
+    ``Hypothesis(name, support)`` is the only constructor; a table of values
+    is read only for a whole class, by ``HypothesisClass.from_rows``. It
     holds a name, a mask and one view slot, and no instance dict. ``domain``
     (the mask's 1-points in increasing order) and ``values`` (a 1 for each)
     are built by the first reader of a live mask and shared by equal masks.
@@ -100,21 +100,8 @@ class Hypothesis:
     name: str
     support: int
 
-    def __init__(self, name: str, domain: Iterable[Point] = (), values: Iterable[Bit] = (),
-                 *, support: int | None = None) -> None:
-        if support is None:
-            domain, values = tuple(domain), tuple(values)
-            if len(domain) != len(values):
-                raise ValueError(
-                    f"hypothesis {name!r}: {len(values)} values for {len(domain)} domain points"
-                )
-            if not set(values) <= _BITS:
-                raise ValueError(f"hypothesis {name!r}: values must be bits")
-            _check_points(domain, f"hypothesis {name!r}")
-            support = sum(map((1).__lshift__, compress(domain, values)))
-        elif domain or values:
-            raise TypeError("give a hypothesis a table or a support mask, not both")
-        elif type(support) is not int or support < 0 or support.bit_length() > MASK_WIDTH:
+    def __init__(self, name: str, support: int) -> None:
+        if type(support) is not int or support < 0 or support.bit_length() > MASK_WIDTH:
             raise PointError(f"hypothesis {name!r}: support is not a mask below 2^{MASK_WIDTH}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "support", support)
@@ -135,7 +122,7 @@ class Hypothesis:
         return self._views
 
     def __reduce__(self) -> tuple:
-        return partial(Hypothesis, support=self.support), (self.name,)
+        return Hypothesis, (self.name, self.support)
 
     def __call__(self, x: Point) -> Bit:
         try:
@@ -244,9 +231,20 @@ class HypothesisClass:
 
     @classmethod
     def from_rows(cls, domain: Iterable[Point], rows: Iterable[tuple[str, str]]) -> "HypothesisClass":
-        """Build a class from (name, '0101...') rows over a shared domain."""
+        """Build a class from (name, '0101...') rows over a shared domain,
+        one 0/1 per domain point. The domain is checked before any row; a
+        bad point raises PointError and a bad row ValueError, naming it."""
         dom = tuple(domain)
-        return cls(dom, tuple(Hypothesis(name, dom, tuple(map(int, bits))) for name, bits in rows))
+        _check_points(dom, "domain")
+        point_bits = tuple(map((1).__lshift__, dom))
+        hyps = []
+        for name, values in rows:
+            if not isinstance(values, str) or values.strip("01"):
+                raise ValueError(f"hypothesis {name!r}: 'values' must be a string of 0/1")
+            if len(values) != len(dom):
+                raise ValueError(f"hypothesis {name!r}: {len(values)} values for {len(dom)} domain points")
+            hyps.append(Hypothesis(name, sum(compress(point_bits, values.encode().translate(_BIT_BYTES)))))
+        return cls(dom, tuple(hyps))
 
 
 # A consistent oracle maps a realizable sample to some hypothesis agreeing
@@ -277,33 +275,23 @@ def load_class_file(path: str | Path) -> HypothesisClass:
         raise ClassFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "domain" not in doc or "hypotheses" not in doc:
         raise ClassFileError(f"{path}: expected an object with 'domain' and 'hypotheses'")
-    domain = doc["domain"]
-    if not isinstance(domain, list):
+    if not isinstance(doc["domain"], list):
         raise ClassFileError(f"{path}: 'domain' must be an array of integers")
-    domain = tuple(domain)
+
+    def rows():  # read lazily, so a bad domain is reported before a bad row
+        if not isinstance(doc["hypotheses"], list):
+            raise ClassFileError(f"{path}: 'hypotheses' must be an array")
+        for i, entry in enumerate(doc["hypotheses"]):
+            if not isinstance(entry, dict) or "values" not in entry:
+                raise ClassFileError(f"{path}: hypothesis #{i} must be an object with 'values'")
+            yield str(entry.get("name", f"h{i}")), entry["values"]
+
     try:
-        _check_points(domain, "domain")
-    except PointError as exc:
+        return HypothesisClass.from_rows(doc["domain"], rows())
+    except ValueError as exc:
         raise ClassFileError(f"{path}: {exc}") from exc
-    if not isinstance(doc["hypotheses"], list):
-        raise ClassFileError(f"{path}: 'hypotheses' must be an array")
-    hyps: list[Hypothesis] = []
-    for i, entry in enumerate(doc["hypotheses"]):
-        if not isinstance(entry, dict) or "values" not in entry:
-            raise ClassFileError(f"{path}: hypothesis #{i} must be an object with 'values'")
-        name = str(entry.get("name", f"h{i}"))
-        values = entry["values"]
-        if not isinstance(values, str) or any(ch not in "01" for ch in values):
-            raise ClassFileError(f"{path}: hypothesis {name!r}: 'values' must be a string of 0/1")
-        if len(values) != len(domain):
-            raise ClassFileError(
-                f"{path}: hypothesis {name!r}: {len(values)} values for "
-                f"{len(domain)} domain points"
-            )
-        hyps.append(Hypothesis(name, domain, tuple(map(int, values))))
-    if not hyps:
-        raise ClassFileError(f"{path}: class is empty")
-    return HypothesisClass(domain, tuple(hyps))
+    except EmptyClass as exc:
+        raise ClassFileError(f"{path}: class is empty") from exc
 
 
 def save_class_file(c: HypothesisClass, path: str | Path) -> None:

@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator
 
-from .errors import EmptyClass, IllegalLabel, PointError, SizeLimitExceeded
+from .errors import ContradictorySample, EmptyClass, IllegalLabel, PointError, SizeLimitExceeded
 from .hypotheses import Hypothesis, HypothesisClass, Point, Sample, is_consistent, mask_points
 
 
@@ -240,9 +240,12 @@ def is_shattered(tree: LabeledTree, hypotheses: Iterable[Hypothesis]) -> bool:
     2^depth leaves and tests each hypothesis against the leaf's sample.
     """
     hyps = tuple(hypotheses)
-    return all(
-        any(is_consistent(h, leaf) for h in hyps) for leaf in tree.leaf_samples()
-    )
+    try:
+        return all(
+            any(is_consistent(h, leaf) for h in hyps) for leaf in tree.leaf_samples()
+        )
+    except ContradictorySample:  # a path labeling a point both ways has no realizer
+        return False
 
 
 # minimax_adversary_value walks the whole game tree, so it takes classes this small only

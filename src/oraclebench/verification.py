@@ -67,11 +67,7 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
 
 def threshold_hypotheses(points: int = 8) -> list[Hypothesis]:
     """All step functions 1[x >= t] on the domain 0..points-1."""
-    domain = tuple(range(points))
-    return [
-        Hypothesis(f"ge{t}", domain, tuple(1 if x >= t else 0 for x in domain))
-        for t in range(points + 1)
-    ]
+    return [Hypothesis(f"ge{t}", (1 << points) - (1 << t)) for t in range(points + 1)]
 
 
 def threshold_pair_classes(points: int = 8) -> list[HypothesisClass]:

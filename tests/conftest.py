@@ -10,5 +10,5 @@ from oraclebench.hypotheses import Hypothesis
 
 def hyp(name: str, bits: str, domain=None) -> Hypothesis:
     """Shorthand: hyp('a', '0110') is the table 0,1,2,3 -> 0,1,1,0."""
-    points = tuple(domain) if domain is not None else tuple(range(len(bits)))
-    return Hypothesis(name, points, tuple(int(b) for b in bits))
+    points = domain if domain is not None else range(len(bits))
+    return Hypothesis(name, sum(1 << x for x, b in zip(points, bits) if b == "1"))

@@ -182,12 +182,11 @@ def _classes_with_repeats(count: int, seed: int) -> list[HypothesisClass]:
     out = []
     for _ in range(count):
         domain = rng.sample(range(12), rng.randint(1, 8))
-        rows: list[tuple[int, ...]] = []
+        rows: list[str] = []
         for _ in range(rng.randint(1, 10)):
-            fresh = tuple(rng.randint(0, 1) for _ in domain)
+            fresh = "".join(str(rng.randint(0, 1)) for _ in domain)
             rows.append(rng.choice(rows) if rows and rng.random() < 0.4 else fresh)
-        hyps = tuple(Hypothesis(f"h{i}", domain, row) for i, row in enumerate(rows))
-        out.append(HypothesisClass(tuple(domain), hyps))
+        out.append(HypothesisClass.from_rows(domain, [(f"h{i}", row) for i, row in enumerate(rows)]))
     return out
 
 

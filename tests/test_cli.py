@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from oraclebench import cli
+from oraclebench import cli, littlestone
 from oraclebench.cli import main
+from oraclebench.errors import EmptyClass
 from oraclebench.game import load_transcript
 from oraclebench.hypotheses import HypothesisClass, save_class_file
 from oraclebench.verification import CheckResult
@@ -207,6 +208,23 @@ def test_verify_prints_a_skipped_check_as_skip(capsys, monkeypatch) -> None:
     assert capsys.readouterr().out.splitlines()[1] == "FAIL broken: does not hold"
 
 
+def test_a_fault_in_a_suite_is_a_fail_line_not_a_traceback(capsys, monkeypatch) -> None:
+    # plant a fault: the engine loses its last column, so certificates come out incomplete
+    columns = littlestone._DimensionEngine.columns
+    monkeypatch.setattr(littlestone._DimensionEngine, "columns", property(lambda self: columns.func(self)[:-1]))
+    assert main(["verify", "props"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL props: ValueError: tree is not complete at the declared depth\n"
+    assert captured.err == ""
+    # a typed error is still an error, not a failed check
+    def typed_fault(k):
+        raise EmptyClass("a hypothesis class must be non-empty")
+
+    monkeypatch.setattr(cli, "verify_prefix", typed_fault)
+    assert main(["verify", "prefix:0"]) == 2
+    assert capsys.readouterr().err == "error: a hypothesis class must be non-empty\n"
+
+
 def test_verify_advanced_guard(capsys) -> None:
     assert main(["verify", "advanced:5"]) == 1
     assert "guard" in capsys.readouterr().out
@@ -247,6 +265,11 @@ def test_bench_class_greedy_rows(capsys) -> None:
         ["1", "predict", "class-greedy", "1", "271", "324"],
         ["1", "soa", "class-greedy", "1", "1", "324"],
     ]
+    # create_advanced(k) plays a prefix of predict's schedule, so it has predict's bound
+    assert main(["bench", "--dims", "1", "--learners", "create-adv:1", "--adversaries", "class-greedy"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[:6] == [
+        "1", "create-adv:1", "class-greedy", "1", "271", "324"
+    ]
 
 
 def test_bench_rejects_a_reversed_range(capsys) -> None:
@@ -263,6 +286,18 @@ def test_bench_records_cell_failures_and_continues(capsys) -> None:
     assert code == 1
     assert "ERROR" in out
     assert "\t9\t" in out  # the ternary cell still ran
+
+
+def test_bench_soa_without_a_class_is_an_error_row(capsys) -> None:
+    assert main(["bench", "--dims", "1", "--learners", "predict,soa"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [r.split("\t")[:5] for r in captured.out.splitlines()[1:]] == [
+        ["1", "predict", "ternary", "3", "3"],
+        ["1", "predict", "flood", "3", "3"],
+        ["1", "soa", "ternary", "ERROR", "the soa learner needs a class, and ternary rows give none"],
+        ["1", "soa", "flood", "ERROR", "the soa learner needs a class, and flood rows give none"],
+    ]
 
 
 def test_ldim_class_file_with_a_negative_point_is_an_error_not_a_traceback(capsys, tmp_path) -> None:

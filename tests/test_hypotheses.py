@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,26 +30,41 @@ from oraclebench.hypotheses import (
 )
 
 
+def _from_table(name: str, table: dict) -> Hypothesis:
+    """The one member of the class that ``from_rows`` reads from a table."""
+    (h,) = HypothesisClass.from_rows(table, [(name, "".join(map(str, table.values())))])
+    return h
+
+
 def test_evaluate_table_lookup() -> None:
-    h = Hypothesis("h", (0, 1), (1, 0))
+    h = _from_table("h", {0: 1, 1: 0})
     assert h(0) == 1
     assert h(1) == 0
 
 
 def test_evaluate_default_zero_outside_domain() -> None:
-    h = Hypothesis("h", (0, 1), (1, 0))
+    h = _from_table("h", {0: 1, 1: 0})
     assert h(99) == 0
 
 
 def test_hypothesis_validation() -> None:
-    with pytest.raises(ValueError, match="values"):
-        Hypothesis("bad", (0, 1), (1,))
-    with pytest.raises(ValueError, match="duplicate"):
-        Hypothesis("bad", (0, 0), (1, 0))
-    with pytest.raises(ValueError, match="bits"):
-        Hypothesis("bad", (0,), (2,))
-    with pytest.raises(ValueError, match="negative"):
-        Hypothesis("bad", (-1,), (0,))
+    for support in (True, -1, 1 << MASK_WIDTH, 0.0, "1"):
+        with pytest.raises(PointError) as info:
+            Hypothesis("bad", support)
+        assert str(info.value) == f"hypothesis 'bad': support is not a mask below 2^{MASK_WIDTH}"
+    assert Hypothesis("top", (1 << MASK_WIDTH) - 1)(MASK_WIDTH - 1) == 1
+
+
+@pytest.mark.parametrize("domain, values, error, text", [
+    ((0, 1), "1", ValueError, "hypothesis 'bad': 1 values for 2 domain points"),
+    ((0, 0), "10", PointError, "domain: duplicate point 0"),
+    ((0,), "2", ValueError, "hypothesis 'bad': 'values' must be a string of 0/1"),
+    ((-1,), "0", PointError, "domain: negative point -1"),
+], ids=["length", "duplicate point", "non-bit", "negative point"])
+def test_from_rows_validation(domain, values, error, text) -> None:
+    with pytest.raises(error) as info:
+        HypothesisClass.from_rows(domain, [("bad", values)])
+    assert str(info.value) == text
 
 
 def test_repr_shows_the_name_and_the_hex_support_without_building_views() -> None:
@@ -71,11 +87,11 @@ def test_a_hypothesis_is_slotted_and_copies_carry_no_views() -> None:
 
 
 def test_extensional_equality_ignores_names_and_zero_padding() -> None:
-    a = Hypothesis("a", (0, 1, 5), (1, 0, 0))
-    b = Hypothesis("b", (0,), (1,))
+    a = _from_table("a", {0: 1, 1: 0, 5: 0})
+    b = _from_table("b", {0: 1})
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Hypothesis("c", (0, 1), (1, 1))
+    assert a != _from_table("c", {0: 1, 1: 1})
 
 
 @given(
@@ -86,8 +102,7 @@ def test_extensional_equality_ignores_names_and_zero_padding() -> None:
 )
 def test_equality_is_agreement_on_domain_union(ones_a, ones_b, pad_a, pad_b) -> None:
     def table(name, ones, domain):
-        points = tuple(sorted(domain))
-        return Hypothesis(name, points, tuple(int(x in ones) for x in points))
+        return _from_table(name, {x: int(x in ones) for x in sorted(domain)})
 
     a = table("a", ones_a, ones_a | pad_a)
     b = table("b", ones_b, ones_b | pad_b)
@@ -97,10 +112,10 @@ def test_equality_is_agreement_on_domain_union(ones_a, ones_b, pad_a, pad_b) -> 
 
 
 def test_is_consistent_examples() -> None:
-    zero = Hypothesis("zero", (), ())
+    zero = Hypothesis("zero", 0)
     assert is_consistent(zero, Sample(((3, 0), (7, 0))))
     assert not is_consistent(zero, Sample(((3, 1),)))
-    one_at_0 = Hypothesis("h", (0,), (1,))
+    one_at_0 = Hypothesis("h", 0b1)
     assert is_consistent(one_at_0, Sample(((0, 1), (5, 0))))
 
 
@@ -160,6 +175,17 @@ def test_class_file_round_trip(tmp_path) -> None:
     assert loaded.domain == c.domain
     assert [h.name for h in loaded] == ["a", "b"]
     assert tuple(loaded.hypotheses) == tuple(c.hypotheses)
+    # seeded classes on shuffled domains, points past the first 0..n-1 included
+    rng = random.Random(21)
+    for _ in range(30):
+        domain = rng.sample(range(40), rng.randint(0, 12))
+        c = HypothesisClass.from_rows(domain, [
+            (f"h{i}", "".join(rng.choice("01") for _ in domain)) for i in range(rng.randint(1, 6))
+        ])
+        save_class_file(c, path)
+        loaded = load_class_file(path)
+        assert loaded.domain == c.domain
+        assert [(h.name, h.support) for h in loaded] == [(h.name, h.support) for h in c]
 
 
 def test_class_file_errors_name_the_offender(tmp_path) -> None:
@@ -178,6 +204,36 @@ def test_class_file_errors_name_the_offender(tmp_path) -> None:
         load_class_file(path)
 
 
+@pytest.mark.parametrize("values, text", [
+    ("012", "hypothesis 'h': 'values' must be a string of 0/1"),
+    ("0", "hypothesis 'h': 1 values for 2 domain points"),
+    ("", "hypothesis 'h': 0 values for 2 domain points"),
+    ("0 1", "hypothesis 'h': 'values' must be a string of 0/1"),
+    (5, "hypothesis 'h': 'values' must be a string of 0/1"),
+    (None, "hypothesis 'h': 'values' must be a string of 0/1"),
+])
+def test_from_rows_and_class_files_reject_a_bad_row_alike(tmp_path, values, text) -> None:
+    with pytest.raises(ValueError) as direct:
+        HypothesisClass.from_rows([0, 1], [("h", values)])
+    assert str(direct.value) == text
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"domain": [0, 1], "hypotheses": [{"name": "h", "values": values}]}))
+    with pytest.raises(ClassFileError) as loaded:
+        load_class_file(path)
+    assert str(loaded.value) == f"{path}: {text}"
+
+
+def test_a_bad_domain_is_reported_before_any_row_error(tmp_path) -> None:
+    path = tmp_path / "bad.json"
+    for hypotheses in ([{"name": "h", "values": "012"}], "not an array", [7], []):
+        path.write_text(json.dumps({"domain": [0, -1], "hypotheses": hypotheses}))
+        with pytest.raises(ClassFileError) as info:
+            load_class_file(path)
+        assert str(info.value) == f"{path}: domain: negative point -1"
+    with pytest.raises(PointError, match="^domain: negative point -1$"):
+        HypothesisClass.from_rows([0, -1], [("h", "012")])
+
+
 # ----------------------------------------------------------------------
 # the mask representation against the pairwise definitions
 
@@ -187,7 +243,7 @@ tables = st.dictionaries(st.integers(0, 40), st.integers(0, 1), max_size=12)
 @given(table=tables, pairs=st.dictionaries(st.integers(0, 60), st.integers(0, 1), max_size=10))
 def test_mask_consistency_agrees_with_the_pairwise_definition(table, pairs) -> None:
     # sample points range past every table, where the function is 0
-    h = Hypothesis("h", tuple(table), tuple(table.values()))
+    h = _from_table("h", table)
     sample = Sample(tuple(pairs.items()))
     pairwise = all(table.get(x, 0) == y for x, y in pairs.items())
     assert is_consistent(h, sample) == pairwise
@@ -195,8 +251,8 @@ def test_mask_consistency_agrees_with_the_pairwise_definition(table, pairs) -> N
 
 @given(a=tables, b=tables)
 def test_equality_and_hash_are_extensional(a, b) -> None:
-    f = Hypothesis("f", tuple(a), tuple(a.values()))
-    g = Hypothesis("g", tuple(b), tuple(b.values()))
+    f = _from_table("f", a)
+    g = _from_table("g", b)
     same = all(a.get(x, 0) == b.get(x, 0) for x in set(a) | set(b))
     assert (f == g) == same
     if same:
@@ -260,9 +316,9 @@ def test_negative_points_raise_a_typed_error() -> None:
     with pytest.raises(PointError, match="negative point -1"):
         Sample(()).extended(-1, 1)
     with pytest.raises(PointError, match="negative point -2"):
-        Hypothesis("h", (-2,), (1,))
+        HypothesisClass.from_rows((-2,), [("h", "1")])
     with pytest.raises(PointError, match="negative point -1"):
-        Hypothesis("h", (0,), (1,))(-1)
+        Hypothesis("h", 0b1)(-1)
     with pytest.raises(PointError):
         Hypothesis("h", support=-1)
 
@@ -301,8 +357,7 @@ def test_mask_points_grows_the_pool_for_a_mask_wider_than_it() -> None:
 def test_equal_supports_share_one_domain_and_values_object(support) -> None:
     # built separately, one from a mask and one from a table
     f = Hypothesis("f", support=support)
-    points = tuple(range(6))
-    g = Hypothesis("g", points, tuple(support >> x & 1 for x in points))
+    g = _from_table("g", {x: support >> x & 1 for x in range(6)})
     assert f.domain is g.domain
     assert f.values is g.values
     assert f.domain == _set_bits(support)

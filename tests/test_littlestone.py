@@ -23,7 +23,7 @@ from oraclebench.adversary import (
 )
 from oraclebench import littlestone
 from oraclebench.game import GameConfig, run_game
-from oraclebench.hypotheses import HypothesisClass, distinct
+from oraclebench.hypotheses import Hypothesis, HypothesisClass, distinct
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import (
     LabeledTree,
@@ -141,6 +141,12 @@ def test_is_shattered_rejects_wrong_tree() -> None:
     chain = HypothesisClass.from_rows([0, 1], [("a", "00"), ("b", "10"), ("c", "11")])
     tree = LabeledTree(TreeNode(0, TreeNode(1, None, None), TreeNode(1, None, None)), 2)
     assert not is_shattered(tree, chain)
+
+
+def test_is_shattered_is_false_on_a_path_labeling_a_point_both_ways() -> None:
+    # every function on {0, 1} is there, but no function is 0 and 1 at point 0
+    tree = LabeledTree(TreeNode(0, TreeNode(0, None, None), TreeNode(0, None, None)), 2)
+    assert not is_shattered(tree, [Hypothesis("a", support=s) for s in range(4)])
 
 
 def test_labeled_tree_must_be_complete() -> None:
