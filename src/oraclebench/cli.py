@@ -130,13 +130,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
-    """One benchmark row; returns (mistakes, bound, rounds) or a failure note."""
-    if adversary_spec == "ternary":
-        adversary, bound, cap = TernaryAdversary(d), 3**d, 3**d + 10
-    elif adversary_spec == "flood":
-        n = 2 ** (d + 1) - 1
-        adversary, bound, cap = FloodAdversary(d), n, n + 10
-    elif adversary_spec == "class-greedy":
+    """One benchmark row of checked names; returns (mistakes, bound, rounds)."""
+    if adversary_spec == "class-greedy":
         if d != 1:
             raise OracleBenchError("class-greedy rows are enumerated for d = 1 only")
         classes = threshold_pair_classes(8)
@@ -149,12 +144,13 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
             worst = max(worst, t.mistake_count)
             rounds += len(t.rounds)
         return worst, bound, rounds
-    else:
-        raise OracleBenchError(f"unknown bench adversary {adversary_spec!r}")
     if learner_spec == "soa":
         raise OracleBenchError(f"the soa learner needs a class, and {adversary_spec} rows give none")
+    ternary = adversary_spec == "ternary"
+    bound = 3**d if ternary else 2 ** (d + 1) - 1
+    adversary = (TernaryAdversary if ternary else FloodAdversary)(d)
     learner = _parse_learner(learner_spec, None)
-    t = run_game(learner, adversary, GameConfig(d=d, round_cap=cap))
+    t = run_game(learner, adversary, GameConfig(d=d, round_cap=bound + 10))
     return t.mistake_count, bound, len(t.rounds)
 
 
@@ -164,11 +160,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     dims = range(_spec_int(spec, lo, 1), _spec_int(spec, hi if dash else lo, 1) + 1)
     if not dims:
         raise argparse.ArgumentTypeError(f"{spec!r}: the range runs backwards; write the smaller end first")
+    learners, adversaries = args.learners.split(","), args.adversaries.split(",")
+    # every name is checked before any cell runs; only the pairing decides whether soa has a class
+    for learner_spec in learners:
+        if learner_spec != "soa":
+            _parse_learner(learner_spec, None)
+    if unknown := [a for a in adversaries if a not in ("ternary", "flood", "class-greedy")]:
+        raise argparse.ArgumentTypeError(f"unknown bench adversary {unknown[0]!r}; "
+                                         f"expected ternary, flood, or class-greedy")
     rows = ["d\tlearner\tadversary\tmistakes\tbound\trounds\truntime_s"]
     failed = False
     for d in dims:
-        for learner_spec in args.learners.split(","):
-            for adversary_spec in args.adversaries.split(","):
+        for learner_spec in learners:
+            for adversary_spec in adversaries:
                 start = time.perf_counter()
                 try:
                     mistakes, bound, rounds = _bench_cell(learner_spec, adversary_spec, d)

@@ -264,7 +264,7 @@ def load_class_file(path: str | Path) -> HypothesisClass:
              "hypotheses": [{"name": str, "values": "0101..."}, ...]}.
     Points absent from the domain are implicitly 0. Every domain point must
     be a distinct integer in 0..MASK_WIDTH-1; the first that is not is
-    named in the ClassFileError.
+    named in the ClassFileError. A member without a name is named h<i>.
     """
     path = Path(path)
     try:
@@ -284,7 +284,10 @@ def load_class_file(path: str | Path) -> HypothesisClass:
         for i, entry in enumerate(doc["hypotheses"]):
             if not isinstance(entry, dict) or "values" not in entry:
                 raise ClassFileError(f"{path}: hypothesis #{i} must be an object with 'values'")
-            yield str(entry.get("name", f"h{i}")), entry["values"]
+            name = entry.get("name", f"h{i}")
+            if not isinstance(name, str):
+                raise ClassFileError(f"{path}: hypothesis #{i}: 'name' must be a string")
+            yield name, entry["values"]
 
     try:
         return HypothesisClass.from_rows(doc["domain"], rows())

@@ -17,12 +17,11 @@ distinct column is a candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ContradictorySample, EmptyClass, IllegalLabel, PointError, SizeLimitExceeded
-from .hypotheses import Hypothesis, HypothesisClass, Point, Sample, is_consistent, mask_points
+from .hypotheses import Hypothesis, HypothesisClass, Point, Sample, distinct, is_consistent, mask_points
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class _DimensionEngine:
     """
 
     def __init__(self, hyps: Iterable[Hypothesis]):
-        self.hyps = list(dict.fromkeys(hyps))  # first occurrences, in order
+        self.hyps = list(distinct(hyps))
         if not self.hyps:
             raise EmptyClass("the set of hypotheses is empty")
         self.full = (1 << len(self.hyps)) - 1
@@ -248,9 +247,9 @@ def is_shattered(tree: LabeledTree, hypotheses: Iterable[Hypothesis]) -> bool:
         return False
 
 
-# minimax_adversary_value walks the whole game tree, so it takes classes this small only
+# minimax_adversary_value walks the whole game tree, so it takes classes this small only;
+# six members split a set at most 2^6 - 2 = 62 ways on any number of points
 MINIMAX_MAX_HYPOTHESES = 6
-MINIMAX_MAX_POINTS = 5
 
 
 def minimax_adversary_value(hypotheses: Iterable[Hypothesis]) -> int:
@@ -264,12 +263,8 @@ def minimax_adversary_value(hypotheses: Iterable[Hypothesis]) -> int:
     provably equal.
     """
     engine = _engine_of(hypotheses)
-    n, points = len(engine.hyps), reduce(or_, (h.support for h in engine.hyps)).bit_count()
-    if n > MINIMAX_MAX_HYPOTHESES or points > MINIMAX_MAX_POINTS:
-        raise SizeLimitExceeded(
-            f"minimax guard: {n} hypotheses x {points} points "
-            f"exceeds {MINIMAX_MAX_HYPOTHESES} x {MINIMAX_MAX_POINTS}"
-        )
+    if (n := len(engine.hyps)) > MINIMAX_MAX_HYPOTHESES:
+        raise SizeLimitExceeded(f"minimax guard: {n} distinct hypotheses exceeds {MINIMAX_MAX_HYPOTHESES}")
     memo: dict[int, int] = {}
 
     def value(s: int) -> int:

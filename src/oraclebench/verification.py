@@ -36,7 +36,6 @@ from .learner import (
 )
 from .littlestone import (
     MINIMAX_MAX_HYPOTHESES,
-    MINIMAX_MAX_POINTS,
     SOALearner,
     find_shattered_tree,
     is_shattered,
@@ -192,10 +191,10 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def verify_upper(d: int, seed: int = 0, class_count: int = 100) -> list[CheckResult]:
-    """Upper-bound suite at desk scale: over classes of dimension d, the
-    oracle learner stays below its budget and the version-space learner
-    stays within the dimension.
+def verify_upper(d: int, seed: int = 0) -> list[CheckResult]:
+    """Upper-bound suite at desk scale: over 100 seeded classes of dimension
+    d, the oracle learner stays below its budget and the version-space
+    learner stays within the dimension.
 
     A game ends at the cap, or once the class-greedy adversary has settled
     and a whole pass of the domain went by with no mistake: neither learner
@@ -206,10 +205,7 @@ def verify_upper(d: int, seed: int = 0, class_count: int = 100) -> list[CheckRes
     """
     if d > 7:
         return [_check(f"upper:{d}", False, "guard: upper bounds checked up to d = 7")]
-    if d == 1:
-        family = threshold_pair_classes(8) + random_classes_of_dimension(1, class_count, seed)
-    else:
-        family = random_classes_of_dimension(d, class_count, seed)
+    family = (threshold_pair_classes(8) if d == 1 else []) + random_classes_of_dimension(d, 100, seed)
     bound = mistake_bound(d)
     cap = min(bound + 29, 500)
     worst_predict = 0
@@ -245,7 +241,7 @@ def _run_create_advanced(k: int) -> tuple[Transcript, CreateAdvancedLearner]:
     return t, learner
 
 
-def verify_advanced(k: int, seed: int = 0, samples: int = 200) -> list[CheckResult]:
+def verify_advanced(k: int, seed: int = 0) -> list[CheckResult]:
     """Advanced-set suite: the halting procedure's counting and the subset
     dimension inequality of the functions it leaves behind."""
     if k not in (0, 1):
@@ -289,7 +285,7 @@ def verify_advanced(k: int, seed: int = 0, samples: int = 200) -> list[CheckResu
                 else "no depth-2 tree found",
             )
         )
-        check = check_advanced(produced, "3/2", sample_count=samples, seed=seed)
+        check = check_advanced(produced, "3/2", sample_count=200, seed=seed)
         results.append(
             _check(
                 "advanced:1 subset inequality (gamma=1.5, sampled)",
@@ -317,9 +313,9 @@ def verify_prefix(k: int) -> list[CheckResult]:
     ]
 
 
-def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
-    """Dimension-machinery suite over seeded random classes, drawn one at a
-    time as ``random_classes`` draws them. Each class's checks run on its
+def verify_props(seed: int = 0) -> list[CheckResult]:
+    """Dimension-machinery suite over 200 seeded random classes, drawn one at
+    a time as ``random_classes`` draws them. Each class's checks run on its
     own engine, and a restriction side is an index mask of that engine."""
     rng = random.Random(seed)
     size_bound_ok = True
@@ -329,7 +325,7 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
     minimax_checked = 0
     soa_ok = True
     detail = ""
-    for i in range(class_count):
+    for i in range(200):
         c = random_class(rng)
         engine = c.engine
         full = engine.full
@@ -352,7 +348,7 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
         if find_shattered_tree(c, dim + 1) is not None:
             certificate_ok = False
             detail = detail or f"class #{i}: certificate above the dimension"
-        if len(engine.hyps) <= MINIMAX_MAX_HYPOTHESES and len(c.domain) <= MINIMAX_MAX_POINTS:
+        if len(engine.hyps) <= MINIMAX_MAX_HYPOTHESES:
             minimax_checked += 1
             if minimax_adversary_value(c) != dim:
                 minimax_ok = False
@@ -366,9 +362,9 @@ def verify_props(seed: int = 0, class_count: int = 200) -> list[CheckResult]:
                     f"vs {adversary.name}"
                 )
     return [
-        _check("props size bound", size_bound_ok, f"{class_count} classes"),
-        _check("props restriction inequality", restriction_ok, f"{class_count} classes"),
-        _check("props certificates", certificate_ok, f"{class_count} classes"),
+        _check("props size bound", size_bound_ok, "200 classes"),
+        _check("props restriction inequality", restriction_ok, "200 classes"),
+        _check("props certificates", certificate_ok, "200 classes"),
         _check("props minimax equals ldim", minimax_ok, f"{minimax_checked} classes within guard"),
-        _check("props soa mistake bound", soa_ok, f"{class_count} classes, two adversaries"),
+        _check("props soa mistake bound", soa_ok, "200 classes, two adversaries"),
     ] + ([_check("props failure detail", False, detail)] if detail else [])

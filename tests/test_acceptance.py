@@ -34,6 +34,7 @@ from oraclebench.learner import (
     predict_widths,
 )
 from oraclebench.littlestone import (
+    MINIMAX_MAX_HYPOTHESES,
     SOALearner,
     find_shattered_tree,
     is_shattered,
@@ -197,7 +198,7 @@ def test_criterion_8_dimension_machinery() -> None:
             one = tuple(h for h in members if h(x) == 1)
             if zero and one:
                 assert dim >= min(ldim(zero), ldim(one)) + 1
-        if len(members) <= 6 and len(c.domain) <= 5:
+        if len(members) <= MINIMAX_MAX_HYPOTHESES:
             minimax_checked += 1
             assert minimax_adversary_value(c) == dim
         for adversary in (ClassGreedyAdversary(c), RandomClassAdversary(c, seed=i)):

@@ -300,6 +300,22 @@ def test_bench_soa_without_a_class_is_an_error_row(capsys) -> None:
     ]
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--learners", "predict,foo"], "error: unknown learner 'foo'; expected predict, create-adv:<k>, or soa\n"),
+    (["--learners", "predict,create-adv:x"], "error: 'create-adv:x': 'x' is not an integer >= 0\n"),
+    (["--adversaries", "ternary,nope"],
+     "error: unknown bench adversary 'nope'; expected ternary, flood, or class-greedy\n"),
+], ids=["learner", "malformed-learner", "adversary"])
+def test_bench_checks_every_name_before_any_cell_runs(monkeypatch, capsys, argv, err) -> None:
+    played = []
+    monkeypatch.setattr(cli, "run_game", lambda *game: played.append(game))
+    assert main(["bench", "--dims", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert played == []
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_ldim_class_file_with_a_negative_point_is_an_error_not_a_traceback(capsys, tmp_path) -> None:
     path = tmp_path / "negative.json"
     path.write_text(json.dumps({"domain": [0, -1], "hypotheses": [{"name": "h", "values": "01"}]}))

@@ -204,6 +204,18 @@ def test_class_file_errors_name_the_offender(tmp_path) -> None:
         load_class_file(path)
 
 
+@pytest.mark.parametrize("name", [None, 5, ["a"]], ids=["null", "number", "array"])
+def test_a_class_file_name_must_be_a_string(tmp_path, name) -> None:
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"domain": [0], "hypotheses": [{"values": "1"}, {"name": name, "values": "0"}]}))
+    with pytest.raises(ClassFileError) as info:
+        load_class_file(path)
+    assert str(info.value) == f"{path}: hypothesis #1: 'name' must be a string"
+    # a missing name still defaults to h<i>
+    path.write_text(json.dumps({"domain": [0], "hypotheses": [{"values": "1"}, {"name": "b", "values": "0"}]}))
+    assert [h.name for h in load_class_file(path)] == ["h0", "b"]
+
+
 @pytest.mark.parametrize("values, text", [
     ("012", "hypothesis 'h': 'values' must be a string of 0/1"),
     ("0", "hypothesis 'h': 1 values for 2 domain points"),

@@ -246,9 +246,22 @@ def test_minimax_equals_ldim_on_seeded_classes() -> None:
     assert checked == 120
 
 
+def test_minimax_takes_six_members_over_any_number_of_points() -> None:
+    # six members split a set at most 2^6 - 2 ways, however wide the domain
+    rng = random.Random(23)
+    for points in (6, 8, 40, 200):
+        members = [Hypothesis(f"h{i}", rng.getrandbits(points)) for i in range(6)]
+        assert minimax_adversary_value(members) == ldim(members)
+    thresholds = threshold_hypotheses(30)
+    assert minimax_adversary_value(thresholds[:6]) == ldim(thresholds[:6]) == 2
+    # the guard counts distinct members: eight entries with two repeats pass
+    repeated = thresholds[:6] + thresholds[:2]
+    assert minimax_adversary_value(repeated) == 2
+
+
 def test_minimax_guard(monkeypatch) -> None:
     big = [hyp(f"h{i}", format(i, "03b")) for i in range(8)]
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded, match="minimax guard: 8 distinct hypotheses exceeds 6"):
         minimax_adversary_value(big)
     monkeypatch.setattr(littlestone, "MINIMAX_MAX_HYPOTHESES", 8)
     assert minimax_adversary_value(big) == 3
@@ -363,7 +376,7 @@ def test_a_class_and_its_consumers_share_one_engine(monkeypatch) -> None:
         assert find_shattered_tree(c, dim + 1) is None
         if dim:
             assert is_shattered(find_shattered_tree(c, dim), c)
-        if n <= littlestone.MINIMAX_MAX_HYPOTHESES and len(c.domain) <= littlestone.MINIMAX_MAX_POINTS:
+        if n <= littlestone.MINIMAX_MAX_HYPOTHESES:
             assert minimax_adversary_value(c) == dim
         for adversary in (ClassGreedyAdversary(c), RandomClassAdversary(c, 3)):
             t = run_game(SOALearner(c), adversary, GameConfig(d=dim, round_cap=25))

@@ -152,8 +152,12 @@ def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
     assert over.detail == "revealed set has dimension above 4"
 
 
-def test_verify_upper_passes_at_reduced_scale() -> None:
-    assert _all_ok(verify_upper(1, class_count=5))
+def test_verify_upper_passes_over_136_classes() -> None:
+    # the 36 threshold pairs and 100 random classes of dimension 1
+    assert [r.detail for r in verify_upper(1)] == [
+        "worst 2 mistakes over 136 classes, bound 271",
+        "worst 1 mistakes over 136 classes, bound 1",
+    ]
 
 
 def test_verify_upper_guards_d_above_7() -> None:
@@ -163,7 +167,9 @@ def test_verify_upper_guards_d_above_7() -> None:
 
 def test_verify_advanced_passes() -> None:
     assert _all_ok(verify_advanced(0))
-    assert _all_ok(verify_advanced(1, samples=40))
+    results = verify_advanced(1)
+    assert _all_ok(results)
+    assert results[-1].detail == "201 subsets checked"  # 200 seeded subsets and the full set
 
 
 def test_verify_advanced_reports_guard() -> None:
@@ -177,8 +183,11 @@ def test_verify_prefix_passes_and_guards() -> None:
     assert not _all_ok(verify_prefix(4))
 
 
-def test_verify_props_passes_at_reduced_scale() -> None:
-    assert _all_ok(verify_props(class_count=40))
+def test_verify_props_cross_checks_minimax_on_every_class_within_the_member_guard() -> None:
+    # 148 of the 200 classes have at most 6 distinct members, whatever their points
+    results = verify_props(seed=0)
+    assert _all_ok(results)
+    assert [r.detail for r in results if r.name == "props minimax equals ldim"] == ["148 classes within guard"]
 
 
 @pytest.mark.parametrize("suite, want", [(lambda: verify_props(seed=0), 200), (lambda: verify_upper(1, seed=0), 207)],
