@@ -4,6 +4,7 @@ verification suites, and produce benchmark tables."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -32,6 +33,15 @@ def _spec_int(spec: str, text: str, least: int) -> int:
     if not re.fullmatch("[0-9]+", text) or int(text) < least:
         raise argparse.ArgumentTypeError(f"{spec!r}: {text!r} is not an integer >= {least}")
     return int(text)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an output file that cannot be written as a typed error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OracleBenchError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _parse_adversary(spec: str):
@@ -81,7 +91,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     transcript = run_game(learner, adversary, config)
     report = validate_transcript(transcript)
     if args.out:
-        save_transcript(transcript, args.out)
+        with _writing(args.out):
+            save_transcript(transcript, args.out)
     status = "ok" if report.passed else f"INVALID ({report.first_failure})"
     status += "".join(f" ({note})" for note in report.notes)
     print(
@@ -185,7 +196,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     rows.append(f"{d}\t{learner_spec}\t{adversary_spec}\tERROR\t{exc}\t-\t-")
     table = "\n".join(rows) + "\n"
     if args.out:
-        Path(args.out).write_text(table)
+        with _writing(args.out):
+            Path(args.out).write_text(table)
         print(f"wrote {len(rows) - 1} rows to {args.out}")
     else:
         print(table, end="")

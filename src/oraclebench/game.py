@@ -367,17 +367,20 @@ def _typed(rec: dict, types: dict[str, type]) -> list:
     return values
 
 
-def _names(rec: dict, key: str) -> tuple[str, ...]:
+def _names(rec: dict, key: str, shared: dict[str, str]) -> tuple[str, ...]:
     names = rec.get(key, [])
     if type(names) is not list or not set(map(type, names)) <= {str}:
         raise TranscriptError(f"{key!r} must be a list of strings, got {names!r}")
-    return tuple(names)
+    return tuple(map(shared.setdefault, names, names))
 
 
-def _read_record(rec: object, t: Transcript | None, ones: int) -> tuple[Transcript, int]:
+def _read_record(
+    rec: object, t: Transcript | None, ones: int, shared: dict[str, str]
+) -> tuple[Transcript, int]:
     """The transcript and the mask of the points labeled 1 so far, after
     reading one more record: a header first, then rounds, then a summary,
-    which sets ``stopped_by`` and ends the transcript."""
+    which sets ``stopped_by`` and ends the transcript. ``shared`` maps each
+    function name read so far to one string object for all its uses."""
     if type(rec) is not dict:
         raise TranscriptError(f"a record must be a JSON object, got {type(rec).__name__}")
     kind = rec["type"]
@@ -405,8 +408,9 @@ def _read_record(rec: object, t: Transcript | None, ones: int) -> tuple[Transcri
         bit = point_bit(x)
         if y:
             ones |= bit
-        f = Hypothesis(name, support=int(delta, 16) ^ ones)
-        t.rounds.append(Round(index, x, y_hat, y, mistake, f, _names(rec, "appended"), _names(rec, "deleted")))
+        f = Hypothesis(shared.setdefault(name, name), support=int(delta, 16) ^ ones)
+        t.rounds.append(Round(index, x, y_hat, y, mistake, f,
+                              _names(rec, "appended", shared), _names(rec, "deleted", shared)))
     elif kind == "summary":
         if (rec["rounds"], rec["mistakes"]) != (len(t.rounds), t.mistake_count):
             raise TranscriptError(
@@ -427,21 +431,30 @@ def _read_record(rec: object, t: Transcript | None, ones: int) -> tuple[Transcri
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    """Read a transcript written by save_transcript. A malformed record, a
-    point outside 0..MASK_WIDTH-1, records out of the order header, rounds,
-    summary, or a summary whose counts or stop reason disagree with the
-    records before it, raises TranscriptError naming its line. Which of
-    adversary_done and learner_halted ended a game only a replay can tell,
-    so a swap between the two loads."""
+    """Read a transcript written by save_transcript, one line at a time. A
+    file that cannot be opened, a line that is not UTF-8, a malformed
+    record, a point outside 0..MASK_WIDTH-1, records out of the order
+    header, rounds, summary, or a summary whose counts or stop reason
+    disagree with the records before it, raises TranscriptError naming the
+    file and, past opening it, the line. Which of adversary_done and
+    learner_halted ended a game only a replay can tell, so a swap between
+    the two loads."""
+    try:
+        stream = open(path, "rb")
+    except OSError as exc:
+        raise TranscriptError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     t: Transcript | None = None
     ones = 0
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        try:
-            t, ones = _read_record(json.loads(line), t, ones)
-        except KeyError as exc:
-            raise TranscriptError(f"{path} line {lineno}: record lacks key {exc}") from exc
-        except (TranscriptError, TypeError, ValueError) as exc:
-            raise TranscriptError(f"{path} line {lineno}: {exc}") from exc
+    shared: dict[str, str] = {}
+    with stream:
+        # bytes are decoded a line at a time, so a decoding error names its line
+        for lineno, line in enumerate(stream, 1):
+            try:
+                t, ones = _read_record(json.loads(line.decode()), t, ones, shared)
+            except KeyError as exc:
+                raise TranscriptError(f"{path} line {lineno}: record lacks key {exc}") from exc
+            except (TranscriptError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+                raise TranscriptError(f"{path} line {lineno}: {exc}") from exc
     if t is None:
         raise TranscriptError(f"{path}: no header record")
     if t.stopped_by == "unknown":

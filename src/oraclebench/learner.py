@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Protocol, Sequence
+from typing import Iterable, Iterator, NoReturn, Protocol, Sequence
 
 from .errors import (
     InsufficientAgreement,
@@ -36,8 +36,6 @@ from .hypotheses import (
     is_consistent,
 )
 from .littlestone import _DimensionEngine
-if TYPE_CHECKING:  # check_advanced imports it, as nothing else needs fractions or decimal
-    from fractions import Fraction
 
 
 class RoundInterface(Protocol):
@@ -256,26 +254,49 @@ def mistake_bound(d: int) -> int:
 
 @dataclass(frozen=True)
 class AdvancedCheck:
-    """Outcome of an advanced-set check."""
+    """Outcome of an advanced-set check; ``gamma`` is the exact ratio
+    ``(p, q)`` in lowest terms, with q > 0."""
 
     ok: bool
-    gamma: Fraction
+    gamma: tuple[int, int]
     subsets_checked: int
     counterexample: tuple[Hypothesis, ...] | None
 
 
-def _meets_bound(dim: int, size: int, total: int, gamma: Fraction) -> bool:
-    """Exact test of dim >= gamma + log16(size/total) in integer arithmetic."""
-    p, q = gamma.numerator, gamma.denominator
+class _Ratio(Protocol):
+    def as_integer_ratio(self) -> tuple[int, int]: ...
+
+
+def _exact_ratio(gamma: str | _Ratio) -> tuple[int, int]:
+    """``gamma``, in any form check_advanced accepts, as ``(p, q)`` in
+    lowest terms with q > 0."""
+    try:
+        if isinstance(gamma, str):
+            num, slash, den = gamma.partition("/")
+            p, q = int(num), int(den) if slash else 1
+        else:
+            p, q = gamma.as_integer_ratio()
+    except (AttributeError, OverflowError, ValueError):
+        q = 0
+    if q <= 0:
+        raise ValueError(
+            f"gamma must be an int, a 'p/q' string or a number with as_integer_ratio(), got {gamma!r}"
+        )
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _meets_bound(dim: int, size: int, total: int, p: int, q: int) -> bool:
+    """Exact test of dim >= p/q + log16(size/total) in integer arithmetic."""
     exponent = q * dim - p  # compare 16^exponent against (size/total)^q
     if exponent >= 0:
         return total**q * 16**exponent >= size**q
     return total**q >= size**q * 16**-exponent
 
 
-def _required_dimension(size: int, total: int, gamma: Fraction) -> int:
+def _required_dimension(size: int, total: int, p: int, q: int) -> int:
     d = 0
-    while not _meets_bound(d, size, total, gamma):
+    while not _meets_bound(d, size, total, p, q):
         d += 1
     return d
 
@@ -286,7 +307,7 @@ EXACT_ADVANCED_LIMIT = 16
 
 def check_advanced(
     functions: Sequence[Hypothesis],
-    gamma: Fraction | float | int | str,
+    gamma: str | _Ratio,
     *,
     sample_count: int | None = None,
     seed: int = 0,
@@ -294,19 +315,22 @@ def check_advanced(
     """Check that every non-empty subset A of the given set T satisfies
     ldim(A) >= gamma + log16(|A| / |T|).
 
+    ``gamma`` is an int, a "p/q" or "p" string, or anything with
+    ``as_integer_ratio()`` (a float or a Fraction); it is compared exactly,
+    and anything else raises ValueError naming it.
+
     With ``sample_count=None`` every subset is enumerated (guarded to
     ``EXACT_ADVANCED_LIMIT`` functions); otherwise that many seeded random
     subsets are checked, plus the full set. Returns the first violating
     subset as a counterexample. The input must already be free of
     extensional duplicates.
     """
-    from fractions import Fraction
     hyps = tuple(functions)
     if not hyps:
         raise ValueError("advanced-set check needs a non-empty set")
     if len({h.support for h in hyps}) != len(hyps):
         raise ValueError("advanced-set check requires deduplicated hypotheses")
-    gamma = Fraction(gamma)
+    p, q = gamma = _exact_ratio(gamma)
     total = len(hyps)
     if sample_count is None and total > EXACT_ADVANCED_LIMIT:
         raise SizeLimitExceeded(
@@ -315,7 +339,7 @@ def check_advanced(
     # bit i is the i-th function in support order, which fixes the order
     # of the subsets and so the first counterexample
     engine = _DimensionEngine(sorted(hyps, key=lambda h: h.support))
-    need = [_required_dimension(size, total, gamma) for size in range(total + 1)]
+    need = [_required_dimension(size, total, p, q) for size in range(total + 1)]
     bits = [1 << i for i in range(total)]
 
     def walk(subsets: Iterable[int], checked: int) -> AdvancedCheck:

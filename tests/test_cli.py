@@ -256,6 +256,17 @@ def test_bench_table(capsys, tmp_path) -> None:
     assert ("2", "predict", "flood", "7") in cells
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--learner", "predict", "--adversary", "ternary:1"],
+    ["bench", "--dims", "1"],
+], ids=["simulate", "bench"])
+def test_an_out_path_that_cannot_be_written_is_an_error_not_a_traceback(capsys, tmp_path, argv) -> None:
+    out_path = tmp_path / "missing" / "out"
+    assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {out_path}: cannot write: No such file or directory\n")
+
+
 def test_bench_class_greedy_rows(capsys) -> None:
     code = main(["bench", "--dims", "1", "--learners", "predict,soa", "--adversaries", "class-greedy"])
     rows = capsys.readouterr().out.splitlines()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -453,6 +454,32 @@ def test_load_transcript_rejects_a_record_that_is_not_an_object(tmp_path, ternar
         load_transcript(_write(tmp_path, records))
 
 
+def test_load_transcript_names_a_file_it_cannot_open(tmp_path) -> None:
+    path = tmp_path / "missing.jsonl"
+    with pytest.raises(TranscriptError, match=f"^{re.escape(str(path))}: cannot read: No such file or directory$"):
+        load_transcript(path)
+
+
+def test_load_transcript_names_a_line_that_is_not_utf8(tmp_path, ternary_lines) -> None:
+    path = tmp_path / "t.jsonl"
+    lines = [line.encode() for line in ternary_lines]
+    lines[4] = lines[4].replace(b'"f_id":"', b'"f_id":"\xff')
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(TranscriptError, match="line 5: 'utf-8' codec can't decode byte 0xff"):
+        load_transcript(path)
+
+
+def test_load_transcript_reads_each_name_into_one_string(tmp_path) -> None:
+    t = run_game(CreateAdvancedLearner(1), FreeAdversary(), GameConfig(d=None, round_cap=300))
+    save_transcript(t, tmp_path / "t.jsonl")
+    loaded = load_transcript(tmp_path / "t.jsonl")
+    first = {}
+    for r in loaded.rounds:
+        for name in (r.f.name, *r.appended, *r.deleted):
+            assert first.setdefault(name, name) is name
+    assert any(r.deleted for r in loaded.rounds)
+
+
 def test_load_transcript_accepts_a_round_cap_stop_at_the_cap(tmp_path) -> None:
     t = run_game(PredictLearner(), FreeAdversary(), GameConfig(d=None, round_cap=7))
     assert t.stopped_by == "round_cap"
@@ -710,6 +737,8 @@ def test_save_then_load_returns_the_exact_names_and_supports(tmp_path_factory, g
     loaded = load_transcript(path)
     assert [(f.name, f.support) for f in loaded.functions] == [(name, support) for _, _, name, support in game]
     assert loaded.rounds == t.rounds
+    save_transcript(loaded, path.with_name("again.jsonl"))
+    assert path.with_name("again.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_the_readme_shows_the_first_lines_of_a_real_transcript(tmp_path) -> None:

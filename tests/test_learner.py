@@ -27,6 +27,7 @@ from oraclebench.learner import (
     ActiveList,
     CreateAdvancedLearner,
     LearnerState,
+    _required_dimension,
     appended_functions,
     check_advanced,
     create_advanced,
@@ -351,13 +352,62 @@ def test_check_advanced_counterexample_matches_recorded_output() -> None:
 
 
 def test_importing_the_package_loads_neither_fractions_nor_decimal() -> None:
-    # only check_advanced needs Fraction, and it imports it when called
+    # gamma is an exact pair of ints, so neither importing the package nor
+    # running the advanced suites and a sampled check pulls them in
     src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys, oraclebench\n"
+        "from oraclebench.learner import check_advanced\n"
+        "from oraclebench.verification import verify_advanced\n"
+        "assert all(r.ok for r in verify_advanced(0) + verify_advanced(1))\n"
+        "fns = [oraclebench.Hypothesis(f'h{i}', i + 1) for i in range(20)]\n"
+        "assert check_advanced(fns, '3/2', sample_count=30).gamma == (3, 2)\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, oraclebench; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def _fraction_need(size: int, total: int, gamma: Fraction) -> int:
+    """The least d >= 0 with d >= gamma + log16(size/total), decided with
+    Fractions: 16^(a/b) >= s/t iff 16^a >= (s/t)^b for b > 0."""
+    d = 0
+    while size:
+        e = d - gamma
+        if Fraction(16) ** e.numerator >= Fraction(size, total) ** e.denominator:
+            break
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("gamma", ["0", "1/2", "1", "5/4", "3/2", "2", "7/3"])
+def test_required_dimension_matches_a_fraction_reference(gamma) -> None:
+    exact = Fraction(gamma)
+    for total in range(1, 41):
+        assert [_required_dimension(size, total, exact.numerator, exact.denominator)
+                for size in range(total + 1)] == [
+            _fraction_need(size, total, exact) for size in range(total + 1)
+        ], total
+
+
+@pytest.mark.parametrize("gammas, ratio", [
+    ((1, "1", 1.0, Fraction(1)), (1, 1)),
+    (("3/2", 1.5, Fraction(3, 2)), (3, 2)),
+])
+def test_check_advanced_reads_every_form_of_one_gamma_alike(gammas, ratio) -> None:
+    functions = _distinct_functions(12)
+    checks = [check_advanced(functions, gamma, sample_count=60, seed=1) for gamma in gammas]
+    assert all(check == checks[0] for check in checks)
+    assert checks[0].gamma == ratio
+
+
+@pytest.mark.parametrize("gamma", ["x", "1/0", ""])
+def test_check_advanced_names_a_malformed_gamma(gamma) -> None:
+    with pytest.raises(ValueError, match=f"gamma must be .*, got {gamma!r}"):
+        check_advanced(_distinct_functions(3), gamma)
 
 
 def test_check_advanced_sampled_mode_is_seeded() -> None:
