@@ -10,23 +10,19 @@ every one of these procedures as a prefix of a single infinite schedule.
 import itertools
 
 from oraclebench import (
-    CreateAdvancedLearner,
-    FreeAdversary,
-    GameConfig,
     check_advanced,
     create_advanced_widths,
     find_shattered_tree,
     halting_mistakes,
     is_shattered,
     predict_widths,
-    run_game,
 )
+from oraclebench.verification import halting_game
 
 print("=== halting counts ===")
 functions_by_k = {}
 for k in (0, 1, 2):
-    learner = CreateAdvancedLearner(k)
-    t = run_game(learner, FreeAdversary(), GameConfig(d=None, round_cap=halting_mistakes(k) + 5))
+    t, learner = halting_game(k)
     functions_by_k[k] = learner.state.active.functions()
     print(
         f"k={k}: halted after {t.mistake_count} mistakes "

@@ -7,20 +7,12 @@ over 2^(d+1)-1 points, legal for the cruder counting reason that few
 functions have small dimension.
 """
 
-from oraclebench import (
-    FloodAdversary,
-    GameConfig,
-    PredictLearner,
-    TernaryAdversary,
-    ldim,
-    run_game,
-    validate_transcript,
-)
+from oraclebench import PredictLearner, ldim, validate_transcript
+from oraclebench.verification import flood_game, ternary_game
 
 print("=== ternary adversary ===")
 for d in (1, 2, 3):
-    adversary = TernaryAdversary(d)
-    t = run_game(PredictLearner(), adversary, GameConfig(d=d, round_cap=3**d + 5))
+    t = ternary_game(PredictLearner(), d)
     report = validate_transcript(t)
     dim = ldim(t.functions) if 3**d <= 27 else "-"
     print(
@@ -33,7 +25,7 @@ print()
 print("=== flood adversary ===")
 for d in (1, 2, 3, 4):
     n = 2 ** (d + 1) - 1
-    t = run_game(PredictLearner(), FloodAdversary(d), GameConfig(d=d, round_cap=n + 5))
+    t = flood_game(PredictLearner(), d)
     dim = ldim(t.functions) if n <= 15 else "-"
     print(
         f"d={d}: {t.mistake_count} mistakes (target 2^{d + 1}-1 = {n}), "

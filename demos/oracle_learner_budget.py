@@ -7,16 +7,8 @@ practice a handful of mistakes suffices, which is the gap between a
 worst-case guarantee and a greedy opponent.
 """
 
-from oraclebench import (
-    ClassGreedyAdversary,
-    GameConfig,
-    PredictLearner,
-    SOALearner,
-    ldim,
-    mistake_bound,
-    run_game,
-)
-from oraclebench.verification import random_classes_of_dimension, threshold_pair_classes
+from oraclebench import PredictLearner, SOALearner, ldim, mistake_bound
+from oraclebench.verification import class_greedy_game, random_classes_of_dimension, threshold_pair_classes
 
 family = threshold_pair_classes(8) + random_classes_of_dimension(1, 40, seed=0)
 print(f"{len(family)} dimension-1 classes "
@@ -28,10 +20,10 @@ worst_oracle = worst_soa = 0
 histogram: dict[int, int] = {}
 for c in family:
     assert ldim(c) == 1
-    t = run_game(PredictLearner(), ClassGreedyAdversary(c), GameConfig(d=1, round_cap=300))
+    t = class_greedy_game(PredictLearner(), c, 1)
     histogram[t.mistake_count] = histogram.get(t.mistake_count, 0) + 1
     worst_oracle = max(worst_oracle, t.mistake_count)
-    ts = run_game(SOALearner(c), ClassGreedyAdversary(c), GameConfig(d=1, round_cap=300))
+    ts = class_greedy_game(SOALearner(c), c, 1)
     worst_soa = max(worst_soa, ts.mistake_count)
 
 print("oracle learner mistakes per class:",

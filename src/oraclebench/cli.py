@@ -19,6 +19,9 @@ from .learner import CreateAdvancedLearner, PredictLearner, mistake_bound
 from .littlestone import SOALearner, find_shattered_tree, format_tree, ldim
 from .verification import (
     CheckResult,
+    class_greedy_game,
+    flood_game,
+    ternary_game,
     threshold_pair_classes,
     verify_advanced,
     verify_lower,
@@ -145,24 +148,15 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
     if adversary_spec == "class-greedy":
         if d != 1:
             raise OracleBenchError("class-greedy rows are enumerated for d = 1 only")
-        classes = threshold_pair_classes(8)
+        games = [class_greedy_game(_parse_learner(learner_spec, c), c, d) for c in threshold_pair_classes(8)]
         # create_advanced(k) plays a prefix of predict's schedule, so it has predict's bound
         bound = d if learner_spec == "soa" else mistake_bound(d)
-        worst = rounds = 0
-        for c in classes:
-            learner = _parse_learner(learner_spec, c)
-            t = run_game(learner, ClassGreedyAdversary(c), GameConfig(d=d, round_cap=bound + 29))
-            worst = max(worst, t.mistake_count)
-            rounds += len(t.rounds)
-        return worst, bound, rounds
+        return max(t.mistake_count for t in games), bound, sum(len(t.rounds) for t in games)
     if learner_spec == "soa":
         raise OracleBenchError(f"the soa learner needs a class, and {adversary_spec} rows give none")
     ternary = adversary_spec == "ternary"
-    bound = 3**d if ternary else 2 ** (d + 1) - 1
-    adversary = (TernaryAdversary if ternary else FloodAdversary)(d)
-    learner = _parse_learner(learner_spec, None)
-    t = run_game(learner, adversary, GameConfig(d=d, round_cap=bound + 10))
-    return t.mistake_count, bound, len(t.rounds)
+    t = (ternary_game if ternary else flood_game)(_parse_learner(learner_spec, None), d)
+    return t.mistake_count, 3**d if ternary else 2 ** (d + 1) - 1, len(t.rounds)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

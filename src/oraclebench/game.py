@@ -282,16 +282,18 @@ def validate_transcript(t: Transcript) -> ValidationReport:
 
     Re-checks every revealed function against the history prefix it was
     played under and each round's index against its position, recomputes
-    the mistake flags, and (size-guarded) bounds the dimension of the full
-    revealed set.
+    the mistake flags, names the first round past the round cap, and
+    (size-guarded) bounds the dimension of the full revealed set.
     """
     failures: list[str] = []
     notes: list[str] = []
     checks = 0
-    d = t.config.d
+    d, cap = t.config.d, t.config.round_cap
     referee = _Referee(d)
     for i, r in enumerate(t.rounds):
         checks += 1
+        if i == cap:
+            failures.append(f"round {i}: played past the round cap of {cap}")
         if r.index != i:
             failures.append(f"round {i}: stored index is {r.index}")
         if r.mistake != (r.y_hat != r.y):

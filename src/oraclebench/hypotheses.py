@@ -268,10 +268,10 @@ def load_class_file(path: str | Path) -> HypothesisClass:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ClassFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
         raise ClassFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "domain" not in doc or "hypotheses" not in doc:
         raise ClassFileError(f"{path}: expected an object with 'domain' and 'hypotheses'")

@@ -22,7 +22,7 @@ from .adversary import (
     TernaryAdversary,
 )
 from .errors import InconsistentOracleClass, OracleBenchError, SizeLimitExceeded
-from .game import GameConfig, Transcript, exceeds_dimension, run_game, validate_transcript
+from .game import GameConfig, Learner, Transcript, exceeds_dimension, run_game, validate_transcript
 from .hypotheses import Hypothesis, HypothesisClass
 from .learner import (
     CreateAdvancedLearner,
@@ -114,6 +114,41 @@ def random_classes_of_dimension(d: int, count: int, seed: int) -> list[Hypothesi
 
 
 # ----------------------------------------------------------------------
+# named games: each owns its adversary, its GameConfig and its round cap
+
+
+def ternary_game(learner: Learner, d: int) -> Transcript:
+    """``learner`` against the ternary adversary, which stops after its 3^d
+    points; the cap, 10 rounds past them, only ends a game a fault prolongs."""
+    return run_game(learner, TernaryAdversary(d), GameConfig(d=d, round_cap=3**d + 10))
+
+
+def flood_game(learner: Learner, d: int) -> Transcript:
+    """``learner`` against the flood adversary, capped as ``ternary_game`` is."""
+    return run_game(learner, FloodAdversary(d), GameConfig(d=d, round_cap=2 ** (d + 1) - 1 + 10))
+
+
+def class_greedy_game(learner: Learner, c: HypothesisClass, d: int) -> Transcript:
+    """``learner`` against the class-greedy adversary of ``c``, of dimension
+    d >= 1. The game ends at the cap, or once the adversary has settled and
+    a whole pass of the domain went by with no mistake. The d = 1 cap of
+    300 rounds still exceeds the budget of 271, so a learner that kept
+    erring would be caught past it; for larger d the budget dwarfs any
+    playable game and the cap of 500 truncates well below it."""
+    cap = min(mistake_bound(d) + 29, 500)
+    return run_game(learner, ClassGreedyAdversary(c), GameConfig(d=d, round_cap=cap))
+
+
+def halting_game(k: int) -> tuple[Transcript, CreateAdvancedLearner]:
+    """The halting procedure of index k against the free adversary, which
+    flips every prediction, capped 10 rounds past ``halting_mistakes(k)``.
+    Returns the transcript and the learner, which holds the functions left."""
+    learner = CreateAdvancedLearner(k)
+    t = run_game(learner, FreeAdversary(), GameConfig(d=None, round_cap=halting_mistakes(k) + 10))
+    return t, learner
+
+
+# ----------------------------------------------------------------------
 # suites
 
 
@@ -165,7 +200,7 @@ def _mistakes_check(name: str, t: Transcript, want: int) -> CheckResult:
 def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
     """Lower-bound suite: ternary and flood adversaries force their full mistake
     counts within dimension d. Every check is exact; ``seed`` changes nothing."""
-    t = run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d + 10))
+    t = ternary_game(PredictLearner(), d)
     # history consistency only: the dimension check below decides the set once
     report = validate_transcript(replace(t, config=replace(t.config, d=None)))
     # the class is the revealed set: labels and each f_r come from the game
@@ -177,7 +212,7 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
         except OracleBenchError as exc:
             faults.append(f"{f_r.name}: {exc}")
     n = 2 ** (d + 1) - 1
-    ft = run_game(PredictLearner(), FloodAdversary(d), GameConfig(d=d, round_cap=n + 10))
+    ft = flood_game(PredictLearner(), d)
     return [
         _mistakes_check(f"lower:{d} ternary mistakes", t, 3**d),
         _check(f"lower:{d} ternary consistency", report.passed,
@@ -194,51 +229,30 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
 def verify_upper(d: int, seed: int = 0) -> list[CheckResult]:
     """Upper-bound suite at desk scale: over 100 seeded classes of dimension
     d, the oracle learner stays below its budget and the version-space
-    learner stays within the dimension.
-
-    A game ends at the cap, or once the class-greedy adversary has settled
-    and a whole pass of the domain went by with no mistake: neither learner
-    can err again. The d = 1 cap of 300 rounds still exceeds the budget of
-    271, so a learner that kept erring would be caught past it; for larger d
-    the budget dwarfs any playable game and the cap truncates well below
-    it. Classes are drawn on at most 8 points, so d above 7 is refused.
+    learner stays within the dimension, each in ``class_greedy_game``.
+    Classes are drawn on at most 8 points, so d above 7 is refused.
     """
     if d > 7:
         return [_check(f"upper:{d}", False, "guard: upper bounds checked up to d = 7")]
     family = (threshold_pair_classes(8) if d == 1 else []) + random_classes_of_dimension(d, 100, seed)
     bound = mistake_bound(d)
-    cap = min(bound + 29, 500)
-    worst_predict = 0
-    worst_soa = 0
-    bad: list[str] = []
+    worst_predict = worst_soa = 0
+    failures: dict[str, str] = {}  # each check's first failure
     for i, c in enumerate(family):
-        t = run_game(PredictLearner(), ClassGreedyAdversary(c), GameConfig(d=d, round_cap=cap))
+        t = class_greedy_game(PredictLearner(), c, d)
         worst_predict = max(worst_predict, t.mistake_count)
         if t.mistake_count > bound:
-            bad.append(f"class #{i}: predict made {t.mistake_count} > {bound}")
-        ts = run_game(SOALearner(c), ClassGreedyAdversary(c), GameConfig(d=d, round_cap=cap))
+            failures.setdefault("budget", f"class #{i}: predict made {t.mistake_count} > {bound}")
+        ts = class_greedy_game(SOALearner(c), c, d)
         worst_soa = max(worst_soa, ts.mistake_count)
         if ts.mistake_count > d:
-            bad.append(f"class #{i}: soa made {ts.mistake_count} > {d}")
+            failures.setdefault("soa", f"class #{i}: soa made {ts.mistake_count} > {d}")
     return [
-        _check(
-            f"upper:{d} oracle learner budget",
-            worst_predict <= bound,
-            bad[0] if bad else f"worst {worst_predict} mistakes over {len(family)} classes, bound {bound}",
-        ),
-        _check(
-            f"upper:{d} soa within dimension",
-            worst_soa <= d,
-            f"worst {worst_soa} mistakes over {len(family)} classes, bound {d}",
-        ),
+        _check(f"upper:{d} oracle learner budget", "budget" not in failures,
+               failures.get("budget", f"worst {worst_predict} mistakes over {len(family)} classes, bound {bound}")),
+        _check(f"upper:{d} soa within dimension", "soa" not in failures,
+               failures.get("soa", f"worst {worst_soa} mistakes over {len(family)} classes, bound {d}")),
     ]
-
-
-def _run_create_advanced(k: int) -> tuple[Transcript, CreateAdvancedLearner]:
-    learner = CreateAdvancedLearner(k)
-    cap = halting_mistakes(k) + 10
-    t = run_game(learner, FreeAdversary(), GameConfig(d=None, round_cap=cap))
-    return t, learner
 
 
 def verify_advanced(k: int, seed: int = 0) -> list[CheckResult]:
@@ -246,14 +260,10 @@ def verify_advanced(k: int, seed: int = 0) -> list[CheckResult]:
     dimension inequality of the functions it leaves behind."""
     if k not in (0, 1):
         return [_check(f"advanced:{k}", False, "guard: only k = 0 and k = 1 are supported")]
-    t, learner = _run_create_advanced(k)
-    results = [
-        _check(
-            f"advanced:{k} halting count",
-            t.stopped_by == "learner_halted" and t.mistake_count == halting_mistakes(k),
-            f"halted after {t.mistake_count} mistakes, want {halting_mistakes(k)}",
-        )
-    ]
+    t, learner = halting_game(k)
+    results = [_check(f"advanced:{k} halting count",
+                      t.stopped_by == "learner_halted" and t.mistake_count == halting_mistakes(k),
+                      f"halted after {t.mistake_count} mistakes, want {halting_mistakes(k)}")]
     produced = learner.state.active.functions()
     expected = appended_functions(k)
     distinct = len({h.support for h in produced})
@@ -318,13 +328,8 @@ def verify_props(seed: int = 0) -> list[CheckResult]:
     a time as ``random_classes`` draws them. Each class's checks run on its
     own engine, and a restriction side is an index mask of that engine."""
     rng = random.Random(seed)
-    size_bound_ok = True
-    restriction_ok = True
-    certificate_ok = True
-    minimax_ok = True
     minimax_checked = 0
-    soa_ok = True
-    detail = ""
+    failures: dict[str, str] = {}  # each check's first failure
     for i in range(200):
         c = random_class(rng)
         engine = c.engine
@@ -332,39 +337,35 @@ def verify_props(seed: int = 0) -> list[CheckResult]:
         dim = ldim(c)
         limit = len(engine.hyps).bit_length() - 1
         if dim > limit:
-            size_bound_ok = False
-            detail = detail or f"class #{i}: ldim {dim} > log2 bound {limit}"
+            failures.setdefault("size bound", f"class #{i}: ldim {dim} > log2 bound {limit}")
         for x in c.domain:
             one = full & engine.column(x)
             zero = full ^ one
             if zero and one and dim < min(engine.ldim(zero), engine.ldim(one)) + 1:
-                restriction_ok = False
-                detail = detail or f"class #{i}: restriction inequality fails at {x}"
+                failures.setdefault("restriction inequality", f"class #{i}: restriction inequality fails at {x}")
         if dim >= 1:
             tree = find_shattered_tree(c, dim)
             if tree is None or not is_shattered(tree, c):
-                certificate_ok = False
-                detail = detail or f"class #{i}: no verified certificate at depth {dim}"
+                failures.setdefault("certificates", f"class #{i}: no verified certificate at depth {dim}")
         if find_shattered_tree(c, dim + 1) is not None:
-            certificate_ok = False
-            detail = detail or f"class #{i}: certificate above the dimension"
+            failures.setdefault("certificates", f"class #{i}: certificate above the dimension")
         if len(engine.hyps) <= MINIMAX_MAX_HYPOTHESES:
             minimax_checked += 1
             if minimax_adversary_value(c) != dim:
-                minimax_ok = False
-                detail = detail or f"class #{i}: game value differs from ldim {dim}"
+                failures.setdefault("minimax equals ldim", f"class #{i}: game value differs from ldim {dim}")
         for adversary in (ClassGreedyAdversary(c), RandomClassAdversary(c, seed + i)):
             t = run_game(SOALearner(c), adversary, GameConfig(d=dim, round_cap=25))
             if t.mistake_count > dim:
-                soa_ok = False
-                detail = detail or (
-                    f"class #{i}: soa made {t.mistake_count} > ldim {dim} "
-                    f"vs {adversary.name}"
+                failures.setdefault(
+                    "soa mistake bound", f"class #{i}: soa made {t.mistake_count} > ldim {dim} vs {adversary.name}"
                 )
     return [
-        _check("props size bound", size_bound_ok, "200 classes"),
-        _check("props restriction inequality", restriction_ok, "200 classes"),
-        _check("props certificates", certificate_ok, "200 classes"),
-        _check("props minimax equals ldim", minimax_ok, f"{minimax_checked} classes within guard"),
-        _check("props soa mistake bound", soa_ok, "200 classes, two adversaries"),
-    ] + ([_check("props failure detail", False, detail)] if detail else [])
+        _check(f"props {name}", name not in failures, failures.get(name, passed))
+        for name, passed in (
+            ("size bound", "200 classes"),
+            ("restriction inequality", "200 classes"),
+            ("certificates", "200 classes"),
+            ("minimax equals ldim", f"{minimax_checked} classes within guard"),
+            ("soa mistake bound", "200 classes, two adversaries"),
+        )
+    ]

@@ -319,12 +319,21 @@ def test_bench_soa_without_a_class_is_an_error_row(capsys) -> None:
 ], ids=["learner", "malformed-learner", "adversary"])
 def test_bench_checks_every_name_before_any_cell_runs(monkeypatch, capsys, argv, err) -> None:
     played = []
-    monkeypatch.setattr(cli, "run_game", lambda *game: played.append(game))
+    monkeypatch.setattr(cli, "_bench_cell", lambda *cell: played.append(cell))
     assert main(["bench", "--dims", "1", *argv]) == 2
     captured = capsys.readouterr()
     assert played == []
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_ldim_class_file_that_is_not_utf8_is_an_error_not_a_traceback(capsys, tmp_path) -> None:
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"domain": [0], "hypotheses": [{"name": "h\xff", "values": "1"}]}')
+    assert main(["ldim", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 42: invalid start byte\n"
+    )
 
 
 def test_ldim_class_file_with_a_negative_point_is_an_error_not_a_traceback(capsys, tmp_path) -> None:

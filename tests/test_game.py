@@ -426,6 +426,16 @@ def test_load_transcript_rejects_a_round_cap_stop_short_of_the_cap(tmp_path, ter
         load_transcript(_write(tmp_path, records))
 
 
+def test_validate_transcript_names_the_first_round_past_the_cap(tmp_path) -> None:
+    t = run_game(PredictLearner(), TernaryAdversary(1), GameConfig(d=1, round_cap=100))
+    save_transcript(t, tmp_path / "t.jsonl")
+    records = _records((tmp_path / "t.jsonl").read_text().splitlines())
+    records[0]["round_cap"] = 2  # the file holds 3 rounds, stopped_by adversary_done
+    report = validate_transcript(load_transcript(_write(tmp_path, records)))
+    assert not report.passed
+    assert report.failures == ("round 2: played past the round cap of 2",)
+
+
 def test_load_transcript_rejects_a_second_header(tmp_path, ternary_lines) -> None:
     records = _records(ternary_lines)
     records.insert(4, records[0])  # the three rounds before it would be dropped

@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 from brute_oracles import brute_recovery_worst_case, restriction_sides
-from oraclebench import adversary
+from oraclebench import adversary, verification
 from oraclebench.adversary import DigitRecovery, TernaryAdversary, ternary_function
 from oraclebench.errors import SizeLimitExceeded
 from oraclebench.game import GameConfig, run_game
@@ -158,6 +158,38 @@ def test_verify_upper_passes_over_136_classes() -> None:
         "worst 2 mistakes over 136 classes, bound 271",
         "worst 1 mistakes over 136 classes, bound 1",
     ]
+
+
+class ZeroLearner:
+    """Predicts 0 at every point, whatever its class: a planted fault in
+    place of the version-space learner."""
+
+    name = "zero"
+
+    def __init__(self, c) -> None:
+        pass
+
+    def run(self, rounds) -> None:
+        while True:
+            rounds.next_point()
+            rounds.submit(0)
+
+
+def test_a_planted_soa_fault_fails_its_own_checks_alone(monkeypatch) -> None:
+    monkeypatch.setattr(verification, "SOALearner", ZeroLearner)
+    budget, soa = verify_upper(1)
+    assert budget.ok and budget.detail == "worst 2 mistakes over 136 classes, bound 271"
+    assert not soa.ok and soa.detail == "class #0: soa made 300 > 1"
+    props = verify_props(seed=0)
+    assert [(r.name, r.ok) for r in props] == [
+        ("props size bound", True),
+        ("props restriction inequality", True),
+        ("props certificates", True),
+        ("props minimax equals ldim", True),
+        ("props soa mistake bound", False),
+    ]
+    assert props[-1].detail.startswith("class #0: soa made ")
+    assert [r.detail for r in props if r.ok] == ["200 classes"] * 3 + ["148 classes within guard"]
 
 
 def test_verify_upper_guards_d_above_7() -> None:
