@@ -47,7 +47,6 @@ from .game import (
     validate_transcript,
 )
 from .hypotheses import (
-    ConsistentOracle,
     Hypothesis,
     HypothesisClass,
     Sample,
@@ -63,12 +62,11 @@ from .learner import (
     PredictLearner,
     appended_functions,
     check_advanced,
-    create_advanced,
     create_advanced_widths,
     halting_mistakes,
     mistake_bound,
-    predict_learner,
     predict_widths,
+    run_schedule,
     vote_and_update,
 )
 from .littlestone import (

@@ -47,6 +47,17 @@ def _writing(path: str):
         raise OracleBenchError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any game is played if ``path`` cannot be written. The
+    probe changes no existing file and removes a file it had to create."""
+    out = Path(path)
+    existed = out.exists()
+    with _writing(path):
+        out.open("a").close()
+        if not existed:
+            out.unlink()
+
+
 def _parse_adversary(spec: str):
     kind, _, arg = spec.partition(":")
     if kind == "free":
@@ -91,6 +102,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     d = _spec_int(f"--d {args.d}", args.d, 0) if args.d is not None else inferred_d
     cap = _spec_int(f"--cap {args.cap}", args.cap, 1)
     config = GameConfig(d=d, round_cap=cap, seed=args.seed, validation=args.validate)
+    if args.out:
+        _check_writable(args.out)
     transcript = run_game(learner, adversary, config)
     report = validate_transcript(transcript)
     if args.out:
@@ -149,7 +162,7 @@ def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
         if d != 1:
             raise OracleBenchError("class-greedy rows are enumerated for d = 1 only")
         games = [class_greedy_game(_parse_learner(learner_spec, c), c, d) for c in threshold_pair_classes(8)]
-        # create_advanced(k) plays a prefix of predict's schedule, so it has predict's bound
+        # create-adv:k plays a prefix of predict's schedule, so it has predict's bound
         bound = d if learner_spec == "soa" else mistake_bound(d)
         return max(t.mistake_count for t in games), bound, sum(len(t.rounds) for t in games)
     if learner_spec == "soa":
@@ -173,6 +186,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if unknown := [a for a in adversaries if a not in ("ternary", "flood", "class-greedy")]:
         raise argparse.ArgumentTypeError(f"unknown bench adversary {unknown[0]!r}; "
                                          f"expected ternary, flood, or class-greedy")
+    if args.out:
+        _check_writable(args.out)
     rows = ["d\tlearner\tadversary\tmistakes\tbound\trounds\truntime_s"]
     failed = False
     for d in dims:

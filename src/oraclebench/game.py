@@ -197,7 +197,6 @@ class RoundChannel:
         self._respond = adversary.respond
         self._rounds = transcript.rounds
         self._cap = config.round_cap
-        self._d = config.d
         self._referee = _Referee(config.d if config.validation == "full" else None)
         self._pending: Point | None = None
 
@@ -225,7 +224,7 @@ class RoundChannel:
         if type(y) is not int or y not in (0, 1):
             raise IllegalAdversaryFunction(f"round {index}: label {y!r} is not the int 0 or 1")
         if self._referee.admit(index, x, y, f) and self._referee.exceeds():
-            raise DimensionViolation(f"round {index}: revealed set has dimension above {self._d}")
+            raise DimensionViolation(f"round {index}: revealed set has dimension above {self._referee.d}")
         rounds.append(Round(index, x, y_hat, y, y != y_hat, f))
         return y
 

@@ -1,4 +1,4 @@
-"""Core data model: hypotheses, classes, samples, and consistent oracles.
+"""Core data model: hypotheses, classes and samples.
 
 A hypothesis is a total 0/1-valued function on the non-negative integers,
 stored as an int support mask: bit x is its value at x, so it is 0 past
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 from weakref import WeakValueDictionary
 
 from .errors import ClassFileError, ContradictorySample, EmptyClass, PointError
@@ -245,11 +245,6 @@ class HypothesisClass:
                 raise ValueError(f"hypothesis {name!r}: {len(values)} values for {len(dom)} domain points")
             hyps.append(Hypothesis(name, sum(compress(point_bits, values.encode().translate(_BIT_BYTES)))))
         return cls(dom, tuple(hyps))
-
-
-# A consistent oracle maps a realizable sample to some hypothesis agreeing
-# with every pair, and raises NonRealizable otherwise.
-ConsistentOracle = Callable[[Sample], Hypothesis]
 
 
 def is_consistent(h: Hypothesis, sample: Sample) -> bool:

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NoReturn, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .errors import (
     InsufficientAgreement,
@@ -27,24 +27,22 @@ from .errors import (
     ScheduleViolation,
     SizeLimitExceeded,
 )
-from .hypotheses import (
-    Bit,
-    ConsistentOracle,
-    Hypothesis,
-    Point,
-    Sample,
-    is_consistent,
-)
+from .hypotheses import Bit, Hypothesis, Point, Sample, is_consistent
 from .littlestone import _DimensionEngine
 
 
 class RoundInterface(Protocol):
     """What a learner needs from a game: points in, predictions out, labels
-    back, and a record of the list mutations each mistake caused."""
+    back, a consistent oracle to query on the mistake sample, and a record
+    of the list mutations each mistake caused. The oracle answers a
+    realizable sample with a hypothesis that agrees with every pair, and
+    raises NonRealizable otherwise."""
 
     def next_point(self) -> Point: ...
 
     def submit(self, y_hat: Bit) -> Bit: ...
+
+    def oracle(self, sample: Sample) -> Hypothesis: ...
 
     def annotate_update(self, appended: Iterable[str], deleted: Iterable[str]) -> None: ...
 
@@ -105,7 +103,6 @@ class LearnerState:
     function was consistent with the mistake sample as of its append.
     """
 
-    oracle: ConsistentOracle
     active: ActiveList = field(default_factory=ActiveList)
     mistakes: Sample = field(default_factory=Sample)
 
@@ -119,10 +116,10 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
     active functions.
 
     With fewer than 2^k active functions the prediction defaults to 0.
-    On the mistake: if k = 0 or the list was short, the oracle is queried
-    on the updated mistake sample and its answer appended; otherwise the
-    earliest 2^(k-1) voters that agree with the wrong prediction are kept
-    and the other 2^(k-1) voters are deleted.
+    On the mistake: if k = 0 or the list was short, ``rounds.oracle`` is
+    queried on the updated mistake sample and its answer appended;
+    otherwise the earliest 2^(k-1) voters that agree with the wrong
+    prediction are kept and the other 2^(k-1) voters are deleted.
     """
     if k < 0:
         raise ValueError("vote width exponent must be non-negative")
@@ -142,7 +139,7 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
         state.mistakes = state.mistakes.extended(x, y)
         if k == 0 or count < width:
             try:
-                g = state.oracle(state.mistakes)
+                g = rounds.oracle(state.mistakes)
             except NonRealizable as exc:
                 raise OracleFailure(
                     "consistent oracle failed on the mistake sample; "
@@ -170,22 +167,32 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
         return
 
 
-def create_advanced(state: LearnerState, k: int, rounds: RoundInterface) -> None:
-    """The halting procedure: 16 rounds of the k-1 procedure, each chased
-    by one vote over the functions it produced, run as the flattened
-    sequence of vote widths :func:`create_advanced_widths` lists.
+def run_schedule(state: LearnerState, widths: Iterable[int], rounds: RoundInterface) -> None:
+    """Run one voting procedure per vote-width exponent, in order.
 
-    When it returns it has consumed exactly ``halting_mistakes(k)``
-    mistakes and grown the active list by exactly 2 * 8^(k+1) functions,
-    without deleting any function that predated the call.
+    Entering a procedure of positive index with fewer active functions
+    than its vote width would mean the schedule bookkeeping is broken;
+    that is asserted, not handled.
     """
-    for width in create_advanced_widths(k):
-        vote_and_update(state, width, rounds)
+    for k in widths:
+        if k >= 1 and len(state.active) < (1 << k):
+            raise ScheduleViolation(
+                f"procedure with vote width 2^{k} entered with only "
+                f"{len(state.active)} active functions"
+            )
+        vote_and_update(state, k, rounds)
 
 
 def create_advanced_widths(k: int) -> list[int]:
-    """The flattened sequence of vote-width exponents create_advanced(k)
-    feeds to vote_and_update, one entry per mistake."""
+    """The halting procedure of index k, flattened to the vote-width
+    exponents it feeds to vote_and_update, one entry per mistake: 16 rounds
+    of the k-1 procedure, each chased by one vote over the functions it
+    produced.
+
+    Run by :func:`run_schedule`, it consumes exactly ``halting_mistakes(k)``
+    mistakes and grows the active list by exactly 2 * 8^(k+1) functions,
+    without deleting any function that predated the run.
+    """
     if k < 0:
         raise ValueError("procedure index must be non-negative")
     if k == 0:
@@ -209,26 +216,8 @@ def predict_widths() -> Iterator[int]:
             m //= 16
 
 
-def predict_learner(state: LearnerState, rounds: RoundInterface) -> NoReturn:
-    """The dimension-independent learner: run voting procedures forever in
-    the order of :func:`predict_widths`.
-
-    Entering a procedure of positive index with fewer active functions
-    than its vote width would mean the schedule bookkeeping is broken;
-    that is asserted, not handled.
-    """
-    for k in predict_widths():
-        if k >= 1 and len(state.active) < (1 << k):
-            raise ScheduleViolation(
-                f"procedure with vote width 2^{k} entered with only "
-                f"{len(state.active)} active functions"
-            )
-        vote_and_update(state, k, rounds)
-    raise AssertionError("unreachable: the schedule is infinite")
-
-
 def halting_mistakes(k: int) -> int:
-    """Mistakes consumed by a full run of create_advanced(k):
+    """Mistakes consumed by a full run of the halting procedure of index k:
     16 + 16^2 + ... + 16^(k+1)."""
     if k < 0:
         raise ValueError("procedure index must be non-negative")
@@ -236,7 +225,7 @@ def halting_mistakes(k: int) -> int:
 
 
 def appended_functions(k: int) -> int:
-    """Net growth of the active list over a full create_advanced(k) run."""
+    """Net growth of the active list over a full halting procedure of index k."""
     return 2 * 8 ** (k + 1)
 
 
@@ -245,7 +234,7 @@ def mistake_bound(d: int) -> int:
     against any adversary whose functions stay within dimension d.
 
     Equals halting_mistakes(2d - 1) - 1: one less than the point where
-    create_advanced(2d - 1) would halt, which cannot happen at dimension d.
+    create-adv:(2d - 1) would halt, which cannot happen at dimension d.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
@@ -369,26 +358,30 @@ def check_advanced(
 
 
 class PredictLearner:
-    """Game driver for the dimension-independent learner."""
+    """Game driver for the dimension-independent learner: the infinite
+    schedule of :func:`predict_widths`."""
 
     name = "predict"
 
     def __init__(self) -> None:
         self.state: LearnerState | None = None
 
-    def run(self, rounds) -> None:
-        self.state = LearnerState(oracle=rounds.oracle)
-        predict_learner(self.state, rounds)
+    def widths(self) -> Iterable[int]:
+        return predict_widths()
+
+    def run(self, rounds: RoundInterface) -> None:
+        self.state = LearnerState()
+        run_schedule(self.state, self.widths(), rounds)
 
 
-class CreateAdvancedLearner:
-    """Game driver running one full create_advanced(k), then halting."""
+class CreateAdvancedLearner(PredictLearner):
+    """Game driver running the halting procedure of index k once, then
+    halting: predict's schedule cut to its first halting_mistakes(k) entries."""
 
     def __init__(self, k: int):
+        super().__init__()
         self.k = k
         self.name = f"create-adv:{k}"
-        self.state: LearnerState | None = None
 
-    def run(self, rounds) -> None:
-        self.state = LearnerState(oracle=rounds.oracle)
-        create_advanced(self.state, self.k, rounds)
+    def widths(self) -> Iterable[int]:
+        return create_advanced_widths(self.k)

@@ -94,11 +94,14 @@ class _DimensionEngine:
     """
 
     def __init__(self, hyps: Iterable[Hypothesis]):
-        self.hyps = list(distinct(hyps))
+        self.hyps: list[Hypothesis] = []
+        self.full = 0
+        self._point_columns: dict[Point, int] = {}
+        self._memo: dict[tuple[int, int], bool] = {}
+        for h in distinct(hyps):
+            self.add(h)
         if not self.hyps:
             raise EmptyClass("the set of hypotheses is empty")
-        self.full = (1 << len(self.hyps)) - 1
-        self._memo: dict[tuple[int, int], bool] = {}
 
     def add(self, h: Hypothesis) -> None:
         """Make ``h``, which equals no member, the next member. Every memo
@@ -107,19 +110,10 @@ class _DimensionEngine:
         bit = 1 << len(self.hyps)
         self.hyps.append(h)
         self.full |= bit
-        if "_point_columns" in self.__dict__:
-            col = self._point_columns
-            for x in mask_points(h.support):
-                col[x] = col.get(x, 0) | bit
+        col = self._point_columns
+        for x in mask_points(h.support):
+            col[x] = col.get(x, 0) | bit
         self.__dict__.pop("columns", None)
-
-    @cached_property
-    def _point_columns(self) -> dict[Point, int]:
-        col: dict[Point, int] = {}
-        for i, h in enumerate(self.hyps):
-            for x in mask_points(h.support):
-                col[x] = col.get(x, 0) | 1 << i
-        return col
 
     @cached_property
     def columns(self) -> list[tuple[Point, int]]:

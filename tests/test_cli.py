@@ -267,6 +267,34 @@ def test_an_out_path_that_cannot_be_written_is_an_error_not_a_traceback(capsys, 
     assert (captured.out, captured.err) == ("", f"error: {out_path}: cannot write: No such file or directory\n")
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the --out path was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--learner", "create-adv:3", "--adversary", "free", "--cap", "70000"],
+    ["bench", "--dims", "1-4", "--learners", "predict,create-adv:1"],
+], ids=["simulate", "bench"])
+def test_an_unwritable_out_path_fails_before_any_game_or_cell(monkeypatch, capsys, tmp_path, argv) -> None:
+    monkeypatch.setattr(cli, "run_game", _no_work)
+    monkeypatch.setattr(cli, "_bench_cell", _no_work)
+    for out_path, reason in [(tmp_path / "missing" / "out", "No such file or directory"), (tmp_path, "Is a directory")]:
+        assert main([*argv, "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == f"error: {out_path}: cannot write: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_game_leaves_no_file_behind_and_an_old_file_as_it_was(capsys, tmp_path) -> None:
+    argv = ["simulate", "--learner", "predict", "--adversary", "free", "--d", "1", "--validate", "full"]
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    old.write_text("kept\n")
+    for out_path in (new, old):
+        assert main([*argv, "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: round 3: revealed set has dimension above 1")
+    assert sorted(tmp_path.iterdir()) == [old]
+    assert old.read_text() == "kept\n"
+
+
 def test_bench_class_greedy_rows(capsys) -> None:
     code = main(["bench", "--dims", "1", "--learners", "predict,soa", "--adversaries", "class-greedy"])
     rows = capsys.readouterr().out.splitlines()
@@ -276,7 +304,7 @@ def test_bench_class_greedy_rows(capsys) -> None:
         ["1", "predict", "class-greedy", "1", "271", "324"],
         ["1", "soa", "class-greedy", "1", "1", "324"],
     ]
-    # create_advanced(k) plays a prefix of predict's schedule, so it has predict's bound
+    # create-adv:k plays a prefix of predict's schedule, so it has predict's bound
     assert main(["bench", "--dims", "1", "--learners", "create-adv:1", "--adversaries", "class-greedy"]) == 0
     assert capsys.readouterr().out.splitlines()[1].split("\t")[:6] == [
         "1", "create-adv:1", "class-greedy", "1", "271", "324"

@@ -27,27 +27,31 @@ from oraclebench.learner import (
     ActiveList,
     CreateAdvancedLearner,
     LearnerState,
+    PredictLearner,
     _required_dimension,
     appended_functions,
     check_advanced,
-    create_advanced,
     create_advanced_widths,
     halting_mistakes,
     mistake_bound,
-    predict_learner,
     predict_widths,
+    run_schedule,
     vote_and_update,
 )
 
 
 class ScriptedRounds:
-    """Round source replaying a fixed (x, y) script, ignoring predictions."""
+    """Round source replaying a fixed (x, y) script, ignoring predictions;
+    its oracle answers with the queried sample's minimal extension unless
+    another ``oracle`` is given."""
 
-    def __init__(self, script):
+    def __init__(self, script, oracle=None):
         self.script = list(script)
         self.submitted: list[tuple[int, int, int]] = []
         self.updates: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
         self._x = None
+        if oracle is not None:
+            self.oracle = oracle
 
     def next_point(self) -> int:
         self._x = self.script[len(self.submitted)][0]
@@ -57,6 +61,9 @@ class ScriptedRounds:
         y = self.script[len(self.submitted)][1]
         self.submitted.append((self._x, y_hat, y))
         return y
+
+    def oracle(self, sample) -> Hypothesis:
+        return Hypothesis("ext", support=sample.ones)
 
     def annotate_update(self, appended, deleted) -> None:
         self.updates.append((tuple(appended), tuple(deleted)))
@@ -84,10 +91,6 @@ class FlipRounds:
 
     def annotate_update(self, appended, deleted) -> None:
         pass
-
-
-def fresh_state(rounds) -> LearnerState:
-    return LearnerState(oracle=rounds.oracle)
 
 
 def test_active_list_rejects_extensional_repeats() -> None:
@@ -132,7 +135,7 @@ def test_active_list_delete_matches_a_plain_list(doomed_flags, unordered) -> Non
 
 def test_empty_list_predicts_zero() -> None:
     rounds = ScriptedRounds([(5, 0)])
-    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
+    state = LearnerState()
     # y matches the default prediction 0, so the procedure keeps looping;
     # feed a second round that forces the mistake and the return
     rounds.script.append((6, 1))
@@ -144,7 +147,7 @@ def test_empty_list_predicts_zero() -> None:
 
 
 def test_width_one_vote_follows_last_function() -> None:
-    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
+    state = LearnerState()
     state.active.append(hyp("g", "1"))  # g(0) = 1
     rounds = ScriptedRounds([(0, 0)])
     vote_and_update(state, 0, rounds)
@@ -153,7 +156,7 @@ def test_width_one_vote_follows_last_function() -> None:
 
 
 def test_tie_prediction_is_one_and_keeps_the_agreeing_voter() -> None:
-    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
+    state = LearnerState()
     state.active.append(hyp("one", "1"))   # 1 at point 0
     state.active.append(hyp("zero", "0"))  # 0 at point 0
     rounds = ScriptedRounds([(0, 0)])
@@ -163,7 +166,7 @@ def test_tie_prediction_is_one_and_keeps_the_agreeing_voter() -> None:
 
 
 def test_majority_deletion_keeps_earliest_agreeing_half() -> None:
-    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
+    state = LearnerState()
     for name, bits in (("a", "100"), ("b", "110"), ("c", "101"), ("d", "010")):
         state.active.append(hyp(name, bits))
     rounds = ScriptedRounds([(0, 0)])
@@ -175,7 +178,7 @@ def test_majority_deletion_keeps_earliest_agreeing_half() -> None:
 
 
 def test_short_list_defaults_to_zero_and_appends() -> None:
-    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
+    state = LearnerState()
     state.active.append(hyp("g", "1"))
     rounds = ScriptedRounds([(3, 1)])
     vote_and_update(state, 2, rounds)  # width 4 > 1 active function
@@ -185,15 +188,15 @@ def test_short_list_defaults_to_zero_and_appends() -> None:
 
 def test_returns_after_exactly_one_mistake() -> None:
     rounds = ScriptedRounds([(0, 0), (1, 0), (2, 1), (9, 9)])
-    state = LearnerState(oracle=lambda s: Hypothesis("ext", support=s.ones))
+    state = LearnerState()
     vote_and_update(state, 0, rounds)
     assert len(rounds.submitted) == 3  # stopped at the first mistake
     assert state.mistake_count == 1
 
 
 def test_oracle_failure_on_inconsistent_answer() -> None:
-    state = LearnerState(oracle=lambda s: hyp("liar", "0"))
-    rounds = ScriptedRounds([(0, 1)])
+    state = LearnerState()
+    rounds = ScriptedRounds([(0, 1)], oracle=lambda s: hyp("liar", "0"))
     with pytest.raises(OracleFailure):
         vote_and_update(state, 0, rounds)
 
@@ -201,8 +204,8 @@ def test_oracle_failure_on_inconsistent_answer() -> None:
 @pytest.mark.parametrize("k,mistakes,attached", [(0, 16, 16), (1, 272, 128)])
 def test_create_advanced_counts(k: int, mistakes: int, attached: int) -> None:
     rounds = FlipRounds()
-    state = fresh_state(rounds)
-    create_advanced(state, k, rounds)
+    state = LearnerState()
+    run_schedule(state, create_advanced_widths(k), rounds)
     assert state.mistake_count == mistakes == halting_mistakes(k)
     functions = state.active.functions()
     assert len(functions) == attached == appended_functions(k)
@@ -221,10 +224,10 @@ def test_mistake_sample_of_a_create_advanced_2_game_matches_its_transcript() -> 
 
 def test_create_advanced_never_deletes_preexisting_functions() -> None:
     rounds = FlipRounds()
-    state = fresh_state(rounds)
-    create_advanced(state, 0, rounds)
+    state = LearnerState()
+    run_schedule(state, create_advanced_widths(0), rounds)
     before = state.active.functions()
-    create_advanced(state, 1, rounds)
+    run_schedule(state, create_advanced_widths(1), rounds)
     assert state.active.functions()[: len(before)] == before
     assert state.mistake_count == halting_mistakes(0) + halting_mistakes(1)
     assert len(state.active) == len(before) + appended_functions(1)
@@ -267,7 +270,7 @@ def test_schedule_prefixes_match_recursive_flattening(k: int) -> None:
 
 def test_predict_learner_runs_the_schedule() -> None:
     rounds = FlipRounds()
-    state = fresh_state(rounds)
+    learner = PredictLearner()
 
     class Stop(Exception):
         pass
@@ -282,21 +285,29 @@ def test_predict_learner_runs_the_schedule() -> None:
 
     rounds.submit = counting_submit
     with pytest.raises(Stop):
-        predict_learner(state, rounds)
+        learner.run(rounds)
     # after exactly halting_mistakes(1) flips the list looks like a full
-    # create_advanced(1) run
-    assert state.mistake_count == stop_after
-    assert len(state.active) == appended_functions(1)
+    # create-adv:1 run
+    assert learner.state.mistake_count == stop_after
+    assert len(learner.state.active) == appended_functions(1)
 
 
-def test_predict_learner_schedule_violation_guard(monkeypatch) -> None:
+def test_predict_learner_schedule_violation_guard() -> None:
+    rounds = FlipRounds()
+    with pytest.raises(ScheduleViolation, match=r"^procedure with vote width 2\^4 entered with only 0 active"):
+        run_schedule(LearnerState(), [4], rounds)
+    assert rounds.history == []  # the guard fires before any round is played
+
+
+def test_create_adv_learner_schedule_violation_guard(monkeypatch) -> None:
     import oraclebench.learner as learner_module
 
-    monkeypatch.setattr(learner_module, "predict_widths", lambda: iter([4]))
-    rounds = FlipRounds()
-    state = fresh_state(rounds)
+    # the first procedure votes over 16 functions while the list is empty
+    monkeypatch.setattr(learner_module, "create_advanced_widths", lambda k: [4])
+    learner = CreateAdvancedLearner(1)
     with pytest.raises(ScheduleViolation):
-        predict_learner(state, rounds)
+        learner.run(FlipRounds())
+    assert learner.state.mistake_count == 0
 
 
 def _distinct_functions(n: int) -> list[Hypothesis]:

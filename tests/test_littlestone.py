@@ -308,7 +308,7 @@ def test_a_growing_engine_answers_as_a_fresh_engine(c: HypothesisClass) -> None:
     grown = littlestone._DimensionEngine(members[:1])
     for i in range(1, len(members)):
         before = dict(grown._memo)
-        grown.columns  # noqa: B018 - build the point columns, so that add must extend them
+        grown.columns  # noqa: B018 - cache the split columns, so that add must drop them
         if members[i] not in members[:i]:  # add takes only a new member
             grown.add(members[i])
         prefix = members[: i + 1]
