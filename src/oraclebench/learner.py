@@ -290,7 +290,7 @@ def _required_dimension(size: int, total: int, p: int, q: int) -> int:
     return d
 
 
-# The exact advanced-set check enumerates all 2^n - 1 subsets.
+# The exact advanced-set check covers all 2^n - 1 subsets, a size level at a time.
 EXACT_ADVANCED_LIMIT = 16
 
 
@@ -308,53 +308,56 @@ def check_advanced(
     ``as_integer_ratio()`` (a float or a Fraction); it is compared exactly,
     and anything else raises ValueError naming it.
 
-    With ``sample_count=None`` every subset is enumerated (guarded to
-    ``EXACT_ADVANCED_LIMIT`` functions); otherwise that many seeded random
-    subsets are checked, plus the full set. Returns the first violating
-    subset as a counterexample. The input must already be free of
-    extensional duplicates.
+    With ``sample_count=None`` every subset is covered (guarded to
+    ``EXACT_ADVANCED_LIMIT`` functions); otherwise ``sample_count``, an int
+    >= 0, seeded random subsets are checked, plus the full set. Subsets are
+    walked by size, each size in combinations order of the functions sorted
+    by support, and the first violating one is returned as a
+    counterexample. The input must already be free of extensional
+    duplicates.
     """
     hyps = tuple(functions)
     if not hyps:
         raise ValueError("advanced-set check needs a non-empty set")
     if len({h.support for h in hyps}) != len(hyps):
         raise ValueError("advanced-set check requires deduplicated hypotheses")
+    if sample_count is not None and (type(sample_count) is not int or sample_count < 0):
+        raise ValueError(f"sample_count must be an int >= 0 or None, got {sample_count!r}")
     p, q = gamma = _exact_ratio(gamma)
     total = len(hyps)
     if sample_count is None and total > EXACT_ADVANCED_LIMIT:
         raise SizeLimitExceeded(
             f"exact advanced-set check guarded to {EXACT_ADVANCED_LIMIT} functions, got {total}"
         )
-    # bit i is the i-th function in support order, which fixes the order
-    # of the subsets and so the first counterexample
-    engine = _DimensionEngine(sorted(hyps, key=lambda h: h.support))
+    ordered = sorted(hyps, key=lambda h: h.support)
     need = [_required_dimension(size, total, p, q) for size in range(total + 1)]
-    bits = [1 << i for i in range(total)]
-
-    def walk(subsets: Iterable[int], checked: int) -> AdvancedCheck:
-        """The first violating subset, counting on from ``checked``."""
-        for checked, subset in enumerate(subsets, checked + 1):
-            if not engine.at_least(subset, need[subset.bit_count()]):
-                members = tuple(h for h, bit in zip(engine.hyps, bits) if subset & bit)
-                return AdvancedCheck(False, gamma, checked, members)
+    if sample_count is None:
+        # Sizes decide every level. a distinct functions have dimension at
+        # most log2 a, so a level with a < 2^need(a) fails at its first
+        # subset, the a smallest supports. A level that needs 1 passes, as
+        # two distinct functions differ somewhere. None needs 2 once the
+        # singletons pass: those give gamma <= log16 |T|, and then
+        # gamma + log16(a/|T|) > 1 means a > 16 >= |T|.
+        checked = 0
+        for size in range(1, total + 1):
+            if size < 1 << need[size]:
+                return AdvancedCheck(False, gamma, checked + 1, tuple(ordered[:size]))
+            assert need[size] <= 1
+            checked += math.comb(total, size)
         return AdvancedCheck(True, gamma, checked, None)
-
-    if sample_count is not None:
-        rng = random.Random(seed)
-        subsets = [engine.full]
-        for _ in range(sample_count):
-            size = rng.randint(1, total)
-            subsets.append(sum(bits[i] for i in rng.sample(range(total), size)))
-        return walk(subsets, 0)
-    # one size level at a time, never held as a list; only a failing level
-    # is walked again, for its first counterexample and the count before it
-    checked = 0
-    for size in range(1, total + 1):
-        level = map(sum, itertools.combinations(bits, size))
-        if not all(map(engine.at_least, level, itertools.repeat(need[size]))):
-            return walk(map(sum, itertools.combinations(bits, size)), checked)
-        checked += math.comb(total, size)
-    return AdvancedCheck(True, gamma, checked, None)
+    # bit i is the i-th function in support order, which fixes the first counterexample
+    engine = _DimensionEngine(ordered)
+    bits = [1 << i for i in range(total)]
+    rng = random.Random(seed)
+    subsets = [engine.full]
+    for _ in range(sample_count):
+        size = rng.randint(1, total)
+        subsets.append(sum(bits[i] for i in rng.sample(range(total), size)))
+    for checked, subset in enumerate(subsets, 1):
+        if not engine.at_least(subset, need[subset.bit_count()]):
+            members = tuple(h for h, bit in zip(engine.hyps, bits) if subset & bit)
+            return AdvancedCheck(False, gamma, checked, members)
+    return AdvancedCheck(True, gamma, len(subsets), None)
 
 
 class PredictLearner:

@@ -11,9 +11,11 @@ and re-filters them every round, the way the adversary was first written;
 the SOA reference does the same with its version space, and scores each
 side of a split by brute_ldim. The restriction sides and the advanced-set
 walk are likewise rebuilt as tuples and walked one subset at a time, the
-way ``verify_props`` and ``check_advanced`` first did. The digit-recovery
-learner's worst case is a plain recursion over its state changes, with no
-memo and no cut-off.
+way ``verify_props`` and ``check_advanced`` first did; the walk asks the
+dimension engine about each subset. The digit-recovery learner's worst
+case is a plain recursion over its state changes, with no memo and no
+cut-off; the per-point search that ``verify_lower`` first ran steps the
+learner at every point of every state, for each function anew.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from operator import and_, or_
 from typing import Callable, Sequence
 
 from oraclebench.adversary import DigitRecovery, RecoveryState
-from oraclebench.errors import IllegalLabel, NonRealizable
+from oraclebench.errors import IllegalLabel, InconsistentOracleClass, NonRealizable, OracleBenchError
 from oraclebench.hypotheses import Bit, Hypothesis, HypothesisClass, LabeledPair, Point, distinct
+from oraclebench.learner import _required_dimension
+from oraclebench.littlestone import _DimensionEngine
 
 
 def realizable(hyps: Sequence[Hypothesis], pairs: list[LabeledPair]) -> bool:
@@ -158,6 +162,66 @@ def first_failing_subset(
             if fails(subset):
                 return walked, subset
     return walked, None
+
+
+def advanced_subset_walk(
+    functions: Sequence[Hypothesis], p: int, q: int
+) -> tuple[int, tuple[Hypothesis, ...] | None]:
+    """The exact advanced-set check at gamma = p/q, one subset at a time:
+    ``first_failing_subset`` with each subset decided by the dimension
+    engine of the functions, against the dimension its size needs."""
+    engine = _DimensionEngine(sorted(functions, key=lambda h: h.support))
+    bit = {h: 1 << i for i, h in enumerate(engine.hyps)}
+    need = [_required_dimension(size, len(bit), p, q) for size in range(len(bit) + 1)]
+
+    def fails(subset: tuple[Hypothesis, ...]) -> bool:
+        return not engine.at_least(sum(map(bit.__getitem__, subset)), need[len(subset)])
+
+    return first_failing_subset(functions, fails)
+
+
+def per_point_worst_case(learner: DigitRecovery, f: Hypothesis) -> int:
+    """The most mistakes ``learner`` makes on ``f`` over every query sequence,
+    repeats included (point 3^d stands for all past 3^d - 1): a longest path
+    over its states, stepping the learner at every point of every state. A
+    step that changes the state must raise its progress, so a state's scan
+    can stop once its best reaches the progress left. Raises
+    OracleBenchError on a learner fault."""
+    memo: dict[RecoveryState, int] = {}
+    points = range(3**learner.d + 1)
+
+    def longest(s: RecoveryState) -> int:
+        if s.recovered is not None:
+            if s.recovered != f:
+                raise InconsistentOracleClass(f"recovered {s.recovered.name}, hidden {f.name}")
+            return 0
+        if s not in memo:
+            best, left = 0, learner.d - s.progress
+            for z in points:
+                y_hat, nxt = learner.step(s, z, y := f(z))
+                if y_hat == y and nxt == s:
+                    continue
+                if nxt.progress <= s.progress:
+                    raise OracleBenchError(f"the step at {z} from {s} makes no progress")
+                best = max(best, (y_hat != y) + longest(nxt))
+                if best >= left:
+                    break
+            memo[s] = best
+        return memo[s]
+
+    return longest(RecoveryState())
+
+
+def per_point_recovery_search(learner: DigitRecovery, functions: Sequence[Hypothesis]) -> tuple[int, list[str]]:
+    """``per_point_worst_case`` over the functions: the worst case, and a
+    fault text for each function on which it raised."""
+    worst, faults = 0, []
+    for f in functions:
+        try:
+            worst = max(worst, per_point_worst_case(learner, f))
+        except OracleBenchError as exc:
+            faults.append(f"{f.name}: {exc}")
+    return worst, faults
 
 
 def brute_recovery_worst_case(

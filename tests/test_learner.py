@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute_oracles import first_failing_subset
+from brute_oracles import advanced_subset_walk
 from conftest import hyp
 from oraclebench.errors import (
     OracleFailure,
@@ -444,21 +444,51 @@ def _plant(monkeypatch, violating: set[frozenset[str]]) -> list[int]:
     return asked
 
 
-@pytest.mark.parametrize("violating", [
-    [],
-    ["h3"],
-    ["h0 h7 h9 h12 h15", "h1 h2 h3 h4 h5"],
-    ["h2 h5 h6 h7 h8 h9 h10 h11 h12", "h3 h4 h5 h6 h7 h8 h9 h10 h11 h12 h13"],
-    ["h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 h10 h11 h12 h13 h14 h15"],
-])
-def test_exact_check_advanced_finds_the_first_planted_violation(monkeypatch, violating) -> None:
-    violating = {frozenset(names.split()) for names in violating}
+@pytest.mark.parametrize("positions", [[], [0], [7], [12, 30], [39, 5]])
+def test_sampled_check_advanced_finds_the_first_planted_violation(monkeypatch, positions) -> None:
+    # plant violations at the given places of the seeded sample, whose
+    # first subset is the full set
     functions = _distinct_functions(16)
+    ordered = sorted(functions, key=lambda h: h.support)  # bit i of a subset is ordered[i]
+    violating: set[frozenset[str]] = set()
     asked = _plant(monkeypatch, violating)
-    check = check_advanced(functions, 1)
-    walked, first = first_failing_subset(functions, lambda a: frozenset(h.name for h in a) in violating)
-    assert check.subsets_checked == walked
-    assert check.counterexample == first
+    assert check_advanced(functions, 1, sample_count=40, seed=5).ok
+    sample = list(asked)
+    names = [frozenset(h.name for i, h in enumerate(ordered) if s >> i & 1) for s in sample]
+    assert len(sample) == 41 and sample[0] == (1 << 16) - 1
+    violating.update(names[i] for i in positions)
+    asked.clear()
+    check = check_advanced(functions, 1, sample_count=40, seed=5)
+    first = next((i for i, a in enumerate(names) if a in violating), None)
     assert check.ok == (first is None)
+    assert check.subsets_checked == (41 if first is None else first + 1)
+    assert check.counterexample == (None if first is None else tuple(h for h in ordered if h.name in names[first]))
     # every subset up to the counterexample went through the engine's decision
-    assert len(set(asked)) == walked
+    assert asked == sample[: check.subsets_checked]
+
+
+GAMMAS = ["-1", "0", "1/4", "1/2", "3/4", "1", "5/4", "3/2", "2", "7/3"]
+
+
+def test_exact_check_advanced_matches_the_subset_walk() -> None:
+    # n of the 16 functions on the points 0..3, in a scrambled order
+    for n in range(1, 17):
+        functions = [Hypothesis(f"h{i}", (i * 7 + 3) % 16) for i in range(n)]
+        for gamma in GAMMAS:
+            p, q = Fraction(gamma).as_integer_ratio()
+            check = check_advanced(functions, gamma)
+            walked, first = advanced_subset_walk(functions, p, q)
+            assert (check.ok, check.subsets_checked, check.counterexample) == (first is None, walked, first), (n, gamma)
+
+
+def test_exact_check_advanced_asks_the_engine_nothing(monkeypatch) -> None:
+    asked = _plant(monkeypatch, set())
+    for gamma in GAMMAS:
+        check_advanced(_distinct_functions(16), gamma)
+    assert asked == []
+
+
+@pytest.mark.parametrize("count", [-3, True, 2.0, "5"])
+def test_check_advanced_rejects_a_bad_sample_count(count) -> None:
+    with pytest.raises(ValueError, match=f"sample_count must be an int >= 0 or None, got {count!r}"):
+        check_advanced(_distinct_functions(3), 1, sample_count=count)

@@ -9,8 +9,8 @@ import textwrap
 
 import pytest
 
-from brute_oracles import brute_recovery_worst_case, restriction_sides
-from oraclebench import adversary, verification
+from brute_oracles import brute_recovery_worst_case, per_point_recovery_search, restriction_sides
+from oraclebench import adversary, game, verification
 from oraclebench.adversary import DigitRecovery, TernaryAdversary, ternary_function
 from oraclebench.errors import SizeLimitExceeded
 from oraclebench.game import GameConfig, run_game
@@ -18,8 +18,9 @@ from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import _DimensionEngine, ldim
 from oraclebench.verification import (
     CheckResult,
+    _RecoveryTable,
     _dimension_check,
-    _recovery_worst_case,
+    _recovery_search,
     random_classes,
     random_classes_of_dimension,
     threshold_pair_classes,
@@ -105,24 +106,26 @@ def test_the_exact_recovery_search_matches_a_brute_recursion() -> None:
         cases += _recovery_cases(2, tuple(rng.randint(0, 1) for _ in range(9)))
     assert len(cases) == 8 * 3 + 20 * 9
     for learner, f in cases:
-        assert _recovery_worst_case(learner, f) == brute_recovery_worst_case(learner, f), (learner.labels, f)
+        assert _RecoveryTable(learner).worst_case(f) == brute_recovery_worst_case(learner, f), (learner.labels, f)
 
 
-def test_a_planted_digit_comparison_fault_fails_the_check(monkeypatch) -> None:
+def _plant_analyze_fault(monkeypatch, old: str, new: str) -> None:
+    """Replace the one ``old`` in the learner's ``_analyze`` with ``new``."""
     source = textwrap.dedent(inspect.getsource(DigitRecovery._analyze))
-    assert source.count("z_i < r_i") == 1
+    assert source.count(old) == 1
     namespace = dict(vars(adversary))
-    exec(source.replace("z_i < r_i", "z_i > r_i"), namespace)
+    exec(source.replace(old, new), namespace)
     monkeypatch.setattr(DigitRecovery, "_analyze", namespace["_analyze"])
-    check = _informative_check(3)
-    assert not check.ok
-    assert check.detail.startswith("learner fault on 23 of 27 functions, first f0: ")
 
 
-def test_a_step_without_progress_fails_the_check(monkeypatch) -> None:
-    # a mistake that moves the witness to a new point but certifies no
-    # digit: the state changes without progress, which the cut-off must not
-    # hide as a capped count
+def _plant_comparison_fault(monkeypatch) -> None:
+    _plant_analyze_fault(monkeypatch, "z_i < r_i", "z_i > r_i")
+
+
+def _plant_stalled_step(monkeypatch) -> None:
+    """A mistake that moves the witness to a new point but certifies no
+    digit: the state changes without progress, which the cut-off must not
+    hide as a capped count."""
     advance = DigitRecovery._advance
 
     def stalled(self, state, witness, digit):
@@ -131,9 +134,73 @@ def test_a_step_without_progress_fails_the_check(monkeypatch) -> None:
         return state._replace(witness=witness)
 
     monkeypatch.setattr(DigitRecovery, "_advance", stalled)
+
+
+def _labelings():
+    """Every labeling at d = 1 and seeded ones at d = 2..4."""
+    yield from ((1, labels) for labels in itertools.product((0, 1), repeat=3))
+    rng = random.Random(1)
+    for d, count in ((2, 20), (3, 6), (4, 2)):
+        for _ in range(count):
+            yield d, tuple(rng.randint(0, 1) for _ in range(3**d))
+
+
+@pytest.mark.parametrize("plant", [
+    None,
+    _plant_comparison_fault,
+    _plant_stalled_step,
+    # these two give an outcome's points a fault at a later point than its
+    # first, which the per-point order reaches only after the points between
+    lambda mp: _plant_analyze_fault(mp, "if a <= b:", "if a < b:"),
+    lambda mp: _plant_analyze_fault(mp, "return 1 - y_w, state, (state.witness, a)",
+                                    "return 0.5, state, (state.witness, a)"),
+], ids=["learner", "comparison fault", "stalled step", "witness order fault", "prediction not a bit"])
+def test_the_shared_table_matches_the_per_point_search(monkeypatch, plant) -> None:
+    if plant is not None:
+        plant(monkeypatch)
+    faulty = 0
+    for d, labels in _labelings():
+        learner = DigitRecovery(d, labels)
+        functions = [f for _, f in _recovery_cases(d, labels)]
+        got = _recovery_search(learner, functions)
+        assert got == per_point_recovery_search(learner, functions), (d, labels)
+        faulty += bool(got[1])
+    # the faults are planted where the search reaches them
+    assert (faulty == 0) == (plant is None)
+
+
+def test_a_planted_digit_comparison_fault_fails_the_check(monkeypatch) -> None:
+    _plant_comparison_fault(monkeypatch)
+    check = _informative_check(3)
+    assert not check.ok
+    assert check.detail.startswith("learner fault on 23 of 27 functions, first f0: ")
+
+
+def test_a_step_without_progress_fails_the_check(monkeypatch) -> None:
+    _plant_stalled_step(monkeypatch)
     check = _informative_check(2)
     assert not check.ok
     assert "makes no progress" in check.detail
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_past_the_engine_guard_the_recovery_bound_decides_the_ternary_dimension(monkeypatch, d) -> None:
+    name = f"lower:{d} ternary dimension"
+    engine = {r.name: r for r in verify_lower(d)}
+    assert engine[name] == CheckResult(name, True, f"revealed set has dimension at most {d}")
+    monkeypatch.setattr(game, "DIMENSION_CHECK_LIMIT", 10)
+    bound = {r.name: r for r in verify_lower(d)}
+    assert bound[name] == CheckResult(name, True, f"revealed set has dimension at most {d} by the digit-recovery bound")
+    assert {n: r for n, r in bound.items() if n != name} == {n: r for n, r in engine.items() if n != name}
+    _plant_comparison_fault(monkeypatch)
+    faulty = {r.name: r for r in verify_lower(d)}
+    assert not faulty[f"lower:{d} informative learner"].ok
+    assert faulty[name] == CheckResult(name, False, "past the engine's guard, and the digit-recovery bound fails")
+
+
+def test_verify_lower_guards_d_above_6() -> None:
+    # with the guard lifted, lower:7's search runs past a minute (README "Size guards")
+    assert verify_lower(7) == [CheckResult("lower:7", False, "guard: lower bounds checked up to d = 6")]
 
 
 def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
