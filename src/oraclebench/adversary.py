@@ -12,11 +12,12 @@ forcing a mistake every round.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from functools import reduce
 from operator import and_, or_
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InconsistentOracleClass, NonRealizable, PointError
+from .errors import InconsistentOracleClass, NonRealizable, OracleBenchError, PointError
 from .hypotheses import (
     Bit,
     Hypothesis,
@@ -243,6 +244,30 @@ class RecoveryState(NamedTuple):
         return len(self.known_digits) + (self.witness is not None)
 
 
+def _mistake_move(on_mistake: tuple | None, z: Point, y: Bit) -> tuple[Point, int | None]:
+    """The (witness, digit) move of a mistake at ``z``, where the true value
+    is ``y``; None there means that no class member has that value."""
+    if on_mistake is None:
+        raise InconsistentOracleClass(f"observed value {y} at {z} contradicts every class member")
+    return on_mistake
+
+
+class _Outcome:
+    """One distinct answer of ``DigitRecovery._analyze`` in a state's row:
+    the mask of the points that give it, the first of them, and the
+    (prediction, state, on-mistake move) it names. An ``error`` that
+    ``_analyze`` raised at one point is an outcome of that point alone."""
+
+    __slots__ = ("mask", "first", "prediction", "state", "on_mistake", "error", "after_mistake")
+
+    def __init__(self, first: Point, answer: tuple | None = None, error: Exception | None = None):
+        self.mask = 0
+        self.first = first
+        self.prediction, self.state, self.on_mistake = answer or (None, None, None)
+        self.error = error
+        self.after_mistake: RecoveryState | Exception | None = None
+
+
 class DigitRecovery:
     """The digit-recovery learner for the ternary class of dimension ``d``
     whose revealed labels on 0..3^d-1 are ``labels``.
@@ -250,6 +275,13 @@ class DigitRecovery:
     It finds the hidden function's index digit by digit, most significant
     first, and makes at most d mistakes. The learner holds the class; its
     progress on one hidden function is a :class:`RecoveryState`.
+
+    ``worst_case`` and ``search`` decide that bound exactly. They read the
+    learner's moves from each state off a row that every hidden function
+    shares: it groups the points 0..3^d (point 3^d stands for all past
+    3^d - 1) by the answer of ``_analyze``, in order of their first point.
+    The learner keeps each row once built. A mistake's ``_advance`` is
+    taken once, on first need, since a hypothetical mistake may be illegal.
     """
 
     def __init__(self, d: int, labels: tuple[Bit, ...]):
@@ -261,6 +293,7 @@ class DigitRecovery:
             raise ValueError(f"class label {labels[bad]!r} at point {bad} is not 0 or 1")
         self.d = d
         self.labels = labels
+        self._rows: dict[RecoveryState, list[_Outcome]] = {}
 
     def step(self, state: RecoveryState, z: Point, y: Bit) -> tuple[Bit, RecoveryState]:
         """The learner's prediction at ``z``, fixed before ``y`` is read, and
@@ -270,11 +303,7 @@ class DigitRecovery:
         prediction, state, on_mistake = self._analyze(state, z)
         if y == prediction:
             return prediction, state
-        if on_mistake is None:
-            raise InconsistentOracleClass(
-                f"observed value {y} at {z} contradicts every class member"
-            )
-        return prediction, self._advance(state, *on_mistake)
+        return prediction, self._advance(state, *_mistake_move(on_mistake, z, y))
 
     def _advance(self, state: RecoveryState, witness: Point, digit: int | None) -> RecoveryState:
         """The state once ``witness`` certifies one more leading digit, which is
@@ -335,3 +364,98 @@ class DigitRecovery:
             if y_w == 0:
                 return y_z, state, (z, 1)
             return 0, state, (state.witness, 2)
+
+    def _row(self, s: RecoveryState) -> list[_Outcome]:
+        row = self._rows.get(s)
+        if row is None:
+            row, groups = [], {}
+            for z in range(3**self.d + 1):
+                try:
+                    answer = self._analyze(s, z)
+                except Exception as exc:  # raised when a search reaches z
+                    row.append(outcome := _Outcome(z, error=exc))
+                else:
+                    outcome = groups.get(answer)
+                    if outcome is None:
+                        row.append(outcome := _Outcome(z, answer))
+                        groups[answer] = outcome
+                outcome.mask |= 1 << z
+            self._rows[s] = row
+        return row
+
+    def _after_mistake(self, outcome: _Outcome, z: Point, y: Bit) -> RecoveryState:
+        """The state after a mistake at ``z``, one of ``outcome``'s points,
+        whose true value is ``y``."""
+        move = _mistake_move(outcome.on_mistake, z, y)
+        if outcome.after_mistake is None:
+            try:
+                outcome.after_mistake = self._advance(outcome.state, *move)
+            except Exception as exc:
+                outcome.after_mistake = exc
+        if isinstance(outcome.after_mistake, Exception):
+            raise outcome.after_mistake
+        return outcome.after_mistake
+
+    def _moves(self, s: RecoveryState, support: int) -> Iterator[tuple[Point, _Outcome, bool]]:
+        """(first point, outcome, whether it is a mistake) for each distinct
+        move from ``s`` on the function of mask ``support``, in point order:
+        an outcome's points split into those that agree with its prediction
+        and the rest, and the later half waits in a sorted list. A
+        prediction that is not a bit agrees with no value."""
+        waiting: list[tuple[Point, _Outcome, bool]] = []  # no two share a point
+        for outcome in self._row(s):
+            while waiting and waiting[0][0] < outcome.first:
+                yield waiting.pop(0)
+            p, mask = outcome.prediction, outcome.mask
+            agree = mask & support if p == 1 else mask & ~support if p == 0 else 0
+            first_agrees = agree >> outcome.first & 1 == 1
+            yield outcome.first, outcome, not first_agrees
+            later = mask ^ agree if first_agrees else agree
+            if later:
+                insort(waiting, ((later & -later).bit_length() - 1, outcome, first_agrees))
+        yield from waiting
+
+    def worst_case(self, f: Hypothesis) -> int:
+        """The most mistakes the learner makes on ``f`` over every query
+        sequence, repeats included: a longest path over its states. A step
+        that changes the state must raise its progress, so a state's scan
+        can stop once its best reaches the progress left. Raises
+        OracleBenchError on a learner fault."""
+        support, memo = f.support, {}
+
+        def longest(s: RecoveryState) -> int:
+            if s.recovered is not None:
+                if s.recovered != f:
+                    raise InconsistentOracleClass(f"recovered {s.recovered.name}, hidden {f.name}")
+                return 0
+            if s not in memo:
+                best, left = 0, self.d - s.progress
+                for z, outcome, mistake in self._moves(s, support):
+                    if outcome.error is not None:
+                        raise outcome.error
+                    if mistake:
+                        nxt = self._after_mistake(outcome, z, support >> z & 1)
+                    else:
+                        nxt = outcome.state
+                        if nxt == s:
+                            continue
+                    if nxt.progress <= s.progress:
+                        raise OracleBenchError(f"the step at {z} from {s} makes no progress")
+                    best = max(best, mistake + longest(nxt))
+                    if best >= left:
+                        break
+                memo[s] = best
+            return memo[s]
+
+        return longest(RecoveryState())
+
+    def search(self, functions: Iterable[Hypothesis]) -> tuple[int, list[str]]:
+        """The worst case over the given functions of the class, and a fault
+        text for each function on which ``worst_case`` raised."""
+        worst, faults = 0, []
+        for f in functions:
+            try:
+                worst = max(worst, self.worst_case(f))
+            except OracleBenchError as exc:
+                faults.append(f"{f.name}: {exc}")
+        return worst, faults

@@ -127,16 +127,6 @@ class _DimensionEngine:
             raise PointError(f"negative point {x}")
         return self._point_columns.get(x, 0)
 
-    def splits(self, s: int) -> Iterator[tuple[Point, int, int]]:
-        """Yield (point, zero-side, one-side) with both sides non-empty,
-        deduplicated by the induced partition."""
-        seen: set[int] = set()
-        for x, col in self.columns:
-            one = s & col
-            if one and one != s and one not in seen:
-                seen.add(one)
-                yield x, s ^ one, one
-
     def ldim(self, s: int) -> int:
         """The deepest d for which ``at_least(s, d)`` holds."""
         d = 0
@@ -146,11 +136,7 @@ class _DimensionEngine:
 
     def at_least(self, s: int, d: int) -> bool:
         """Decision procedure: does the set shatter some depth-d tree?
-
-        A split is searched only if both sides pass the size bound for
-        depth d - 1, and then its smaller side first, the side more likely
-        to fail.
-        """
+        Memoized by (set, depth); the search is ``_split``'s."""
         if d <= 0:
             return True
         n = s.bit_count()
@@ -160,32 +146,40 @@ class _DimensionEngine:
             return True
         key = (s, d)
         cached = self._memo.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._memo[key] = self._split(s, d) is not None
+        return cached
+
+    def _split(self, s: int, d: int) -> tuple[Point, int, int] | None:
+        """The first column, in point order, that splits ``s`` into two
+        sides of dimension at least d - 1 each, as (point, zero side, one
+        side), or None. Splits are deduplicated by the induced partition.
+        A split is searched only if both sides pass the size bound for
+        depth d - 1, and then its smaller side first, the side more likely
+        to fail."""
+        n = s.bit_count()
         need = 1 << (d - 1)
-        ok = False
         seen: set[int] = set()
-        for _, col in self.columns:
+        for x, col in self.columns:
             one = s & col
             k = one.bit_count()
             if need <= k <= n - need and one not in seen:
                 seen.add(one)
                 small, big = (one, s ^ one) if k < n - k else (s ^ one, one)
                 if self.at_least(small, d - 1) and self.at_least(big, d - 1):
-                    ok = True
-                    break
-        self._memo[key] = ok
-        return ok
+                    return x, s ^ one, one
+        return None
 
     def build_tree(self, s: int, d: int) -> TreeNode | None:
-        if d == 0:
+        """A complete depth-d tree (d >= 1) shattered by ``s``, or None."""
+        split = self._split(s, d)
+        if split is None:
             return None
-        for x, zero, one in self.splits(s):
-            if self.at_least(zero, d - 1) and self.at_least(one, d - 1):
-                left = self.build_tree(zero, d - 1)
-                right = self.build_tree(one, d - 1)
-                return TreeNode(x, left, right)
-        return None
+        x, zero, one = split
+        if d == 1:
+            return TreeNode(x, None, None)
+        left, right = self.build_tree(zero, d - 1), self.build_tree(one, d - 1)
+        return TreeNode(x, left, right) if left and right else None
 
 
 def _engine_of(hypotheses: Iterable[Hypothesis]) -> _DimensionEngine:
@@ -254,11 +248,19 @@ def minimax_adversary_value(hypotheses: Iterable[Hypothesis]) -> int:
     mistake scores 1. This searches the game tree directly (learner
     minimizes, adversary maximizes) and is an independent cross-check of
     the engine's deepening search, to whose dimension the value is
-    provably equal.
+    provably equal: it builds its own columns from the members' supports,
+    so a fault in the engine's columns cannot move both sides.
     """
-    engine = _engine_of(hypotheses)
-    if (n := len(engine.hyps)) > MINIMAX_MAX_HYPOTHESES:
+    hyps = distinct(hypotheses)
+    if not hyps:
+        raise EmptyClass("the set of hypotheses is empty")
+    if (n := len(hyps)) > MINIMAX_MAX_HYPOTHESES:
         raise SizeLimitExceeded(f"minimax guard: {n} distinct hypotheses exceeds {MINIMAX_MAX_HYPOTHESES}")
+    point_columns: dict[Point, int] = {}
+    for i, h in enumerate(hyps):
+        for x in mask_points(h.support):
+            point_columns[x] = point_columns.get(x, 0) | 1 << i
+    columns = set(point_columns.values())
     memo: dict[int, int] = {}
 
     def value(s: int) -> int:
@@ -268,14 +270,16 @@ def minimax_adversary_value(hypotheses: Iterable[Hypothesis]) -> int:
         if cached is not None:
             return cached
         best = 0
-        for _, zero, one in engine.splits(s):
-            a, b = value(zero), value(one)
-            # learner picks the prediction; adversary then picks the label
-            best = max(best, min(max(1 + b, a), max(1 + a, b)))
+        for col in columns:
+            one = s & col
+            if one and one != s:
+                a, b = value(s ^ one), value(one)
+                # learner picks the prediction; adversary then picks the label
+                best = max(best, min(max(1 + b, a), max(1 + a, b)))
         memo[s] = best
         return best
 
-    return value(engine.full)
+    return value((1 << n) - 1)
 
 
 class SOALearner:

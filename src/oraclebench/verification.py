@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import insort
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
 
 from .adversary import (
     ClassGreedyAdversary,
@@ -20,12 +18,11 @@ from .adversary import (
     FloodAdversary,
     FreeAdversary,
     RandomClassAdversary,
-    RecoveryState,
     TernaryAdversary,
 )
-from .errors import InconsistentOracleClass, OracleBenchError, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .game import GameConfig, Learner, Transcript, exceeds_dimension, run_game, validate_transcript
-from .hypotheses import Hypothesis, HypothesisClass, Point
+from .hypotheses import Hypothesis, HypothesisClass
 from .learner import (
     CreateAdvancedLearner,
     PredictLearner,
@@ -48,14 +45,11 @@ from .littlestone import (
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified property. ``skipped`` marks a check a size guard kept
-    from running: it is ``ok`` (it does not fail the suite) but was not
-    verified."""
+    """One verified property: its name, whether it holds, and what was found."""
 
     name: str
     ok: bool
     detail: str
-    skipped: bool = False
 
 
 def _check(name: str, ok: bool, detail: str) -> CheckResult:
@@ -154,139 +148,11 @@ def halting_game(k: int) -> tuple[Transcript, CreateAdvancedLearner]:
 # suites
 
 
-class _Outcome:
-    """One distinct answer of ``DigitRecovery._analyze`` in a state's row:
-    the mask of the points that give it, the first of them, and the
-    (prediction, state, on-mistake move) it names. An ``error`` that
-    ``_analyze`` raised at one point is an outcome of that point alone."""
-
-    __slots__ = ("mask", "first", "prediction", "state", "on_mistake", "error", "after_mistake")
-
-    def __init__(self, first: Point, answer: tuple | None = None, error: Exception | None = None):
-        self.mask = 0
-        self.first = first
-        self.prediction, self.state, self.on_mistake = answer or (None, None, None)
-        self.error = error
-        self.after_mistake: RecoveryState | Exception | None = None
-
-
-class _RecoveryTable:
-    """The digit-recovery learner's moves from each of its states, shared by
-    every hidden function of its class: a state's row groups the points
-    0..3^d (point 3^d stands for all past 3^d - 1) by the answer of
-    ``_analyze``, in order of their first point. A mistake's ``_advance``
-    is taken once, on first need, since a hypothetical mistake may be
-    illegal."""
-
-    def __init__(self, learner: DigitRecovery):
-        self.learner = learner
-        self._rows: dict[RecoveryState, list[_Outcome]] = {}
-
-    def _row(self, s: RecoveryState) -> list[_Outcome]:
-        row = self._rows.get(s)
-        if row is None:
-            row, groups = [], {}
-            for z in range(3**self.learner.d + 1):
-                try:
-                    answer = self.learner._analyze(s, z)
-                except Exception as exc:  # raised when a search reaches z
-                    row.append(outcome := _Outcome(z, error=exc))
-                else:
-                    outcome = groups.get(answer)
-                    if outcome is None:
-                        row.append(outcome := _Outcome(z, answer))
-                        groups[answer] = outcome
-                outcome.mask |= 1 << z
-            self._rows[s] = row
-        return row
-
-    def _after_mistake(self, outcome: _Outcome) -> RecoveryState:
-        if outcome.after_mistake is None:
-            try:
-                outcome.after_mistake = self.learner._advance(outcome.state, *outcome.on_mistake)
-            except Exception as exc:
-                outcome.after_mistake = exc
-        if isinstance(outcome.after_mistake, Exception):
-            raise outcome.after_mistake
-        return outcome.after_mistake
-
-    def _moves(self, s: RecoveryState, support: int) -> Iterator[tuple[Point, _Outcome, bool]]:
-        """(first point, outcome, whether it is a mistake) for each distinct
-        move from ``s`` on the function of mask ``support``, in point order:
-        an outcome's points split into those that agree with its prediction
-        and the rest, and the later half waits in a sorted list. A
-        prediction that is not a bit agrees with no value."""
-        waiting: list[tuple[Point, _Outcome, bool]] = []  # no two share a point
-        for outcome in self._row(s):
-            while waiting and waiting[0][0] < outcome.first:
-                yield waiting.pop(0)
-            p, mask = outcome.prediction, outcome.mask
-            agree = mask & support if p == 1 else mask & ~support if p == 0 else 0
-            first_agrees = agree >> outcome.first & 1 == 1
-            yield outcome.first, outcome, not first_agrees
-            later = mask ^ agree if first_agrees else agree
-            if later:
-                insort(waiting, ((later & -later).bit_length() - 1, outcome, first_agrees))
-        yield from waiting
-
-    def worst_case(self, f: Hypothesis) -> int:
-        """The most mistakes the learner makes on ``f`` over every query
-        sequence, repeats included: a longest path over its states. A step
-        that changes the state must raise its progress, so a state's scan
-        can stop once its best reaches the progress left. Raises
-        OracleBenchError on a learner fault."""
-        d, support, memo = self.learner.d, f.support, {}
-
-        def longest(s: RecoveryState) -> int:
-            if s.recovered is not None:
-                if s.recovered != f:
-                    raise InconsistentOracleClass(f"recovered {s.recovered.name}, hidden {f.name}")
-                return 0
-            if s not in memo:
-                best, left = 0, d - s.progress
-                for z, outcome, mistake in self._moves(s, support):
-                    if outcome.error is not None:
-                        raise outcome.error
-                    if not mistake:
-                        nxt = outcome.state
-                        if nxt == s:
-                            continue
-                    elif outcome.on_mistake is None:
-                        raise InconsistentOracleClass(
-                            f"observed value {support >> z & 1} at {z} contradicts every class member"
-                        )
-                    else:
-                        nxt = self._after_mistake(outcome)
-                    if nxt.progress <= s.progress:
-                        raise OracleBenchError(f"the step at {z} from {s} makes no progress")
-                    best = max(best, mistake + longest(nxt))
-                    if best >= left:
-                        break
-                memo[s] = best
-            return memo[s]
-
-        return longest(RecoveryState())
-
-
-def _recovery_search(learner: DigitRecovery, functions: Iterable[Hypothesis]) -> tuple[int, list[str]]:
-    """The learner's worst case over the given functions of its class, and
-    a fault text for each function on which the search raised."""
-    table = _RecoveryTable(learner)
-    worst, faults = 0, []
-    for f in functions:
-        try:
-            worst = max(worst, table.worst_case(f))
-        except OracleBenchError as exc:
-            faults.append(f"{f.name}: {exc}")
-    return worst, faults
-
-
-def _dimension_check(name: str, functions: list[Hypothesis], d: int) -> CheckResult:
-    """Passes iff the revealed set has dimension at most d; skipped where
-    exceeds_dimension leaves that undecided."""
-    over = exceeds_dimension(functions, d)
+def _dimension_check(name: str, over: bool | None, d: int) -> CheckResult:
+    """Passes iff ``over``, the answer of ``exceeds_dimension`` for d, says
+    the revealed set has dimension at most d; fails where it is undecided."""
     if over is None:
-        return CheckResult(name, True, "skipped: size guard", skipped=True)
+        return _check(name, False, "undecided: the revealed set is past the engine's guard")
     return _check(name, not over, f"revealed set has dimension {'above' if over else 'at most'} {d}")
 
 
@@ -312,13 +178,14 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
     # history consistency only: the dimension check below decides the set once
     report = validate_transcript(replace(t, config=replace(t.config, d=None)))
     # the class is the revealed set: labels and each f_r come from the game
-    worst, faults = _recovery_search(DigitRecovery(d, tuple(r.y for r in t.rounds)), t.functions)
+    worst, faults = DigitRecovery(d, tuple(r.y for r in t.rounds)).search(t.functions)
     bounded = not faults and worst <= d
-    dimension = _dimension_check(f"lower:{d} ternary dimension", t.functions, d)
-    if dimension.skipped:
-        dimension = _check(dimension.name, bounded,
-                           f"revealed set has dimension at most {d} by the digit-recovery bound" if bounded
-                           else "past the engine's guard, and the digit-recovery bound fails")
+    name, over = f"lower:{d} ternary dimension", exceeds_dimension(t.functions, d)
+    if over is None:  # past the engine's guard the digit-recovery bound decides
+        dimension = _check(name, bounded, f"revealed set has dimension at most {d} by the digit-recovery bound"
+                           if bounded else "past the engine's guard, and the digit-recovery bound fails")
+    else:
+        dimension = _dimension_check(name, over, d)
     n = 2 ** (d + 1) - 1
     ft = flood_game(PredictLearner(), d)
     return [
@@ -330,7 +197,7 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
                f"learner fault on {len(faults)} of {len(t.functions)} functions, first {faults[0]}" if faults
                else f"exact worst case {worst} mistakes over every query sequence, bound {d}"),
         _mistakes_check(f"lower:{d} flood mistakes", ft, n),
-        _dimension_check(f"lower:{d} flood dimension", ft.functions, d),
+        _dimension_check(f"lower:{d} flood dimension", exceeds_dimension(ft.functions, d), d),
     ]
 
 

@@ -42,7 +42,6 @@ from oraclebench.littlestone import (
     minimax_adversary_value,
 )
 from oraclebench.verification import (
-    _RecoveryTable,
     random_classes,
     random_classes_of_dimension,
     threshold_pair_classes,
@@ -95,10 +94,9 @@ def test_criterion_2_ternary_construction_is_legal(ternary_games) -> None:
         n = 3**d
         worst[d] = exact[d] = 0
         learner = DigitRecovery(d, labels)
-        table = _RecoveryTable(learner)
         for r in range(n):
             f_r = ternary_function(r, d, labels[: r + 1])
-            exact_r = table.worst_case(f_r)
+            exact_r = learner.worst_case(f_r)
             exact[d] = max(exact[d], exact_r)
             rng = random.Random(1000 * d + r)
             for _ in range(100):

@@ -23,7 +23,6 @@ from oraclebench.hypotheses import Hypothesis, HypothesisClass, Sample, is_consi
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
 from oraclebench.verification import (
-    _RecoveryTable,
     random_classes,
     random_classes_of_dimension,
     threshold_hypotheses,
@@ -369,9 +368,9 @@ def test_informative_learner_mistake_bound_sweep(d: int) -> None:
     rng = random.Random(d)
     labels = tuple(rng.randint(0, 1) for _ in range(3**d))
     n = 3**d
-    table = _RecoveryTable(DigitRecovery(d, labels))
+    learner = DigitRecovery(d, labels)
     for r in range(n):
-        exact = table.worst_case(ternary_function(r, d, labels[: r + 1]))
+        exact = learner.worst_case(ternary_function(r, d, labels[: r + 1]))
         assert exact <= d
         for trial in range(15):
             order = list(range(n)) + [n + rng.randint(0, 30)]

@@ -13,7 +13,6 @@ from oraclebench.cli import main
 from oraclebench.errors import EmptyClass
 from oraclebench.game import load_transcript
 from oraclebench.hypotheses import HypothesisClass, save_class_file
-from oraclebench.verification import CheckResult
 
 
 @pytest.fixture
@@ -121,6 +120,11 @@ def test_a_class_greedy_spec_without_a_file_is_an_error(capsys) -> None:
     assert capsys.readouterr().err == "error: 'class-greedy:': no class file given\n"
 
 
+def test_simulate_soa_takes_its_class_from_a_class_greedy_adversary(capsys) -> None:
+    assert main(["simulate", "--learner", "soa", "--adversary", "ternary:1"]) == 2
+    assert capsys.readouterr().err == "error: the soa learner needs a class: use a class-greedy adversary\n"
+
+
 def test_ldim_command(capsys, all_four_file) -> None:
     assert main(["ldim", str(all_four_file)]) == 0
     assert capsys.readouterr().out.strip() == "2"
@@ -152,8 +156,7 @@ def test_ldim_malformed_file_names_offender(capsys, tmp_path) -> None:
 @pytest.mark.parametrize("argv", [
     ["ldim", "missing.json"],
     ["simulate", "--learner", "predict", "--adversary", "class-greedy:missing.json"],
-    ["simulate", "--learner", "predict", "--adversary", "free", "--class-file", "missing.json"],
-], ids=["ldim", "class-greedy", "class-file"])
+], ids=["ldim", "class-greedy"])
 def test_a_missing_class_file_is_an_error_not_a_traceback(capsys, tmp_path, monkeypatch, argv) -> None:
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -193,36 +196,81 @@ def test_verify_lower_output_does_not_depend_on_the_seed(capsys) -> None:
     assert capsys.readouterr().out == seed_0
 
 
-def test_verify_prints_a_skipped_check_as_skip(capsys, monkeypatch) -> None:
-    guarded = CheckResult("guarded", True, "skipped: size guard", skipped=True)
-    passed = CheckResult("checked", True, "holds")
-    monkeypatch.setattr(cli, "verify_prefix", lambda k: [guarded, passed])
-    assert main(["verify", "prefix:1"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "SKIP guarded: skipped: size guard",
-        "PASS checked: holds",
-    ]
-    failed = CheckResult("broken", False, "does not hold")
-    monkeypatch.setattr(cli, "verify_prefix", lambda k: [guarded, failed])
-    assert main(["verify", "prefix:1"]) == 1
-    assert capsys.readouterr().out.splitlines()[1] == "FAIL broken: does not hold"
-
-
 def test_a_fault_in_a_suite_is_a_fail_line_not_a_traceback(capsys, monkeypatch) -> None:
-    # plant a fault: the engine loses its last column, so certificates come out incomplete
+    # plant a fault: the engine loses its last column, so the checks that read it fail one by one
     columns = littlestone._DimensionEngine.columns
     monkeypatch.setattr(littlestone._DimensionEngine, "columns", property(lambda self: columns.func(self)[:-1]))
     assert main(["verify", "props"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "FAIL props: ValueError: tree is not complete at the declared depth\n"
+    assert captured.out.splitlines() == [
+        "PASS props size bound: 200 classes",
+        "FAIL props restriction inequality: class #36: restriction inequality fails at 2",
+        "FAIL props certificates: class #1: no verified certificate at depth 2",
+        "FAIL props minimax equals ldim: class #36: game value differs from ldim 1",
+        "PASS props soa mistake bound: 200 classes, two adversaries",
+    ]
     assert captured.err == ""
-    # a typed error is still an error, not a failed check
+    # a typed error raised by the code under check fails its suite too
     def typed_fault(k):
         raise EmptyClass("a hypothesis class must be non-empty")
 
     monkeypatch.setattr(cli, "verify_prefix", typed_fault)
-    assert main(["verify", "prefix:0"]) == 2
-    assert capsys.readouterr().err == "error: a hypothesis class must be non-empty\n"
+    assert main(["verify", "prefix:0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL prefix:0: EmptyClass: a hypothesis class must be non-empty\n"
+    assert captured.err == ""
+
+
+def test_an_extra_member_bit_in_a_column_fails_each_check_that_reads_it(capsys, monkeypatch) -> None:
+    # the first column also claims the last member: certificates come out incomplete, which the
+    # tree build reports as no tree, so each check fails on its own line
+    columns = littlestone._DimensionEngine.columns
+
+    def planted(self):
+        cols = columns.func(self)
+        if cols:
+            x, col = cols[0]
+            cols[0] = (x, col | 1 << (len(self.hyps) - 1))
+        return cols
+
+    monkeypatch.setattr(littlestone._DimensionEngine, "columns", property(planted))
+    assert main(["verify", "props"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS props size bound: 200 classes",
+        "FAIL props restriction inequality: class #29: restriction inequality fails at 0",
+        "FAIL props certificates: class #1: no verified certificate at depth 2",
+        "FAIL props minimax equals ldim: class #29: game value differs from ldim 1",
+        "FAIL props soa mistake bound: class #29: soa made 2 > ldim 1 vs class-greedy",
+    ]
+
+
+def test_a_typed_error_from_a_column_fault_is_a_fail_line(capsys, monkeypatch) -> None:
+    # every engine loses point 0's column as it is built, so soa's version space empties there
+    add = littlestone._DimensionEngine.add
+
+    def planted(self, h):
+        add(self, h)
+        self._point_columns.pop(0, None)
+
+    monkeypatch.setattr(littlestone._DimensionEngine, "add", planted)
+    assert main(["verify", "props"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL props: IllegalLabel: no remaining hypothesis has value 1 at 0\n"
+    assert captured.err == ""
+
+
+def test_verify_reads_its_spec_before_the_suite_runs(capsys, monkeypatch) -> None:
+    def suite(d):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "verify_lower", suite)
+    for check in ("lower:0", "lower:x", "lower"):
+        assert main(["verify", check]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {check!r}: ")
+    assert main(["verify", "lower:1"]) == 1
+    assert capsys.readouterr().out == "FAIL lower:1: AssertionError: the suite ran\n"
 
 
 def test_verify_advanced_guard(capsys) -> None:

@@ -1,5 +1,5 @@
 """Every public name of the package has a caller outside its own module,
-and no module imports a private name from another."""
+and no module imports or reads a private name from another."""
 
 from __future__ import annotations
 
@@ -57,3 +57,45 @@ def test_no_module_imports_a_private_name_from_a_sibling() -> None:
         if alias.name.startswith("_") and alias.name not in SHARED_PRIVATE
     )
     assert private == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Every name a module binds: its functions, classes and methods, and
+    the names and attributes it assigns."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def private_attribute_reads(source: str) -> list[str]:
+    """``x._name`` reads where ``x`` is not ``self`` or ``cls`` and the
+    module defines no ``_name``: a private name of another module."""
+    tree = ast.parse(source)
+    own = _defined_names(tree)
+    return [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and node.attr not in own
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_no_module_reads_a_private_attribute_another_module_defines() -> None:
+    reads = sorted(
+        f"{path.name}:{read}" for path in PACKAGE.glob("*.py") for read in private_attribute_reads(path.read_text())
+    )
+    assert reads == []
+
+
+def test_the_private_attribute_check_flags_a_read_across_modules() -> None:
+    source = "class A:\n    def f(self, learner):\n        self._own = learner._analyze(self._own)\n"
+    assert private_attribute_reads(source) == ["3: ._analyze"]

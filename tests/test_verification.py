@@ -13,14 +13,12 @@ from brute_oracles import brute_recovery_worst_case, per_point_recovery_search, 
 from oraclebench import adversary, game, verification
 from oraclebench.adversary import DigitRecovery, TernaryAdversary, ternary_function
 from oraclebench.errors import SizeLimitExceeded
-from oraclebench.game import GameConfig, run_game
+from oraclebench.game import GameConfig, exceeds_dimension, run_game
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import _DimensionEngine, ldim
 from oraclebench.verification import (
     CheckResult,
-    _RecoveryTable,
     _dimension_check,
-    _recovery_search,
     random_classes,
     random_classes_of_dimension,
     threshold_pair_classes,
@@ -106,7 +104,7 @@ def test_the_exact_recovery_search_matches_a_brute_recursion() -> None:
         cases += _recovery_cases(2, tuple(rng.randint(0, 1) for _ in range(9)))
     assert len(cases) == 8 * 3 + 20 * 9
     for learner, f in cases:
-        assert _RecoveryTable(learner).worst_case(f) == brute_recovery_worst_case(learner, f), (learner.labels, f)
+        assert learner.worst_case(f) == brute_recovery_worst_case(learner, f), (learner.labels, f)
 
 
 def _plant_analyze_fault(monkeypatch, old: str, new: str) -> None:
@@ -162,7 +160,7 @@ def test_the_shared_table_matches_the_per_point_search(monkeypatch, plant) -> No
     for d, labels in _labelings():
         learner = DigitRecovery(d, labels)
         functions = [f for _, f in _recovery_cases(d, labels)]
-        got = _recovery_search(learner, functions)
+        got = learner.search(functions)
         assert got == per_point_recovery_search(learner, functions), (d, labels)
         faulty += bool(got[1])
     # the faults are planted where the search reaches them
@@ -203,20 +201,17 @@ def test_verify_lower_guards_d_above_6() -> None:
     assert verify_lower(7) == [CheckResult("lower:7", False, "guard: lower bounds checked up to d = 6")]
 
 
-def test_a_check_past_its_size_guard_is_skipped_not_passed() -> None:
+def test_an_undecided_dimension_check_fails() -> None:
     def revealed(d: int):
         return run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d)).functions
 
-    skipped = _dimension_check("ternary dimension", revealed(6), 6)
-    assert skipped.skipped and skipped.ok
-    assert "skipped" in skipped.detail
+    undecided = _dimension_check("ternary dimension", exceeds_dimension(revealed(6), 6), 6)
+    assert undecided == CheckResult("ternary dimension", False, "undecided: the revealed set is past the engine's guard")
     functions = revealed(5)
-    run = _dimension_check("ternary dimension", functions, 5)
-    assert run.ok and not run.skipped
-    assert run.detail == "revealed set has dimension at most 5"
-    over = _dimension_check("ternary dimension", functions, 4)
-    assert not over.ok and not over.skipped
-    assert over.detail == "revealed set has dimension above 4"
+    run = _dimension_check("ternary dimension", exceeds_dimension(functions, 5), 5)
+    assert run == CheckResult("ternary dimension", True, "revealed set has dimension at most 5")
+    over = _dimension_check("ternary dimension", exceeds_dimension(functions, 4), 4)
+    assert over == CheckResult("ternary dimension", False, "revealed set has dimension above 4")
 
 
 def test_verify_upper_passes_over_136_classes() -> None:
