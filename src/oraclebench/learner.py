@@ -5,10 +5,10 @@ The learner never inspects the hypothesis class. It maintains a sample of
 its mistakes and an ordered list of "active" functions obtained from the
 consistent oracle after mistaken rounds. Each voting procedure predicts
 the majority over the last 2^k active functions and ends after exactly one
-mistake, either appending a fresh oracle answer (k = 0, or too few voters)
-or halving the voted suffix (k >= 1). Stacking the procedures in the right
-order yields a learner whose total mistakes stay below a bound exponential
-in the dimension of the class behind the oracle.
+mistake, either appending a fresh oracle answer (k = 0) or halving the
+voted suffix (k >= 1). Stacking the procedures in the right order yields
+a learner whose total mistakes stay below a bound exponential in the
+dimension of the class behind the oracle.
 """
 
 from __future__ import annotations
@@ -115,29 +115,32 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
     """Run rounds until exactly one mistake, voting over the last 2^k
     active functions.
 
-    With fewer than 2^k active functions the prediction defaults to 0.
-    On the mistake: if k = 0 or the list was short, ``rounds.oracle`` is
-    queried on the updated mistake sample and its answer appended;
-    otherwise the earliest 2^(k-1) voters that agree with the wrong
-    prediction are kept and the other 2^(k-1) voters are deleted.
+    Entering with k >= 1 and fewer than 2^k active functions means the
+    schedule is broken, and raises ScheduleViolation before any round.
+    On the mistake: if k = 0, ``rounds.oracle`` is queried on the updated
+    mistake sample and its answer appended; otherwise the earliest
+    2^(k-1) voters that agree with the wrong prediction are kept and the
+    other 2^(k-1) voters are deleted.
     """
     if k < 0:
         raise ValueError("vote width exponent must be non-negative")
     width = 1 << k
+    count = len(state.active)
+    if k >= 1 and count < width:
+        raise ScheduleViolation(
+            f"procedure with vote width 2^{k} entered with only {count} active functions"
+        )
+    # the list changes only on the mistake that ends the procedure
+    voters = state.active.last(width)
     while True:
         x = rounds.next_point()
-        count = len(state.active)
-        if count >= width:
-            voters = state.active.last(width)
-            ones = sum(h(x) for h in voters)
-            y_hat = 1 if 2 * ones >= width else 0  # exact tie predicts 1
-        else:
-            y_hat = 0
+        ones = sum(h(x) for h in voters)
+        y_hat = 1 if 2 * ones >= width else 0  # exact tie predicts 1; no voters predict 0
         y = rounds.submit(y_hat)
         if y == y_hat:
             continue
         state.mistakes = state.mistakes.extended(x, y)
-        if k == 0 or count < width:
+        if k == 0:
             try:
                 g = rounds.oracle(state.mistakes)
             except NonRealizable as exc:
@@ -153,7 +156,7 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
             rounds.annotate_update((g.name,), ())
         else:
             first = count - width
-            agreeing = [i for i in range(first, count) if state.active[i](x) == y_hat]
+            agreeing = [i for i, h in enumerate(voters, first) if h(x) == y_hat]
             if len(agreeing) < width // 2:
                 raise InsufficientAgreement(
                     f"only {len(agreeing)} of {width} voters agree with the "
@@ -168,18 +171,8 @@ def vote_and_update(state: LearnerState, k: int, rounds: RoundInterface) -> None
 
 
 def run_schedule(state: LearnerState, widths: Iterable[int], rounds: RoundInterface) -> None:
-    """Run one voting procedure per vote-width exponent, in order.
-
-    Entering a procedure of positive index with fewer active functions
-    than its vote width would mean the schedule bookkeeping is broken;
-    that is asserted, not handled.
-    """
+    """Run one voting procedure per vote-width exponent, in order."""
     for k in widths:
-        if k >= 1 and len(state.active) < (1 << k):
-            raise ScheduleViolation(
-                f"procedure with vote width 2^{k} entered with only "
-                f"{len(state.active)} active functions"
-            )
         vote_and_update(state, k, rounds)
 
 
@@ -252,25 +245,19 @@ class AdvancedCheck:
     counterexample: tuple[Hypothesis, ...] | None
 
 
-class _Ratio(Protocol):
-    def as_integer_ratio(self) -> tuple[int, int]: ...
-
-
-def _exact_ratio(gamma: str | _Ratio) -> tuple[int, int]:
-    """``gamma``, in any form check_advanced accepts, as ``(p, q)`` in
-    lowest terms with q > 0."""
+def _exact_ratio(gamma: int | str) -> tuple[int, int]:
+    """``gamma``, an int or a "p/q" or "p" string, as ``(p, q)`` in lowest
+    terms with q > 0."""
+    if type(gamma) is int:
+        return gamma, 1
+    # anything but a str, a bool, a float or a Fraction included, reads as ""
+    num, slash, den = gamma.partition("/") if isinstance(gamma, str) else ("", "", "")
     try:
-        if isinstance(gamma, str):
-            num, slash, den = gamma.partition("/")
-            p, q = int(num), int(den) if slash else 1
-        else:
-            p, q = gamma.as_integer_ratio()
-    except (AttributeError, OverflowError, ValueError):
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
         q = 0
     if q <= 0:
-        raise ValueError(
-            f"gamma must be an int, a 'p/q' string or a number with as_integer_ratio(), got {gamma!r}"
-        )
+        raise ValueError(f"gamma must be an int or a 'p/q' string, got {gamma!r}")
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -296,7 +283,7 @@ EXACT_ADVANCED_LIMIT = 16
 
 def check_advanced(
     functions: Sequence[Hypothesis],
-    gamma: str | _Ratio,
+    gamma: int | str,
     *,
     sample_count: int | None = None,
     seed: int = 0,
@@ -304,9 +291,9 @@ def check_advanced(
     """Check that every non-empty subset A of the given set T satisfies
     ldim(A) >= gamma + log16(|A| / |T|).
 
-    ``gamma`` is an int, a "p/q" or "p" string, or anything with
-    ``as_integer_ratio()`` (a float or a Fraction); it is compared exactly,
-    and anything else raises ValueError naming it.
+    ``gamma`` is an int or a "p/q" or "p" string; it is compared exactly,
+    and anything else, a bool, a float or a Fraction included, raises
+    ValueError naming it.
 
     With ``sample_count=None`` every subset is covered (guarded to
     ``EXACT_ADVANCED_LIMIT`` functions); otherwise ``sample_count``, an int
@@ -365,9 +352,7 @@ class PredictLearner:
     schedule of :func:`predict_widths`."""
 
     name = "predict"
-
-    def __init__(self) -> None:
-        self.state: LearnerState | None = None
+    state: LearnerState | None = None  # each run starts a fresh one
 
     def widths(self) -> Iterable[int]:
         return predict_widths()
@@ -379,12 +364,14 @@ class PredictLearner:
 
 class CreateAdvancedLearner(PredictLearner):
     """Game driver running the halting procedure of index k once, then
-    halting: predict's schedule cut to its first halting_mistakes(k) entries."""
+    halting: predict's schedule, cut lazily where the first procedure of
+    index k + 1 starts, right after the halting procedure of index k ends."""
 
     def __init__(self, k: int):
-        super().__init__()
+        if k < 0:
+            raise ValueError("procedure index must be non-negative")
         self.k = k
         self.name = f"create-adv:{k}"
 
     def widths(self) -> Iterable[int]:
-        return create_advanced_widths(self.k)
+        return itertools.takewhile((3 * self.k + 4).__ne__, predict_widths())

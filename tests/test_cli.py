@@ -387,6 +387,14 @@ def test_bench_soa_without_a_class_is_an_error_row(capsys) -> None:
     ]
 
 
+def test_bench_past_the_named_game_guard_is_an_error_row(capsys) -> None:
+    assert main(["bench", "--dims", "11"]) == 1
+    assert [r.split("\t")[:6] for r in capsys.readouterr().out.splitlines()[1:]] == [
+        ["11", "predict", "ternary", "ERROR", "ternary:11 plays 177147 rounds; named games are guarded to 65535", "-"],
+        ["11", "predict", "flood", "4095", "4095", "4095"],
+    ]
+
+
 @pytest.mark.parametrize("argv, err", [
     (["--learners", "predict,foo"], "error: unknown learner 'foo'; expected predict, create-adv:<k>, or soa\n"),
     (["--learners", "predict,create-adv:x"], "error: 'create-adv:x': 'x' is not an integer >= 0\n"),

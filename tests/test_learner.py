@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -177,13 +179,15 @@ def test_majority_deletion_keeps_earliest_agreeing_half() -> None:
     assert rounds.updates == [((), ("c", "d"))]
 
 
-def test_short_list_defaults_to_zero_and_appends() -> None:
+def test_short_list_raises_before_any_round() -> None:
+    # a procedure of index k >= 1 needs 2^k voters, and vote_and_update alone enforces it
     state = LearnerState()
     state.active.append(hyp("g", "1"))
     rounds = ScriptedRounds([(3, 1)])
-    vote_and_update(state, 2, rounds)  # width 4 > 1 active function
-    assert rounds.submitted == [(3, 0, 1)]
-    assert len(state.active) == 2
+    with pytest.raises(ScheduleViolation, match=r"^procedure with vote width 2\^2 entered with only 1 active functions$"):
+        vote_and_update(state, 2, rounds)  # width 4 > 1 active function
+    assert rounds.submitted == []
+    assert [h.name for h in state.active] == ["g"] and state.mistake_count == 0
 
 
 def test_returns_after_exactly_one_mistake() -> None:
@@ -268,6 +272,32 @@ def test_schedule_prefixes_match_recursive_flattening(k: int) -> None:
     assert list(itertools.islice(predict_widths(), len(want))) == want
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_create_adv_cuts_the_lazy_schedule_at_the_recursive_flattening(k: int) -> None:
+    assert list(CreateAdvancedLearner(k).widths()) == create_advanced_widths(k)
+
+
+def test_create_adv_refuses_a_negative_index() -> None:
+    # predict's schedule never reaches the cut 3 * k + 4 for k < 0, so it would never halt
+    with pytest.raises(ValueError, match="^procedure index must be non-negative$"):
+        CreateAdvancedLearner(-1)
+
+
+@pytest.mark.parametrize("k", ["7", "1000000000"])
+def test_a_capped_create_adv_game_builds_no_schedule_up_front(k: str) -> None:
+    # the recursive list of create-adv:7 would take about 37 GB; under a 1 GiB
+    # address-space limit ten rounds still finish, since the schedule is lazy
+    src = Path(__file__).resolve().parent.parent / "src"
+    limit = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "oraclebench.cli", "simulate", "--learner", f"create-adv:{k}",
+         "--adversary", "free", "--cap", "10"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout) == (0, "mistakes=10 rounds=10 stopped_by=round_cap validation=ok\n"), done.stderr
+
+
 def test_predict_learner_runs_the_schedule() -> None:
     rounds = FlipRounds()
     learner = PredictLearner()
@@ -303,7 +333,7 @@ def test_create_adv_learner_schedule_violation_guard(monkeypatch) -> None:
     import oraclebench.learner as learner_module
 
     # the first procedure votes over 16 functions while the list is empty
-    monkeypatch.setattr(learner_module, "create_advanced_widths", lambda k: [4])
+    monkeypatch.setattr(learner_module, "predict_widths", lambda: iter([4]))
     learner = CreateAdvancedLearner(1)
     with pytest.raises(ScheduleViolation):
         learner.run(FlipRounds())
@@ -405,8 +435,8 @@ def test_required_dimension_matches_a_fraction_reference(gamma) -> None:
 
 
 @pytest.mark.parametrize("gammas, ratio", [
-    ((1, "1", 1.0, Fraction(1)), (1, 1)),
-    (("3/2", 1.5, Fraction(3, 2)), (3, 2)),
+    ((1, "1", "2/2"), (1, 1)),
+    (("3/2", "6/4"), (3, 2)),
 ])
 def test_check_advanced_reads_every_form_of_one_gamma_alike(gammas, ratio) -> None:
     functions = _distinct_functions(12)
@@ -421,10 +451,17 @@ def test_check_advanced_names_a_malformed_gamma(gamma) -> None:
         check_advanced(_distinct_functions(3), gamma)
 
 
+@pytest.mark.parametrize("gamma", [True, 1.0, 1.5, Fraction(3, 2), None])
+def test_check_advanced_refuses_a_gamma_that_is_neither_an_int_nor_a_string(gamma) -> None:
+    want = f"gamma must be an int or a 'p/q' string, got {gamma!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        check_advanced(_distinct_functions(3), gamma)
+
+
 def test_check_advanced_sampled_mode_is_seeded() -> None:
     fns = _distinct_functions(17)
-    a = check_advanced(fns, Fraction(1), sample_count=50, seed=3)
-    b = check_advanced(fns, Fraction(1), sample_count=50, seed=3)
+    a = check_advanced(fns, 1, sample_count=50, seed=3)
+    b = check_advanced(fns, 1, sample_count=50, seed=3)
     assert a == b
     assert a.subsets_checked == 51
 

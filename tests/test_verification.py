@@ -51,6 +51,23 @@ def test_random_classes_of_dimension_refuses_d_above_7_at_once() -> None:
         random_classes_of_dimension(8, 1, seed=0)
 
 
+@pytest.mark.parametrize("name, d, rounds", [("ternary", 11, 177147), ("flood", 16, 131071)])
+def test_named_games_past_the_round_guard_are_refused_before_any_round(monkeypatch, name, d, rounds) -> None:
+    # a game keeps every round's masks, so bench --dims 12 would need gigabytes
+    played = []
+    monkeypatch.setattr(verification, "run_game", lambda *game: played.append(game))
+    game = getattr(verification, f"{name}_game")
+    with pytest.raises(SizeLimitExceeded, match=f"^{name}:{d} plays {rounds} rounds; named games are guarded to 65535$"):
+        game(PredictLearner(), d)
+    assert played == []
+
+
+@pytest.mark.parametrize("name, d, cap", [("ternary", 10, 3**10 + 10), ("flood", 15, 2**16 - 1 + 10)])
+def test_the_longest_named_games_within_the_guard_are_played(monkeypatch, name, d, cap) -> None:
+    monkeypatch.setattr(verification, "run_game", lambda learner, adversary, config: config)
+    assert getattr(verification, f"{name}_game")(PredictLearner(), d).round_cap == cap
+
+
 def test_verify_lower_passes() -> None:
     results = verify_lower(2)
     assert _all_ok(results), [r for r in results if not r.ok]
