@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OracleBenchError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a game within the round guard can still outgrow a small machine
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ class IllegalLabel(OracleBenchError):
 
 
 class SizeLimitExceeded(OracleBenchError):
-    """Input exceeds the guard for an exponential-time check."""
+    """Input exceeds the guard for an exponential-time check, or a game's round guard."""
 
 
 class InsufficientAgreement(OracleBenchError):

@@ -20,6 +20,7 @@ from .errors import (
     IllegalAdversaryFunction,
     IllegalPrediction,
     NonRealizable,
+    SizeLimitExceeded,
     TranscriptError,
 )
 from .hypotheses import Bit, Hypothesis, Point, Sample, is_consistent, point_bit
@@ -66,6 +67,8 @@ class GameConfig:
             raise ValueError(f"d must be None or an int >= 0, got {self.d!r}")
         if type(self.round_cap) is not int or self.round_cap < 1:
             raise ValueError(f"round_cap must be an int >= 1, got {self.round_cap!r}")
+        if self.round_cap > ROUND_CAP_LIMIT:
+            raise SizeLimitExceeded(f"round_cap {self.round_cap} is past the guard of {ROUND_CAP_LIMIT} rounds")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.validation not in ("consistency", "full"):
@@ -121,6 +124,9 @@ class GameStopped(Exception):
 # grows with the game and keeps its memo: about 0.01 s over a whole ternary:4
 # game and 0.3 s over a ternary:5 game (README "Size guards").
 DIMENSION_CHECK_LIMIT = 243
+# One rule bounds every game's length: a transcript keeps each round's function, so memory
+# grows with the square of the length. The longest game played, create-adv:3 vs free, is 69,904.
+ROUND_CAP_LIMIT = 70000
 
 
 class _Referee:
@@ -448,13 +454,13 @@ def load_transcript(path: str | Path) -> Transcript:
     ones = 0
     shared: dict[str, str] = {}
     with stream:
-        # bytes are decoded a line at a time, so a decoding error names its line
+        # bytes are decoded a line at a time, so a decoding error (a ValueError) names its line
         for lineno, line in enumerate(stream, 1):
             try:
                 t, ones = _read_record(json.loads(line.decode()), t, ones, shared)
             except KeyError as exc:
                 raise TranscriptError(f"{path} line {lineno}: record lacks key {exc}") from exc
-            except (TranscriptError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            except (TranscriptError, SizeLimitExceeded, TypeError, ValueError) as exc:
                 raise TranscriptError(f"{path} line {lineno}: {exc}") from exc
     if t is None:
         raise TranscriptError(f"{path}: no header record")

@@ -95,10 +95,10 @@ def random_classes(count: int, seed: int, max_hypotheses: int = 10, max_points: 
 def random_classes_of_dimension(d: int, count: int, seed: int) -> list[HypothesisClass]:
     """Seeded random classes filtered to dimension exactly d. They are drawn
     on at most 8 points, where dimension 8 needs all 256 functions, so d
-    above 7 is refused at once rather than searched for."""
-    if d > 7:
+    above ``UPPER_LIMIT`` is refused at once rather than searched for."""
+    if d > UPPER_LIMIT:
         raise SizeLimitExceeded(
-            f"random classes are drawn on at most 8 points: dimension {d} is past the limit of 7"
+            f"random classes are drawn on at most 8 points: dimension {d} is past the limit of {UPPER_LIMIT}"
         )
     rng = random.Random(seed)
     out: list[HypothesisClass] = []
@@ -113,26 +113,15 @@ def random_classes_of_dimension(d: int, count: int, seed: int) -> list[Hypothesi
 # named games: each owns its adversary, its GameConfig and its round cap
 
 
-# a game keeps every round's masks: ternary:10 (59,049 rounds) peaks near 360 MB
-NAMED_GAME_MAX_ROUNDS = 65535
-
-
-def _named_config(name: str, d: int, rounds: int) -> GameConfig:
-    """Caps a named game 10 rounds past its ``rounds``, or refuses it past the guard."""
-    if rounds > NAMED_GAME_MAX_ROUNDS:
-        raise SizeLimitExceeded(f"{name}:{d} plays {rounds} rounds; named games are guarded to {NAMED_GAME_MAX_ROUNDS}")
-    return GameConfig(d=d, round_cap=rounds + 10)
-
-
 def ternary_game(learner: Learner, d: int) -> Transcript:
     """``learner`` against the ternary adversary, which stops after its 3^d
     points; the cap, 10 rounds past them, only ends a game a fault prolongs."""
-    return run_game(learner, TernaryAdversary(d), _named_config("ternary", d, 3**d))
+    return run_game(learner, TernaryAdversary(d), GameConfig(d=d, round_cap=3**d + 10))
 
 
 def flood_game(learner: Learner, d: int) -> Transcript:
     """``learner`` against the flood adversary, capped as ``ternary_game`` is."""
-    return run_game(learner, FloodAdversary(d), _named_config("flood", d, 2 ** (d + 1) - 1))
+    return run_game(learner, FloodAdversary(d), GameConfig(d=d, round_cap=2 ** (d + 1) - 1 + 10))
 
 
 def class_greedy_game(learner: Learner, c: HypothesisClass, d: int) -> Transcript:
@@ -174,6 +163,7 @@ def _mistakes_check(name: str, t: Transcript, want: int) -> CheckResult:
 
 # the largest d whose suite ends within a minute (README "Size guards")
 LOWER_LIMIT = 6
+UPPER_LIMIT = 7  # classes are drawn on 8 points, where dimension 8 needs all 256 functions
 
 
 def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
@@ -216,10 +206,10 @@ def verify_upper(d: int, seed: int = 0) -> list[CheckResult]:
     """Upper-bound suite at desk scale: over 100 seeded classes of dimension
     d, the oracle learner stays below its budget and the version-space
     learner stays within the dimension, each in ``class_greedy_game``.
-    Classes are drawn on at most 8 points, so d above 7 is refused.
+    Classes are drawn on at most 8 points, so d above ``UPPER_LIMIT`` is refused.
     """
-    if d > 7:
-        return [_check(f"upper:{d}", False, "guard: upper bounds checked up to d = 7")]
+    if d > UPPER_LIMIT:
+        return [_check(f"upper:{d}", False, f"guard: upper bounds checked up to d = {UPPER_LIMIT}")]
     family = (threshold_pair_classes(8) if d == 1 else []) + random_classes_of_dimension(d, 100, seed)
     bound = mistake_bound(d)
     worst_predict = worst_soa = 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -390,7 +391,7 @@ def test_bench_soa_without_a_class_is_an_error_row(capsys) -> None:
 def test_bench_past_the_named_game_guard_is_an_error_row(capsys) -> None:
     assert main(["bench", "--dims", "11"]) == 1
     assert [r.split("\t")[:6] for r in capsys.readouterr().out.splitlines()[1:]] == [
-        ["11", "predict", "ternary", "ERROR", "ternary:11 plays 177147 rounds; named games are guarded to 65535", "-"],
+        ["11", "predict", "ternary", "ERROR", "round_cap 177157 is past the guard of 70000 rounds", "-"],
         ["11", "predict", "flood", "4095", "4095", "4095"],
     ]
 
@@ -468,3 +469,25 @@ def test_a_closed_stdout_pipe_is_exit_1_not_a_traceback() -> None:
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert "BrokenPipeError" not in done.stderr
+
+
+@pytest.mark.parametrize("adversary", ["ternary:11", "free"])
+def test_a_cap_past_the_round_guard_is_refused_before_any_round(monkeypatch, capsys, adversary) -> None:
+    monkeypatch.setattr(cli, "run_game", _no_work)
+    assert main(["simulate", "--learner", "predict", "--adversary", adversary, "--cap", "200000"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: round_cap 200000 is past the guard of 70000 rounds\n")
+
+
+def test_running_out_of_memory_is_an_error_not_a_traceback() -> None:
+    # ternary:11 capped at the round guard needs about 610 MB; under a 256 MiB
+    # address-space limit the game runs out of memory after a few seconds at most
+    limit = 256 << 20
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "oraclebench.cli", "simulate", "--learner", "predict",
+         "--adversary", "ternary:11", "--cap", "70000"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: simulate: out of memory\n")

@@ -18,10 +18,13 @@ from oraclebench.errors import (
     DimensionViolation,
     IllegalAdversaryFunction,
     IllegalPrediction,
+    NonRealizable,
     PointError,
+    SizeLimitExceeded,
     TranscriptError,
 )
 from oraclebench.game import (
+    ROUND_CAP_LIMIT,
     GameConfig,
     Round,
     RoundChannel,
@@ -32,7 +35,7 @@ from oraclebench.game import (
     save_transcript,
     validate_transcript,
 )
-from oraclebench.hypotheses import Hypothesis, HypothesisClass
+from oraclebench.hypotheses import Hypothesis, HypothesisClass, Sample
 from oraclebench.learner import CreateAdvancedLearner, PredictLearner
 from oraclebench.littlestone import SOALearner
 from oraclebench.adversary import ClassGreedyAdversary
@@ -290,6 +293,13 @@ def test_game_config_rejects_a_round_cap_or_seed_that_is_not_an_int() -> None:
         GameConfig(d=None, seed=False)
 
 
+def test_game_config_refuses_a_round_cap_past_the_round_guard() -> None:
+    # a game keeps every round's function, so one past the guard is refused before its first round
+    assert GameConfig(d=None, round_cap=ROUND_CAP_LIMIT).round_cap == 70000
+    with pytest.raises(SizeLimitExceeded, match="^round_cap 70001 is past the guard of 70000 rounds$"):
+        GameConfig(d=None, round_cap=ROUND_CAP_LIMIT + 1)
+
+
 def test_channel_enforces_round_ordering() -> None:
     from oraclebench.game import RoundChannel, Transcript
 
@@ -301,6 +311,19 @@ def test_channel_enforces_round_ordering() -> None:
     channel.next_point()
     with pytest.raises(RuntimeError):
         channel.next_point()
+
+
+def test_channel_oracle_needs_a_round_and_a_sample_its_function_realizes() -> None:
+    config = GameConfig(d=1, round_cap=10)
+    adversary = TernaryAdversary(1)
+    channel = RoundChannel(adversary, config, Transcript(config, "x", adversary.name))
+    with pytest.raises(RuntimeError, match="^oracle queried before any round completed$"):
+        channel.oracle(Sample())
+    x = channel.next_point()
+    channel.submit(0)
+    f = channel.oracle(Sample())
+    with pytest.raises(NonRealizable, match=f"^revealed function {f.name!r} does not realize the queried sample$"):
+        channel.oracle(Sample([(x, 1 - f(x))]))
 
 
 # ----------------------------------------------------------------------
@@ -462,6 +485,20 @@ def test_load_transcript_rejects_a_record_that_is_not_an_object(tmp_path, ternar
     records[3] = record
     with pytest.raises(TranscriptError, match=f"line 4: a record must be a JSON object, got {type(record).__name__}"):
         load_transcript(_write(tmp_path, records))
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda records: [], ": no header record"),
+    (lambda records: records[1:], " line 1: 'round' record before the header"),
+    (lambda records: records[:3] + [{"type": "note"}] + records[3:], " line 4: unknown record type 'note'"),
+    (lambda records: [dict(records[0], round_cap=70001)] + records[1:],
+     " line 1: round_cap 70001 is past the guard of 70000 rounds"),
+], ids=["empty", "round-first", "unknown-type", "cap-past-guard"])
+def test_load_transcript_names_a_record_out_of_place(tmp_path, ternary_lines, edit, text) -> None:
+    path = _write(tmp_path, edit(_records(ternary_lines)))
+    with pytest.raises(TranscriptError) as info:
+        load_transcript(path)
+    assert str(info.value) == f"{path}{text}"
 
 
 def test_load_transcript_names_a_file_it_cannot_open(tmp_path) -> None:

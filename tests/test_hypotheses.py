@@ -246,6 +246,20 @@ def test_a_bad_domain_is_reported_before_any_row_error(tmp_path) -> None:
         HypothesisClass.from_rows([0, -1], [("h", "012")])
 
 
+@pytest.mark.parametrize("doc, text", [
+    ([{"domain": [0]}], "expected an object with 'domain' and 'hypotheses'"),
+    ({"domain": 5, "hypotheses": []}, "'domain' must be an array of integers"),
+    ({"domain": [0], "hypotheses": {"h": "1"}}, "'hypotheses' must be an array"),
+    ({"domain": [0], "hypotheses": [{"name": "a", "values": "1"}, "1"]}, "hypothesis #1 must be an object with 'values'"),
+], ids=["top-level-array", "domain", "hypotheses", "entry"])
+def test_a_class_file_of_the_wrong_shape_is_named(tmp_path, doc, text) -> None:
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ClassFileError) as info:
+        load_class_file(path)
+    assert str(info.value) == f"{path}: {text}"
+
+
 # ----------------------------------------------------------------------
 # the mask representation against the pairwise definitions
 

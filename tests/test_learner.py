@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from brute_oracles import advanced_subset_walk
 from conftest import hyp
 from oraclebench.errors import (
+    NonRealizable,
     OracleFailure,
     RepeatedActiveFunction,
     ScheduleViolation,
@@ -203,6 +204,15 @@ def test_oracle_failure_on_inconsistent_answer() -> None:
     rounds = ScriptedRounds([(0, 1)], oracle=lambda s: hyp("liar", "0"))
     with pytest.raises(OracleFailure):
         vote_and_update(state, 0, rounds)
+
+
+def test_an_oracle_that_cannot_realize_the_mistake_sample_is_an_oracle_failure() -> None:
+    def refuse(sample):
+        raise NonRealizable("revealed function 'f' does not realize the queried sample")
+
+    with pytest.raises(OracleFailure, match="consistent oracle failed on the mistake sample") as info:
+        vote_and_update(LearnerState(), 0, ScriptedRounds([(0, 1)], oracle=refuse))
+    assert isinstance(info.value.__cause__, NonRealizable)
 
 
 @pytest.mark.parametrize("k,mistakes,attached", [(0, 16, 16), (1, 272, 128)])

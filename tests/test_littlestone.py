@@ -78,6 +78,8 @@ def test_ldim_deduplicates_before_computing() -> None:
 def test_ldim_empty_input_rejected() -> None:
     with pytest.raises(EmptyClass):
         ldim([])
+    with pytest.raises(EmptyClass, match="^the set of hypotheses is empty$"):
+        minimax_adversary_value([])
 
 
 def test_ldim_matches_brute_force_on_seeded_classes() -> None:
@@ -152,6 +154,10 @@ def test_is_shattered_is_false_on_a_path_labeling_a_point_both_ways() -> None:
 def test_labeled_tree_must_be_complete() -> None:
     with pytest.raises(ValueError):
         LabeledTree(TreeNode(0, TreeNode(1, None, None), None), 2)
+    with pytest.raises(ValueError, match="^a labeled tree has depth at least 1$"):
+        LabeledTree(TreeNode(0, None, None), 0)
+    with pytest.raises(ValueError, match="^tree is not complete at the declared depth$"):
+        LabeledTree(TreeNode(0, None, None), 2)
 
 
 def test_format_tree() -> None:

@@ -57,7 +57,7 @@ def test_named_games_past_the_round_guard_are_refused_before_any_round(monkeypat
     played = []
     monkeypatch.setattr(verification, "run_game", lambda *game: played.append(game))
     game = getattr(verification, f"{name}_game")
-    with pytest.raises(SizeLimitExceeded, match=f"^{name}:{d} plays {rounds} rounds; named games are guarded to 65535$"):
+    with pytest.raises(SizeLimitExceeded, match=f"^round_cap {rounds + 10} is past the guard of 70000 rounds$"):
         game(PredictLearner(), d)
     assert played == []
 
