@@ -40,7 +40,6 @@ from .game import (
     GameConfig,
     Round,
     Transcript,
-    exceeds_dimension,
     load_transcript,
     run_game,
     save_transcript,

@@ -191,13 +191,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 start = time.perf_counter()
                 try:
                     mistakes, bound, rounds = _bench_cell(learner_spec, adversary_spec, d)
-                    elapsed = time.perf_counter() - start
-                    rows.append(
-                        f"{d}\t{learner_spec}\t{adversary_spec}\t{mistakes}\t{bound}\t{rounds}\t{elapsed:.3f}"
-                    )
+                    cells = f"{mistakes}\t{bound}\t{rounds}\t{time.perf_counter() - start:.3f}"
                 except OracleBenchError as exc:
-                    failed = True
-                    rows.append(f"{d}\t{learner_spec}\t{adversary_spec}\tERROR\t{exc}\t-\t-")
+                    cells = f"ERROR\t{exc}\t-\t-"
+                except MemoryError:  # the cell's game is freed, so the rows before and after it stay
+                    cells = "ERROR\tout of memory\t-\t-"
+                failed |= cells.startswith("ERROR")
+                rows.append(f"{d}\t{learner_spec}\t{adversary_spec}\t{cells}")
     table = "\n".join(rows) + "\n"
     if args.out:
         with _writing(args.out):

@@ -118,8 +118,8 @@ class GameStopped(Exception):
         self.reason = reason
 
 
-# One rule bounds every revealed-set dimension check: decide the first 243
-# distinct functions (3^5, the ternary:5 set); past them, later functions are
+# One rule bounds the referee's dimension check of live games and stored transcripts: decide
+# the first 243 distinct functions (3^5, the ternary:5 set); past them, later functions are
 # undecided. validation="full" decides after each new one, on one engine that
 # grows with the game and keeps its memo: about 0.01 s over a whole ternary:4
 # game and 0.3 s over a ternary:5 game (README "Size guards").
@@ -178,15 +178,6 @@ class _Referee:
         if self._engine.at_least(self._engine.full, self.d + 1):
             return True
         return None if n > DIMENSION_CHECK_LIMIT else False
-
-
-def exceeds_dimension(functions: Iterable[Hypothesis], d: int) -> bool | None:
-    """Whether the distinct functions have dimension above d, or None where
-    that is undecided (see ``_Referee.exceeds``)."""
-    referee = _Referee(d)
-    for f in functions:
-        referee.add(f)
-    return referee.exceeds()
 
 
 class RoundChannel:

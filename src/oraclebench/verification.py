@@ -21,7 +21,7 @@ from .adversary import (
     TernaryAdversary,
 )
 from .errors import SizeLimitExceeded
-from .game import GameConfig, Learner, Transcript, exceeds_dimension, run_game, validate_transcript
+from .game import GameConfig, Learner, Transcript, run_game, validate_transcript
 from .hypotheses import Hypothesis, HypothesisClass
 from .learner import (
     CreateAdvancedLearner,
@@ -39,6 +39,7 @@ from .littlestone import (
     find_shattered_tree,
     is_shattered,
     ldim,
+    ldim_at_least,
     minimax_adversary_value,
 )
 
@@ -148,11 +149,8 @@ def halting_game(k: int) -> tuple[Transcript, CreateAdvancedLearner]:
 # suites
 
 
-def _dimension_check(name: str, over: bool | None, d: int) -> CheckResult:
-    """Passes iff ``over``, the answer of ``exceeds_dimension`` for d, says
-    the revealed set has dimension at most d; fails where it is undecided."""
-    if over is None:
-        return _check(name, False, "undecided: the revealed set is past the engine's guard")
+def _dimension_check(name: str, over: bool, d: int) -> CheckResult:
+    """Passes iff ``over``, whether the revealed set has dimension above d, is False."""
     return _check(name, not over, f"revealed set has dimension {'above' if over else 'at most'} {d}")
 
 
@@ -169,10 +167,10 @@ UPPER_LIMIT = 7  # classes are drawn on 8 points, where dimension 8 needs all 25
 def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
     """Lower-bound suite: ternary and flood adversaries force their full mistake
     counts within dimension d. Every check is exact; ``seed`` changes nothing.
-    Past the engine's guard the ternary set's dimension is decided by the
-    digit-recovery bound: a learner that makes at most d mistakes on every
-    query sequence labeled by a member proves the class has dimension at
-    most d (Littlestone 1988)."""
+    Each revealed set's dimension is one engine call, ``ldim_at_least(·, d + 1)``:
+    the ternary set's is a search that ``LOWER_LIMIT`` keeps within a minute,
+    and the flood set's is settled by the size bound. The digit-recovery
+    learner has a check of its own."""
     if d > LOWER_LIMIT:
         return [_check(f"lower:{d}", False, f"guard: lower bounds checked up to d = {LOWER_LIMIT}")]
     t = ternary_game(PredictLearner(), d)
@@ -180,25 +178,18 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
     report = validate_transcript(replace(t, config=replace(t.config, d=None)))
     # the class is the revealed set: labels and each f_r come from the game
     worst, faults = DigitRecovery(d, tuple(r.y for r in t.rounds)).search(t.functions)
-    bounded = not faults and worst <= d
-    name, over = f"lower:{d} ternary dimension", exceeds_dimension(t.functions, d)
-    if over is None:  # past the engine's guard the digit-recovery bound decides
-        dimension = _check(name, bounded, f"revealed set has dimension at most {d} by the digit-recovery bound"
-                           if bounded else "past the engine's guard, and the digit-recovery bound fails")
-    else:
-        dimension = _dimension_check(name, over, d)
     n = 2 ** (d + 1) - 1
     ft = flood_game(PredictLearner(), d)
     return [
         _mistakes_check(f"lower:{d} ternary mistakes", t, 3**d),
         _check(f"lower:{d} ternary consistency", report.passed,
                report.first_failure or "every revealed function matches the history"),
-        dimension,
-        _check(f"lower:{d} informative learner", bounded,
+        _dimension_check(f"lower:{d} ternary dimension", ldim_at_least(t.functions, d + 1), d),
+        _check(f"lower:{d} informative learner", not faults and worst <= d,
                f"learner fault on {len(faults)} of {len(t.functions)} functions, first {faults[0]}" if faults
                else f"exact worst case {worst} mistakes over every query sequence, bound {d}"),
         _mistakes_check(f"lower:{d} flood mistakes", ft, n),
-        _dimension_check(f"lower:{d} flood dimension", exceeds_dimension(ft.functions, d), d),
+        _dimension_check(f"lower:{d} flood dimension", ldim_at_least(ft.functions, d + 1), d),
     ]
 
 

@@ -479,15 +479,31 @@ def test_a_cap_past_the_round_guard_is_refused_before_any_round(monkeypatch, cap
     assert (captured.out, captured.err) == ("", "error: round_cap 200000 is past the guard of 70000 rounds\n")
 
 
-def test_running_out_of_memory_is_an_error_not_a_traceback() -> None:
-    # ternary:11 capped at the round guard needs about 610 MB; under a 256 MiB
-    # address-space limit the game runs out of memory after a few seconds at most
+def _run_in_256_mib(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess under a 256 MiB address-space limit."""
     limit = 256 << 20
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "oraclebench.cli", "simulate", "--learner", "predict",
-         "--adversary", "ternary:11", "--cap", "70000"],
+    return subprocess.run(
+        [sys.executable, "-m", "oraclebench.cli", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def test_running_out_of_memory_is_an_error_not_a_traceback() -> None:
+    # ternary:11 capped at the round guard needs about 610 MB; under the
+    # limit the game runs out of memory after a few seconds at most
+    done = _run_in_256_mib("simulate", "--learner", "predict", "--adversary", "ternary:11", "--cap", "70000")
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: simulate: out of memory\n")
+
+
+def test_a_bench_cell_out_of_memory_is_an_error_row_and_the_other_rows_stay() -> None:
+    # ternary:10 needs about 358 MB, flood:10 plays 2047 short rounds
+    done = _run_in_256_mib("bench", "--dims", "10", "--adversaries", "ternary,flood")
+    rows = [line.split("\t")[:6] for line in done.stdout.splitlines()]
+    assert (done.returncode, done.stderr) == (1, "")
+    assert rows == [
+        ["d", "learner", "adversary", "mistakes", "bound", "rounds"],
+        ["10", "predict", "ternary", "ERROR", "out of memory", "-"],
+        ["10", "predict", "flood", "2047", "2047", "2047"],
+    ]

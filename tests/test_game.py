@@ -29,7 +29,7 @@ from oraclebench.game import (
     Round,
     RoundChannel,
     Transcript,
-    exceeds_dimension,
+    _Referee,
     load_transcript,
     run_game,
     save_transcript,
@@ -234,30 +234,39 @@ def small_families(draw) -> tuple[list[Hypothesis], range]:
     return [Hypothesis(f"h{i}", support=m) for i, m in enumerate(picks)], domain
 
 
+def referee_exceeds(functions: list[Hypothesis], d: int) -> bool | None:
+    """The referee's answer once ``functions`` are added: whether they have
+    dimension above d, or None where its guard leaves that undecided."""
+    referee = _Referee(d)
+    for f in functions:
+        referee.add(f)
+    return referee.exceeds()
+
+
 @given(family=small_families(), d=st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
-def test_exceeds_dimension_agrees_with_brute_force(family, d) -> None:
+def test_the_referee_agrees_with_brute_force(family, d) -> None:
     functions, domain = family
-    over = exceeds_dimension(functions, d)
+    over = referee_exceeds(functions, d)
     assert over == (brute_ldim(functions, domain) > d)
     if len({f.support for f in functions}) < 2 ** (d + 1):
         assert over is False
 
 
-def test_exceeds_dimension_skips_only_past_243_distinct_functions() -> None:
+def test_the_referee_leaves_undecided_only_past_243_distinct_functions() -> None:
     def prefix_functions(count: int) -> list[Hypothesis]:
         return [Hypothesis(f"f{n}", support=(1 << n) - 1) for n in range(count)]
 
-    assert exceeds_dimension(prefix_functions(243), 1) is True
-    assert exceeds_dimension(prefix_functions(243) * 2, 1) is True
+    assert referee_exceeds(prefix_functions(243), 1) is True
+    assert referee_exceeds(prefix_functions(243) * 2, 1) is True
     # the first 243 already break d = 1, whatever follows them
-    assert exceeds_dimension(prefix_functions(244), 1) is True
-    assert exceeds_dimension(prefix_functions(1000), 1) is True
+    assert referee_exceeds(prefix_functions(244), 1) is True
+    assert referee_exceeds(prefix_functions(1000), 1) is True
     # the first 243 of a chain stay within d = 7; the rest are undecided
-    assert exceeds_dimension(prefix_functions(243), 7) is False
-    assert exceeds_dimension(prefix_functions(300), 7) is None
-    assert exceeds_dimension(prefix_functions(255), 7) is False  # size bound first, on the whole set
-    assert exceeds_dimension([], 0) is False
+    assert referee_exceeds(prefix_functions(243), 7) is False
+    assert referee_exceeds(prefix_functions(300), 7) is None
+    assert referee_exceeds(prefix_functions(255), 7) is False  # size bound first, on the whole set
+    assert referee_exceeds([], 0) is False
 
 
 def test_soa_vs_class_greedy_within_dimension() -> None:

@@ -13,9 +13,9 @@ from brute_oracles import brute_recovery_worst_case, per_point_recovery_search, 
 from oraclebench import adversary, game, verification
 from oraclebench.adversary import DigitRecovery, TernaryAdversary, ternary_function
 from oraclebench.errors import SizeLimitExceeded
-from oraclebench.game import GameConfig, exceeds_dimension, run_game
+from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
-from oraclebench.littlestone import _DimensionEngine, ldim
+from oraclebench.littlestone import _DimensionEngine, ldim, ldim_at_least
 from oraclebench.verification import (
     CheckResult,
     _dimension_check,
@@ -85,7 +85,8 @@ def test_verify_lower_decides_the_ternary_set_once(monkeypatch) -> None:
     at_least = _DimensionEngine.at_least
 
     def counting_at_least(engine, s, d):
-        if s == engine.full:  # a search of the whole set, not one of its recursive steps
+        # a search of the whole set past the size bound, not one of its recursive steps
+        if s == engine.full and s.bit_count() >= 1 << d:
             calls.append(len(engine.hyps))
         return at_least(engine, s, d)
 
@@ -199,18 +200,16 @@ def test_a_step_without_progress_fails_the_check(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_past_the_engine_guard_the_recovery_bound_decides_the_ternary_dimension(monkeypatch, d) -> None:
+def test_the_lower_suite_decides_its_sets_apart_from_the_game_guard_and_the_learner(monkeypatch, d) -> None:
+    # the referee's guard bounds live games only, and the learner's check is a claim of its own
     name = f"lower:{d} ternary dimension"
-    engine = {r.name: r for r in verify_lower(d)}
-    assert engine[name] == CheckResult(name, True, f"revealed set has dimension at most {d}")
+    results = verify_lower(d)
+    assert CheckResult(name, True, f"revealed set has dimension at most {d}") in results
     monkeypatch.setattr(game, "DIMENSION_CHECK_LIMIT", 10)
-    bound = {r.name: r for r in verify_lower(d)}
-    assert bound[name] == CheckResult(name, True, f"revealed set has dimension at most {d} by the digit-recovery bound")
-    assert {n: r for n, r in bound.items() if n != name} == {n: r for n, r in engine.items() if n != name}
+    assert verify_lower(d) == results
     _plant_comparison_fault(monkeypatch)
-    faulty = {r.name: r for r in verify_lower(d)}
-    assert not faulty[f"lower:{d} informative learner"].ok
-    assert faulty[name] == CheckResult(name, False, "past the engine's guard, and the digit-recovery bound fails")
+    failed = [r.name for r in verify_lower(d) if not r.ok]
+    assert failed == [f"lower:{d} informative learner"]
 
 
 def test_verify_lower_guards_d_above_6() -> None:
@@ -218,16 +217,11 @@ def test_verify_lower_guards_d_above_6() -> None:
     assert verify_lower(7) == [CheckResult("lower:7", False, "guard: lower bounds checked up to d = 6")]
 
 
-def test_an_undecided_dimension_check_fails() -> None:
-    def revealed(d: int):
-        return run_game(PredictLearner(), TernaryAdversary(d), GameConfig(d=d, round_cap=3**d)).functions
-
-    undecided = _dimension_check("ternary dimension", exceeds_dimension(revealed(6), 6), 6)
-    assert undecided == CheckResult("ternary dimension", False, "undecided: the revealed set is past the engine's guard")
-    functions = revealed(5)
-    run = _dimension_check("ternary dimension", exceeds_dimension(functions, 5), 5)
+def test_the_dimension_check_passes_within_d_and_fails_above_it() -> None:
+    functions = run_game(PredictLearner(), TernaryAdversary(5), GameConfig(d=5, round_cap=3**5)).functions
+    run = _dimension_check("ternary dimension", ldim_at_least(functions, 6), 5)
     assert run == CheckResult("ternary dimension", True, "revealed set has dimension at most 5")
-    over = _dimension_check("ternary dimension", exceeds_dimension(functions, 4), 4)
+    over = _dimension_check("ternary dimension", ldim_at_least(functions, 5), 4)
     assert over == CheckResult("ternary dimension", False, "revealed set has dimension above 4")
 
 
