@@ -8,11 +8,11 @@ worst-case guarantee and a greedy opponent.
 """
 
 from oraclebench import PredictLearner, SOALearner, ldim, mistake_bound
-from oraclebench.verification import class_greedy_game, random_classes_of_dimension, threshold_pair_classes
+from oraclebench.verification import class_greedy_game, dimension_classes, threshold_pair_classes
 
-family = threshold_pair_classes(8) + random_classes_of_dimension(1, 40, seed=0)
+family = threshold_pair_classes(8) + list(dimension_classes(1, seed=0))
 print(f"{len(family)} dimension-1 classes "
-      f"({len(threshold_pair_classes(8))} threshold pairs + 40 seeded random)")
+      f"({len(threshold_pair_classes(8))} threshold pairs + 100 seeded, built to shatter point 0)")
 print(f"budget for d=1: {mistake_bound(1)} mistakes")
 print()
 

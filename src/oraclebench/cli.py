@@ -20,9 +20,9 @@ from .littlestone import SOALearner, find_shattered_tree, format_tree, ldim
 from .verification import (
     CheckResult,
     class_greedy_game,
+    dimension_classes,
     flood_game,
     ternary_game,
-    threshold_pair_classes,
     verify_advanced,
     verify_lower,
     verify_prefix,
@@ -143,6 +143,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = None if least is None else _spec_int(args.check, arg, least)
     try:
         results: list[CheckResult] = suite(n, args.seed)
+    except MemoryError:  # the machine's limit, not a fault in the code under check: main reports it
+        raise
     except Exception as exc:  # a fault in the code under check fails its suite
         print(f"FAIL {args.check}: {type(exc).__name__}: {exc}")
         return 1
@@ -154,9 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _bench_cell(learner_spec: str, adversary_spec: str, d: int):
     """One benchmark row of checked names; returns (mistakes, bound, rounds)."""
     if adversary_spec == "class-greedy":
-        if d != 1:
-            raise OracleBenchError("class-greedy rows are enumerated for d = 1 only")
-        games = [class_greedy_game(_parse_learner(learner_spec, c), c, d) for c in threshold_pair_classes(8)]
+        games = [class_greedy_game(_parse_learner(learner_spec, c), c, d) for c in dimension_classes(d, 0)]
         # create-adv:k plays a prefix of predict's schedule, so it has predict's bound
         bound = d if learner_spec == "soa" else mistake_bound(d)
         return max(t.mistake_count for t in games), bound, sum(len(t.rounds) for t in games)

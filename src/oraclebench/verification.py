@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .adversary import (
     ClassGreedyAdversary,
@@ -20,7 +21,6 @@ from .adversary import (
     RandomClassAdversary,
     TernaryAdversary,
 )
-from .errors import SizeLimitExceeded
 from .game import GameConfig, Learner, Transcript, run_game, validate_transcript
 from .hypotheses import Hypothesis, HypothesisClass
 from .learner import (
@@ -35,7 +35,9 @@ from .learner import (
 )
 from .littlestone import (
     MINIMAX_MAX_HYPOTHESES,
+    LabeledTree,
     SOALearner,
+    TreeNode,
     find_shattered_tree,
     is_shattered,
     ldim,
@@ -93,21 +95,29 @@ def random_classes(count: int, seed: int, max_hypotheses: int = 10, max_points: 
     return [random_class(rng, max_hypotheses, max_points) for _ in range(count)]
 
 
-def random_classes_of_dimension(d: int, count: int, seed: int) -> list[HypothesisClass]:
-    """Seeded random classes filtered to dimension exactly d. They are drawn
-    on at most 8 points, where dimension 8 needs all 256 functions, so d
-    above ``UPPER_LIMIT`` is refused at once rather than searched for."""
-    if d > UPPER_LIMIT:
-        raise SizeLimitExceeded(
-            f"random classes are drawn on at most 8 points: dimension {d} is past the limit of {UPPER_LIMIT}"
-        )
+def _heap_tree(d: int) -> LabeledTree:
+    """The complete depth-d tree on the points 0..2^d - 2 in heap order:
+    node i's children are 2i + 1 on branch 0 and 2i + 2 on branch 1."""
+
+    def node(i: int) -> TreeNode | None:
+        return TreeNode(i, node(2 * i + 1), node(2 * i + 2)) if i < 2**d - 1 else None
+
+    return LabeledTree(node(0), d)
+
+
+def dimension_classes(d: int, seed: int) -> Iterator[HypothesisClass]:
+    """100 seeded classes of dimension d >= 1, built one at a time. Each lies on the
+    points of ``_heap_tree(d)`` and the 1..8 drawn as ``random_class`` draws them: one
+    member per leaf, with the leaf's path labels on the tree and seeded bits elsewhere,
+    then fewer than 2^d seeded members. The leaves shatter the tree, so ldim >= d, and
+    fewer than 2^(d+1) members keep ldim <= log2 |H| < d + 1."""
     rng = random.Random(seed)
-    out: list[HypothesisClass] = []
-    while len(out) < count:
-        c = random_class(rng, max_hypotheses=2 ** (d + 1), max_points=8)
-        if ldim(c) == d:
-            out.append(c)
-    return out
+    paths, inner = [leaf.ones for leaf in _heap_tree(d).leaf_samples()], 2**d - 1
+    for _ in range(100):
+        n = max(inner, rng.randint(1, 8))
+        supports = [rng.getrandbits(n) >> inner << inner | path for path in paths]
+        supports += [rng.getrandbits(n) for _ in range(rng.randrange(2**d))]
+        yield HypothesisClass(tuple(range(n)), tuple(Hypothesis(f"h{i}", s) for i, s in enumerate(supports)))
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +171,7 @@ def _mistakes_check(name: str, t: Transcript, want: int) -> CheckResult:
 
 # the largest d whose suite ends within a minute (README "Size guards")
 LOWER_LIMIT = 6
-UPPER_LIMIT = 7  # classes are drawn on 8 points, where dimension 8 needs all 256 functions
+UPPER_LIMIT = 8  # from d = 9, 511 points outlast class_greedy_game's 500-round cap: no quiet pass ends
 
 
 def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
@@ -194,18 +204,22 @@ def verify_lower(d: int, seed: int = 0) -> list[CheckResult]:
 
 
 def verify_upper(d: int, seed: int = 0) -> list[CheckResult]:
-    """Upper-bound suite at desk scale: over 100 seeded classes of dimension
-    d, the oracle learner stays below its budget and the version-space
-    learner stays within the dimension, each in ``class_greedy_game``.
-    Classes are drawn on at most 8 points, so d above ``UPPER_LIMIT`` is refused.
-    """
+    """Upper-bound suite: over the 100 ``dimension_classes`` of d, played as they
+    are built (after the 36 threshold pairs at d = 1), the oracle learner stays below
+    its budget and the version-space learner within the dimension, each in
+    ``class_greedy_game``; each built class's dimension is checked by definition."""
     if d > UPPER_LIMIT:
         return [_check(f"upper:{d}", False, f"guard: upper bounds checked up to d = {UPPER_LIMIT}")]
-    family = (threshold_pair_classes(8) if d == 1 else []) + random_classes_of_dimension(d, 100, seed)
-    bound = mistake_bound(d)
+    pairs = threshold_pair_classes(8) if d == 1 else []
+    tree, bound = _heap_tree(d), mistake_bound(d)
     worst_predict = worst_soa = 0
     failures: dict[str, str] = {}  # each check's first failure
-    for i, c in enumerate(family):
+    for i, c in enumerate(itertools.chain(pairs, dimension_classes(d, seed))):
+        if i >= len(pairs):  # a built class: ldim >= d by its tree, and ldim <= d by its size
+            if not is_shattered(tree, c):
+                failures.setdefault("class", f"class #{i}: the depth-{d} heap tree is not shattered")
+            if len({h.support for h in c}) >= 2 ** (d + 1):
+                failures.setdefault("class", f"class #{i}: at least {2 ** (d + 1)} distinct members")
         t = class_greedy_game(PredictLearner(), c, d)
         worst_predict = max(worst_predict, t.mistake_count)
         if t.mistake_count > bound:
@@ -216,9 +230,12 @@ def verify_upper(d: int, seed: int = 0) -> list[CheckResult]:
             failures.setdefault("soa", f"class #{i}: soa made {ts.mistake_count} > {d}")
     return [
         _check(f"upper:{d} oracle learner budget", "budget" not in failures,
-               failures.get("budget", f"worst {worst_predict} mistakes over {len(family)} classes, bound {bound}")),
+               failures.get("budget", f"worst {worst_predict} mistakes over {i + 1} classes, bound {bound}")),
         _check(f"upper:{d} soa within dimension", "soa" not in failures,
-               failures.get("soa", f"worst {worst_soa} mistakes over {len(family)} classes, bound {d}")),
+               failures.get("soa", f"worst {worst_soa} mistakes over {i + 1} classes, bound {d}")),
+        _check(f"upper:{d} class dimension", "class" not in failures,
+               failures.get("class", f"{i + 1 - len(pairs)} built classes shatter the depth-{d} heap tree "
+                                     f"with fewer than {2 ** (d + 1)} members")),
     ]
 
 

@@ -42,8 +42,8 @@ from oraclebench.littlestone import (
     minimax_adversary_value,
 )
 from oraclebench.verification import (
+    dimension_classes,
     random_classes,
-    random_classes_of_dimension,
     threshold_pair_classes,
 )
 import itertools
@@ -129,7 +129,7 @@ def test_criterion_3_flood_forces_exactly_2_to_the_d_plus_1_minus_1() -> None:
 
 
 def test_criterion_4_oracle_learner_budget_on_dimension_one_classes() -> None:
-    family = threshold_pair_classes(8) + random_classes_of_dimension(1, 100, seed=0)
+    family = threshold_pair_classes(8) + list(dimension_classes(1, seed=0))
     assert len(family) == 136
     assert all(ldim(c) == 1 for c in family)
     bound = mistake_bound(1)

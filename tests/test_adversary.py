@@ -23,8 +23,8 @@ from oraclebench.hypotheses import Hypothesis, HypothesisClass, Sample, is_consi
 from oraclebench.learner import PredictLearner
 from oraclebench.littlestone import SOALearner, ldim
 from oraclebench.verification import (
+    dimension_classes,
     random_classes,
-    random_classes_of_dimension,
     threshold_hypotheses,
     threshold_pair_classes,
 )
@@ -243,7 +243,7 @@ def test_class_greedy_plays_the_survivor_filter_reference(learner, more_classes)
     # the reference game holds no mistake
     classes = (
         threshold_pair_classes(8)
-        + random_classes_of_dimension(1, 100, seed=11)
+        + list(dimension_classes(1, seed=11))
         + _classes_with_repeats(100, seed=12)
         + more_classes
     )

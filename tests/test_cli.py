@@ -274,6 +274,17 @@ def test_verify_reads_its_spec_before_the_suite_runs(capsys, monkeypatch) -> Non
     assert capsys.readouterr().out == "FAIL lower:1: AssertionError: the suite ran\n"
 
 
+def test_verify_out_of_memory_is_an_error_not_a_fail_line(capsys, monkeypatch) -> None:
+    # the machine's limit is no fault of the code under check, so main reports it as other commands do
+    def suite(d, seed):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._SUITES, "lower", (suite, 1))
+    assert main(["verify", "lower:6"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: verify: out of memory\n")
+
+
 def test_verify_advanced_guard(capsys) -> None:
     assert main(["verify", "advanced:5"]) == 1
     assert "guard" in capsys.readouterr().out
@@ -350,13 +361,15 @@ def test_bench_class_greedy_rows(capsys) -> None:
     assert code == 0
     # d, learner, adversary, mistakes, bound, rounds; the runtime varies
     assert [r.split("\t")[:6] for r in rows[1:]] == [
-        ["1", "predict", "class-greedy", "1", "271", "324"],
-        ["1", "soa", "class-greedy", "1", "1", "324"],
+        ["1", "predict", "class-greedy", "2", "271", "536"],
+        ["1", "soa", "class-greedy", "1", "1", "519"],
     ]
-    # create-adv:k plays a prefix of predict's schedule, so it has predict's bound
-    assert main(["bench", "--dims", "1", "--learners", "create-adv:1", "--adversaries", "class-greedy"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split("\t")[:6] == [
-        "1", "create-adv:1", "class-greedy", "1", "271", "324"
+    # create-adv:k plays a prefix of predict's schedule, so it has predict's bound; the rows
+    # play the upper suite's family, built at any d
+    assert main(["bench", "--dims", "1-2", "--learners", "create-adv:1", "--adversaries", "class-greedy"]) == 0
+    assert [r.split("\t")[:6] for r in capsys.readouterr().out.splitlines()[1:]] == [
+        ["1", "create-adv:1", "class-greedy", "2", "271", "536"],
+        ["2", "create-adv:1", "class-greedy", "3", "69903", "711"],
     ]
 
 
@@ -368,12 +381,11 @@ def test_bench_rejects_a_reversed_range(capsys) -> None:
 
 
 def test_bench_records_cell_failures_and_continues(capsys) -> None:
-    code = main(["bench", "--dims", "2-2", "--learners", "predict",
-                 "--adversaries", "class-greedy,ternary"])
+    code = main(["bench", "--dims", "2-2", "--learners", "soa,predict", "--adversaries", "ternary"])
     out = capsys.readouterr().out
     assert code == 1
     assert "ERROR" in out
-    assert "\t9\t" in out  # the ternary cell still ran
+    assert "\t9\t" in out  # the predict cell after the soa one still ran
 
 
 def test_bench_soa_without_a_class_is_an_error_row(capsys) -> None:

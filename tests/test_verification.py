@@ -15,12 +15,13 @@ from oraclebench.adversary import DigitRecovery, TernaryAdversary, ternary_funct
 from oraclebench.errors import SizeLimitExceeded
 from oraclebench.game import GameConfig, run_game
 from oraclebench.learner import PredictLearner
-from oraclebench.littlestone import _DimensionEngine, ldim, ldim_at_least
+from oraclebench.hypotheses import Hypothesis, HypothesisClass
+from oraclebench.littlestone import LabeledTree, TreeNode, _DimensionEngine, is_shattered, ldim, ldim_at_least
 from oraclebench.verification import (
     CheckResult,
     _dimension_check,
+    dimension_classes,
     random_classes,
-    random_classes_of_dimension,
     threshold_pair_classes,
     verify_advanced,
     verify_lower,
@@ -40,15 +41,56 @@ def test_threshold_pairs_have_dimension_one() -> None:
     assert all(ldim(c) == 1 for c in classes)
 
 
-def test_random_classes_of_dimension_hits_the_target() -> None:
-    for c in random_classes_of_dimension(2, 5, seed=1):
-        assert ldim(c) == 2
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_dimension_classes_have_dimension_d_by_the_engine(d) -> None:
+    for seed in (0, 1, 2):
+        assert [ldim(c) for c in dimension_classes(d, seed)] == [d] * 100, seed
 
 
-def test_random_classes_of_dimension_refuses_d_above_7_at_once() -> None:
-    # on at most 8 points, dimension 8 needs all 256 functions: the draw would never end
-    with pytest.raises(SizeLimitExceeded, match="at most 8 points: dimension 8 is past the limit of 7"):
-        random_classes_of_dimension(8, 1, seed=0)
+def _heap_tree_by_levels(d: int) -> LabeledTree:
+    """The depth-d heap tree on 0..2^d - 2, built bottom-up: node i's children are 2i + 1 and 2i + 2."""
+    nodes: dict[int, TreeNode] = {}
+    for i in reversed(range(2**d - 1)):
+        nodes[i] = TreeNode(i, nodes.get(2 * i + 1), nodes.get(2 * i + 2))
+    return LabeledTree(nodes[0], d)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dimension_classes_shatter_the_heap_tree_with_few_members(d) -> None:
+    # a shattered depth-d tree gives ldim >= d, and fewer than 2^(d+1) members ldim <= d
+    tree = _heap_tree_by_levels(d)
+    classes = list(dimension_classes(d, seed=0))
+    assert len(classes) == 100
+    for i, c in enumerate(classes):
+        assert is_shattered(tree, c), i
+        assert 2**d <= len({h.support for h in c}) < 2 ** (d + 1), i
+        assert c.domain == tuple(range(max(2**d - 1, len(c.domain)))) and len(c.domain) <= max(2**d - 1, 8), i
+
+
+@pytest.mark.parametrize("d, want", [
+    (1, "94d5c2339590e52ae2cef3091de729228c5e2973830554c2e3c0da33077c4e39"),
+    (2, "745a611087d358e9643600c32171e3ebc495a4a1cdde74c8572d472988eb8b7b"),
+    (3, "1c53d3de97730d5de113bdac571921293a20f9439c060a78dc6dd23897e73496"),
+])
+def test_seeded_dimension_classes_match_recorded_output(d: int, want: str) -> None:
+    rows = [[c.domain, [[h.name, h.support] for h in c]] for c in dimension_classes(d, seed=0)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == want
+
+
+def test_a_class_that_misses_a_leaf_fails_the_class_dimension_check(monkeypatch) -> None:
+    # flip the last path label of leaf 0's member (h0): where no other member takes that path
+    # (class #0 has one) the heap tree is no longer shattered, and the games alone cannot tell
+    real = verification.dimension_classes
+
+    def planted(d, seed):
+        for c in real(d, seed):
+            h0, *rest = c.hypotheses
+            yield HypothesisClass(c.domain, (Hypothesis("h0", h0.support ^ 1 << 2 ** (d - 1) - 1), *rest))
+
+    monkeypatch.setattr(verification, "dimension_classes", planted)
+    budget, soa, dimension = verify_upper(3)
+    assert budget.ok and soa.ok
+    assert not dimension.ok and dimension.detail == "class #1: the depth-3 heap tree is not shattered"
 
 
 @pytest.mark.parametrize("name, d, rounds", [("ternary", 11, 177147), ("flood", 16, 131071)])
@@ -230,6 +272,7 @@ def test_verify_upper_passes_over_136_classes() -> None:
     assert [r.detail for r in verify_upper(1)] == [
         "worst 2 mistakes over 136 classes, bound 271",
         "worst 1 mistakes over 136 classes, bound 1",
+        "100 built classes shatter the depth-1 heap tree with fewer than 4 members",
     ]
 
 
@@ -250,9 +293,10 @@ class ZeroLearner:
 
 def test_a_planted_soa_fault_fails_its_own_checks_alone(monkeypatch) -> None:
     monkeypatch.setattr(verification, "SOALearner", ZeroLearner)
-    budget, soa = verify_upper(1)
+    budget, soa, dimension = verify_upper(1)
     assert budget.ok and budget.detail == "worst 2 mistakes over 136 classes, bound 271"
     assert not soa.ok and soa.detail == "class #0: soa made 300 > 1"
+    assert dimension.ok
     props = verify_props(seed=0)
     assert [(r.name, r.ok) for r in props] == [
         ("props size bound", True),
@@ -265,9 +309,9 @@ def test_a_planted_soa_fault_fails_its_own_checks_alone(monkeypatch) -> None:
     assert [r.detail for r in props if r.ok] == ["200 classes"] * 3 + ["148 classes within guard"]
 
 
-def test_verify_upper_guards_d_above_7() -> None:
-    # classes are drawn on at most 8 points: dimension 8 needs all 256 functions
-    assert verify_upper(8) == [CheckResult("upper:8", False, "guard: upper bounds checked up to d = 7")]
+def test_verify_upper_guards_d_above_8() -> None:
+    # from d = 9 the 511-point domain outlasts class_greedy_game's 500-round cap
+    assert verify_upper(9) == [CheckResult("upper:9", False, "guard: upper bounds checked up to d = 8")]
 
 
 def test_verify_advanced_passes() -> None:
@@ -295,11 +339,10 @@ def test_verify_props_cross_checks_minimax_on_every_class_within_the_member_guar
     assert [r.detail for r in results if r.name == "props minimax equals ldim"] == ["148 classes within guard"]
 
 
-@pytest.mark.parametrize("suite, want", [(lambda: verify_props(seed=0), 200), (lambda: verify_upper(1, seed=0), 207)],
+@pytest.mark.parametrize("suite, want", [(lambda: verify_props(seed=0), 200), (lambda: verify_upper(1, seed=0), 136)],
                          ids=["props", "upper:1"])
 def test_a_suite_builds_one_engine_per_class(monkeypatch, suite, want) -> None:
-    # props: 200 random classes; upper:1: 36 threshold pairs, 100 kept
-    # random classes and the 71 drawn and dropped for a dimension other than 1
+    # props: 200 random classes; upper:1: 36 threshold pairs and 100 built classes, none dropped
     built = []
     init = _DimensionEngine.__init__
 
